@@ -1,11 +1,11 @@
 """Exact face-lattice and f-vector computations for order, chain, and
 chain-order polytopes of finite posets, with two independent pipelines:
-geometric (vertex-facet incidence closure) and combinatorial (face normal
-forms of maximal ranked posets)."""
+geometric (face iteration over vertex-facet incidences) and combinatorial
+(face normal forms of maximal ranked posets)."""
 
 from .cliques import Graph, maximal_cliques, maximal_independent_sets
 from .errors import BudgetError, InconsistentInputError
-from .facelattice import FaceLattice, IncidenceMatrix, enumerate_faces, f_vector, incidence_matrix
+from .facelattice import FaceLattice, IncidenceMatrix, count_faces, enumerate_faces, f_vector, incidence_matrix
 from .linalg import affine_rank
 from .normalform import (
     FaceNormalForm,

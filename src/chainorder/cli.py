@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .facelattice import enumerate_faces, f_vector, incidence_matrix
+from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, verify_injection, verify_monotone
 from .polytopes import (
     chain_order_hrep,
@@ -79,28 +79,49 @@ def _polytope_label(tau, k: int) -> str:
 
 def _load_poset(cfg: RunConfig) -> Poset:
     with open(cfg.poset_file, "r", encoding="utf-8") as fh:
-        return poset_from_json(fh.read())
+        text = fh.read()
+    try:
+        return poset_from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and poset errors
+        raise ConfigError(f"bad poset file {cfg.poset_file}: {exc}") from exc
 
 
 def _dd_for(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
-    """(VRep, HRep, label) for the requested polytope."""
+    """(VRep, HRep) for the requested polytope."""
     if poset is not None:
-        if cfg.polytope == "chain":
-            v, h = chain_polytope_dd(poset)
-            return v, h, "chain"
-        v, h = order_polytope_dd(poset)
-        return v, h, "order"
+        return (chain_polytope_dd if cfg.polytope == "chain" else order_polytope_dd)(poset)
     h = chain_order_hrep(tau, k)
     if (1 << h.n_vars) > cfg.budget_points:
         raise BudgetError(f"2^{h.n_vars} candidate points exceed --budget-points")
-    v = zero_one_vertices(h)
-    return v, h, _polytope_label(tau, k)
+    return zero_one_vertices(h), h
 
 
 def _geometric_fvector(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
-    v, h, label = _dd_for(cfg, tau, k, poset)
-    lattice = enumerate_faces(incidence_matrix(v, h), max_faces=cfg.budget_faces)
-    return f_vector(lattice), lattice, label
+    """(f-vector, lattice); the whole lattice is built only for export."""
+    inc = incidence_matrix(*_dd_for(cfg, tau, k, poset))
+    if cfg.export_lattice:
+        lattice = enumerate_faces(inc, max_faces=cfg.budget_faces)
+        return f_vector(lattice), lattice
+    return count_faces(inc, max_faces=cfg.budget_faces), None
+
+
+def _pipelines_fvector(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
+    """(f-vector, lattice, agree) by the configured method.
+
+    With ``--method both`` a disagreement is reported on stderr, and the
+    geometric f-vector is returned with ``agree`` false.
+    """
+    geo = norm = lattice = None
+    if cfg.method in ("geometric", "both"):
+        geo, lattice = _geometric_fvector(cfg, tau, k, poset)
+    if cfg.method in ("normalform", "both"):
+        norm = f_vector_normal_form(tau, k)
+    agree = cfg.method != "both" or geo == norm
+    if not agree:
+        sys.stderr.write(
+            f"pipeline mismatch at tau={_tau_label(tau)}, k={k}: geometric {geo} vs normal form {norm}\n"
+        )
+    return (geo if geo is not None else norm), lattice, agree
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
@@ -146,17 +167,10 @@ def _fvector_command(cfg: RunConfig) -> int:
             raise ConfigError("--poset input supports only --method geometric")
         label = cfg.polytope or "order"
 
-    geo = norm = None
-    lattice = None
-    if cfg.method in ("geometric", "both"):
-        geo, lattice, label = _geometric_fvector(cfg, tau, k, poset)
-    if cfg.method in ("normalform", "both"):
-        norm = f_vector_normal_form(tau, k)
-    if cfg.method == "both" and geo != norm:
-        sys.stderr.write(f"pipeline mismatch: geometric {geo} vs normal form {norm}\n")
+    fv, lattice, agree = _pipelines_fvector(cfg, tau, k, poset)
+    if not agree:
         return 1
-    fv = geo if geo is not None else norm
-    if cfg.export_lattice and lattice is not None:
+    if lattice is not None:
         _export_lattice(cfg.export_lattice, lattice)
     tau_field = _tau_label(tau) if tau else cfg.poset_file
     k_field = k if k is not None else ""
@@ -188,21 +202,16 @@ def table_taus(n: int) -> list[tuple[int, ...]]:
 
 
 def _table_command(cfg: RunConfig) -> int:
+    if cfg.table_n is None or cfg.table_n < 1:
+        raise ConfigError(f"table needs --n >= 1, got {cfg.table_n}")
     rows_out: list[list] = []
     status = 0
     for tau in table_taus(cfg.table_n):
         for k in (0, len(tau)):
-            label = _polytope_label(tau, k)
-            geo = norm = None
-            if cfg.method in ("geometric", "both"):
-                geo, _, _ = _geometric_fvector(cfg, tau, k, None)
-            if cfg.method in ("normalform", "both"):
-                norm = f_vector_normal_form(tau, k)
-            if cfg.method == "both" and geo != norm:
-                sys.stderr.write(f"pipeline mismatch at tau={tau}, k={k}\n")
+            fv, _, agree = _pipelines_fvector(cfg, tau, k, None)
+            if not agree:
                 status = 1
-            fv = geo if geo is not None else norm
-            rows_out.append([_tau_label(tau), k, label, *fv])
+            rows_out.append([_tau_label(tau), k, _polytope_label(tau, k), *fv])
     if cfg.format == "json":
         payload = [
             {"tau": r[0], "k": r[1], "polytope": r[2], "f": list(r[3:])} for r in rows_out
@@ -272,7 +281,7 @@ def _dd_command(cfg: RunConfig) -> int:
     if cfg.polytope == "chain-order":
         if cfg.tau is None or cfg.k is None:
             raise ConfigError("chain-order needs --tau and --k")
-        v, h, _ = _dd_for(cfg, cfg.tau, cfg.k, None)
+        v, h = _dd_for(cfg, cfg.tau, cfg.k, None)
     else:
         if poset is None:
             poset = make_maximal_ranked(cfg.tau)

@@ -9,7 +9,8 @@ import random
 from conftest import compositions_upto, random_poset
 
 from chainorder.cli import RunConfig, run, table_taus
-from chainorder.facelattice import affine_rank, enumerate_faces, f_vector, incidence_matrix
+from chainorder.facelattice import enumerate_faces, f_vector, incidence_matrix
+from chainorder.linalg import affine_rank
 from chainorder.normalform import f_vector_normal_form, verify_injection, verify_monotone
 from chainorder.polytopes import (
     chain_order_hrep,

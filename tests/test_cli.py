@@ -113,6 +113,56 @@ def test_mismatch_exit_code(monkeypatch, capsys):
     assert "mismatch" in err
 
 
+def test_table_mismatch_names_tau_k_and_vectors(monkeypatch, capsys):
+    code, expected, _ = run_main(capsys, "table", "--n", "5", "--method", "both")
+    assert code == 0
+    monkeypatch.setattr(cli, "f_vector_normal_form", lambda tau, k: (99,))
+    code, out, err = run_main(capsys, "table", "--n", "5", "--method", "both")
+    assert code == 1
+    assert out == expected
+    assert "mismatch at tau=2,2,1, k=0: geometric (8, 24, 35, 26, 9) vs normal form (99,)" in err
+
+
+def _poset_file_exit(tmp_path, capsys, text):
+    poset_path = tmp_path / "p.json"
+    poset_path.write_text(text)
+    code, out, err = run_main(capsys, "fvector", "--poset", str(poset_path), "--method", "geometric")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_cyclic_poset_file_exits_two(tmp_path, capsys):
+    _poset_file_exit(tmp_path, capsys, '{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}')
+
+
+def test_non_json_poset_file_exits_two(tmp_path, capsys):
+    _poset_file_exit(tmp_path, capsys, "not json")
+
+
+def test_malformed_poset_json_exits_two(tmp_path, capsys):
+    _poset_file_exit(tmp_path, capsys, '{"elements": ["a"]}')  # KeyError
+    _poset_file_exit(tmp_path, capsys, "[1, 2]")  # TypeError
+    _poset_file_exit(tmp_path, capsys, '{"elements": ["a"], "covers": [["a", "z"]]}')
+
+
+def test_table_rejects_n_below_one(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run_main(capsys, "table", "--n", n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+def test_fvector_budget_faces_boundary(tmp_path, capsys):
+    # tau = 3 is an antichain: its order polytope is the 3-cube, 27 nonempty faces
+    for extra in ([], ["--export-lattice", str(tmp_path / "cube.json")]):
+        argv = ["fvector", "--tau", "3", "--k", "0", "--method", "geometric", *extra]
+        assert run_main(capsys, *argv, "--budget-faces", "27")[:2] == (0, "3,0,order,8,12,6\n")
+        code, out, err = run_main(capsys, *argv, "--budget-faces", "26")
+        assert (code, out) == (2, "")
+        assert "budget" in err
+
+
 def test_verify_monotone(capsys, tmp_path):
     json_path = tmp_path / "report.json"
     code, out, _ = run_main(

@@ -1,13 +1,19 @@
+import random
+
 import pytest
-from conftest import compositions_upto
+from conftest import compositions_upto, random_poset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainorder.errors import BudgetError, InconsistentInputError
 from chainorder.facelattice import (
-    affine_rank,
+    count_faces,
     enumerate_faces,
     f_vector,
     incidence_matrix,
 )
+from chainorder.linalg import affine_rank
+from chainorder.normalform import f_vector_normal_form
 from chainorder.polytopes import (
     HRep,
     VRep,
@@ -61,13 +67,28 @@ def test_cube_f_vector():
 
 
 def test_point_f_vector():
-    fl = enumerate_faces(incidence_matrix(VRep(((0,),)), HRep(("x",), ())))
-    assert f_vector(fl) == (1,)
+    inc = incidence_matrix(VRep(((0,),)), HRep(("x",), ()))
+    assert f_vector(enumerate_faces(inc)) == (1,)
+    assert count_faces(inc) == (1,)
+
+
+def test_rows_that_are_not_facets_are_ignored():
+    # a point with a row tight everywhere, the square with a row tight only at
+    # (0, 0), the cube with a row tight only on the edge x = y = 1
+    point = incidence_matrix(VRep(((0,),)), HRep(("x",), (((1,), 0),)))
+    square_v, square_h = square_dd()
+    square = incidence_matrix(square_v, HRep(("x", "y"), square_h.ineqs + (((-1, -1), 0),)))
+    cube_v, cube_h = order_polytope_dd(antichain(3))
+    cube = incidence_matrix(cube_v, HRep(cube_h.var_names, (((1, 1, 0), 2),) + cube_h.ineqs))
+    for inc, fv in ((point, (1,)), (square, (4, 4)), (cube, (8, 12, 6))):
+        assert f_vector(enumerate_faces(inc)) == count_faces(inc) == fv
 
 
 def test_segment_f_vector():
     v, h = order_polytope_dd(Poset(("a",), ()))
-    assert f_vector(enumerate_faces(incidence_matrix(v, h))) == (2,)
+    inc = incidence_matrix(v, h)
+    assert f_vector(enumerate_faces(inc)) == (2,)
+    assert count_faces(inc) == (2,)
 
 
 def test_affine_rank_examples():
@@ -132,9 +153,55 @@ def test_non_polytopal_incidences_raise():
     inc = incidence_matrix(v, h)
     with pytest.raises(InconsistentInputError):
         enumerate_faces(inc)
+    with pytest.raises(InconsistentInputError):
+        count_faces(inc)
+
+
+def test_count_faces_rejects_several_points_without_facets():
+    with pytest.raises(InconsistentInputError):
+        count_faces(incidence_matrix(VRep(((0,), (1,))), HRep(("x",), ())))
 
 
 def test_face_budget():
-    v, h = order_polytope_dd(antichain(3))
-    with pytest.raises(BudgetError):
-        enumerate_faces(incidence_matrix(v, h), max_faces=5)
+    # the 3-cube has 27 nonempty faces, itself included
+    inc = incidence_matrix(*order_polytope_dd(antichain(3)))
+    for faces in (enumerate_faces, count_faces):
+        faces(inc, max_faces=27)
+        for limit in (0, 5, 26):
+            with pytest.raises(BudgetError):
+                faces(inc, max_faces=limit)
+
+
+def test_count_faces_matches_lattice_on_compositions():
+    for tau in compositions_upto(6):
+        for k in range(len(tau) + 1):
+            h = chain_order_hrep(tau, k)
+            inc = incidence_matrix(zero_one_vertices(h), h)
+            assert count_faces(inc) == f_vector(enumerate_faces(inc)), (tau, k)
+
+
+def test_count_faces_matches_lattice_on_random_posets():
+    rng = random.Random(20240831)
+    for _ in range(100):
+        p = random_poset(rng, rng.randrange(1, 9))
+        for dd in (order_polytope_dd, chain_polytope_dd):
+            inc = incidence_matrix(*dd(p))
+            assert count_faces(inc) == f_vector(enumerate_faces(inc)), (p.elements, p.covers, dd)
+
+
+@st.composite
+def tau_and_cut(draw):
+    """A composition of some n <= 7 and a cut 0..len(tau)."""
+    tau, left = [], draw(st.integers(1, 7))
+    while left:
+        tau.append(draw(st.integers(1, left)))
+        left -= tau[-1]
+    return tuple(tau), draw(st.integers(0, len(tau)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau_and_cut())
+def test_count_faces_matches_normal_form(tk):
+    tau, k = tk
+    h = chain_order_hrep(tau, k)
+    assert count_faces(incidence_matrix(zero_one_vertices(h), h)) == f_vector_normal_form(tau, k)
