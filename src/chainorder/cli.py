@@ -230,6 +230,8 @@ def _verify_command(cfg: RunConfig) -> int:
     payload: dict = {"tau": list(tau)}
     ok = True
     if cfg.verify_what == "injectivity":
+        if cfg.k is not None and cfg.k >= len(tau):
+            raise ConfigError(f"injectivity needs a cut k < {len(tau)} for tau={_tau_label(tau)}, got k={cfg.k}")
         ks = [cfg.k] if cfg.k is not None else list(range(len(tau)))
         reports = []
         for k in ks:

@@ -21,6 +21,7 @@ injection from cut k to cut k+1 all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -28,6 +29,7 @@ from .errors import BudgetError
 from .posets import (
     BOTTOM,
     TOP,
+    ExtendedPoset,
     Poset,
     check_tau,
     extend_poset,
@@ -39,6 +41,10 @@ Element = tuple[int, int]
 Block = tuple[Element, ...]
 
 PARTITION_GROUND_LIMIT = 10
+
+# Per-(tau, k) structures are memoised: the injection audit asks for the same
+# few of them thousands of times.  Arguments must be checked tuples.
+_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -63,13 +69,15 @@ def top_element(tau) -> Element:
     return (len(tau) + 1, 1)
 
 
-def rank_elements(tau, r: int) -> tuple[Element, ...]:
+@lru_cache(maxsize=_CACHE_SIZE)
+def rank_elements(tau: tuple[int, ...], r: int) -> tuple[Element, ...]:
     if r == len(tau) + 1:
         return (top_element(tau),)
     return tuple((r, t) for t in range(1, tau[r - 1] + 1))
 
 
-def order_ground(tau, k: int) -> tuple[Element, ...]:
+@lru_cache(maxsize=_CACHE_SIZE)
+def order_ground(tau: tuple[int, ...], k: int) -> tuple[Element, ...]:
     """Order-side elements plus the adjoined maximum, in rank-major order."""
     return tuple(e for r in range(k + 1, len(tau) + 2) for e in rank_elements(tau, r))
 
@@ -145,9 +153,14 @@ def induced_order_poset(tau, k: int) -> Poset:
     return Poset(elems, covers, rank if elems else None)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _extended_order_poset(tau: tuple[int, ...], k: int) -> ExtendedPoset:
+    return extend_poset(induced_order_poset(tau, k))
+
+
 def is_valid_face_partition(tau, k: int, pi) -> bool:
     """Check a partition of the order side (plus maximum) via the generic validator."""
-    ep = extend_poset(induced_order_poset(tau, k))
+    ep = _extended_order_poset(tuple(tau), k)
     t = top_element(tau)
     blocks = [tuple(TOP if e == t else e for e in b) for b in pi]
     blocks.append((BOTTOM,))
@@ -233,7 +246,7 @@ def codimension(nf: FaceNormalForm, tau, k: int, *, validate: bool = True) -> in
         ok, reason = is_valid_normal_form(nf, tau, k)
         if not ok:
             raise ValueError(f"invalid normal form: {reason}")
-    m = len(order_ground(tau, k))
+    m = sum(tau[k:]) + 1  # the order side plus the adjoined maximum
     codim = (m - len(nf.pi)) + sum(len(z) for z in nf.zero_sets)
     if nf.eq_sets is not None:
         codim += 1 + sum(len(s) - 1 for s in nf.eq_sets if s)
@@ -438,12 +451,14 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
     Blocks contained in the two ranks around the cut are dropped, all other
     blocks lose their rank-(k+1) part, and the freed data is re-expressed as
     zeros and chain ends one level higher.  Defined for codimension >= 2.
+    ``nf`` must be a valid normal form, such as those from
+    ``enumerate_normal_forms``; it is not validated again here.
     """
     tau = check_tau(tau)
     ell = len(tau)
     if k >= ell:
         raise ValueError("the cut can only be raised below the top rank")
-    cod = codimension(nf, tau, k)
+    cod = codimension(nf, tau, k, validate=False)
     if cod < 2:
         raise ValueError("the injection is defined for codimension at least 2")
     tmax = top_element(tau)

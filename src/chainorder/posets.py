@@ -42,6 +42,24 @@ def check_tau(tau: Sequence[int]) -> tuple[int, ...]:
     return tau
 
 
+def _topological_order(succ: Sequence[Iterable[int]]) -> list[int] | None:
+    """Kahn's algorithm over successor lists; None when the graph has a cycle."""
+    indeg = [0] * len(succ)
+    for targets in succ:
+        for j in targets:
+            indeg[j] += 1
+    queue = [i for i, d in enumerate(indeg) if d == 0]
+    order = []
+    while queue:
+        i = queue.pop()
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    return order if len(order) == len(succ) else None
+
+
 @dataclass(frozen=True)
 class Poset:
     """Immutable finite poset given by a transitively reduced cover DAG."""
@@ -51,7 +69,7 @@ class Poset:
     rank_of: Any = None  # optional mapping element -> positive rank
 
     def __post_init__(self):
-        idx = {e: i for i, e in enumerate(self.elements)}
+        idx = self.index
         if len(idx) != len(self.elements):
             raise ValueError("duplicate elements")
         for p, q in self.covers:
@@ -62,40 +80,10 @@ class Poset:
         if len(set(self.covers)) != len(self.covers):
             raise ValueError("duplicate cover pairs")
         object.__setattr__(self, "covers", tuple(sorted(self.covers, key=lambda c: (idx[c[0]], idx[c[1]]))))
-        self._validate(idx)
-
-    def _validate(self, idx):
-        n = len(self.elements)
-        up = [[] for _ in range(n)]
-        indeg = [0] * n
-        for p, q in self.covers:
-            up[idx[p]].append(idx[q])
-            indeg[idx[q]] += 1
-        order = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        deg = indeg[:]
-        queue = list(order)
-        topo = []
-        while queue:
-            i = queue.pop()
-            topo.append(i)
-            seen += 1
-            for j in up[i]:
-                deg[j] -= 1
-                if deg[j] == 0:
-                    queue.append(j)
-        if seen != n:
-            raise ValueError("cover relation has a directed cycle")
-        # strictly-above masks, for the reduction check
-        above = [0] * n
-        for i in reversed(topo):
-            m = 0
-            for j in up[i]:
-                m |= (1 << j) | above[j]
-            above[i] = m
+        above = self.above_masks  # raises on a directed cycle
         for p, q in self.covers:
             i, j = idx[p], idx[q]
-            for w in up[i]:
+            for w in self.up_covers[i]:
                 if w != j and (above[w] >> j) & 1:
                     raise ValueError(f"cover ({p!r}, {q!r}) is implied; covers must be reduced")
         if self.rank_of is not None:
@@ -139,18 +127,10 @@ class Poset:
 
     @cached_property
     def _topo_reverse(self) -> tuple[int, ...]:
-        n = self.n
-        indeg = [len(self.down_covers[i]) for i in range(n)]
-        queue = [i for i in range(n) if indeg[i] == 0]
-        topo = []
-        while queue:
-            i = queue.pop()
-            topo.append(i)
-            for j in self.up_covers[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        return tuple(reversed(topo))
+        order = _topological_order(self.up_covers)
+        if order is None:
+            raise ValueError("cover relation has a directed cycle")
+        return tuple(reversed(order))
 
     def less(self, p: Element, q: Element) -> bool:
         """Strict order comparison."""
@@ -355,20 +335,7 @@ def _block_digraph_acyclic(p: Poset, blocks: Sequence[Sequence[int]]) -> bool:
                 m ^= low
                 if block_of[j] != bi:
                     succ[bi].add(block_of[j])
-    indeg = [0] * nb
-    for bi in range(nb):
-        for bj in succ[bi]:
-            indeg[bj] += 1
-    queue = [i for i in range(nb) if indeg[i] == 0]
-    seen = 0
-    while queue:
-        i = queue.pop()
-        seen += 1
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    return seen == nb
+    return _topological_order(succ) is not None
 
 
 def validate_face_partition(ep: ExtendedPoset, pi: Iterable[Iterable]) -> PartitionCheck:

@@ -181,6 +181,13 @@ def test_verify_injectivity(capsys):
     assert "injective=True" in out and "codim_preserved=True" in out
 
 
+def test_verify_injectivity_rejects_top_cut(capsys):
+    # k = len(tau) is a valid cut, but there is no cut above it to inject into
+    code, out, err = run_main(capsys, "verify", "injectivity", "--tau", "2,1", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_injectivity_all_cuts(capsys):
     code, out, _ = run_main(capsys, "verify", "injectivity", "--tau", "2,1,1")
     assert code == 0

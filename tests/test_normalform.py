@@ -1,6 +1,7 @@
 import pytest
 from conftest import compositions_upto, set_partitions
 
+from chainorder import normalform
 from chainorder.errors import BudgetError
 from chainorder.facelattice import enumerate_faces, f_vector, incidence_matrix
 from chainorder.normalform import (
@@ -254,6 +255,59 @@ def test_verify_injection_chain_poset_counts_match():
         assert rep.ok
         for c, n in rep.per_codim_counts_img.items():
             assert rep.per_codim_counts_src.get(c, 0) == n
+
+
+def test_generator_makes_only_valid_forms():
+    # psi_map trusts its source forms, so the generator must never emit an invalid one
+    for tau in compositions_upto(5):
+        for k in range(len(tau) + 1):
+            for nf in enumerate_normal_forms(tau, k):
+                ok, reason = is_valid_normal_form(nf, tau, k)
+                assert ok, (tau, k, nf, reason)
+
+
+def _patch_psi(monkeypatch, broken):
+    """Replace psi_map with ``broken(nf, tau, k, real_image)``."""
+    real = normalform.psi_map
+    monkeypatch.setattr(normalform, "psi_map", lambda nf, tau, k: broken(nf, tau, k, real(nf, tau, k)))
+
+
+def test_audit_catches_invalid_image(monkeypatch):
+    # the order side at cut 1 of (2, 2), with its two incomparable elements in
+    # one block: a partition, but the block is not connected
+    pi = (((2, 1), (2, 2)), ((3, 1),))
+    _patch_psi(monkeypatch, lambda nf, tau, k, img: FaceNormalForm(pi, img.zero_sets, img.eq_sets))
+    rep = verify_injection((2, 2), 0)
+    assert not rep.ok
+    assert rep.failures and all(f.startswith("invalid image of") for f in rep.failures)
+    assert all(f.endswith("pi is not a face partition") for f in rep.failures)
+
+
+def test_audit_catches_collision(monkeypatch):
+    first = {}
+    _patch_psi(monkeypatch, lambda nf, tau, k, img: first.setdefault(codimension(nf, tau, k), img))
+    rep = verify_injection((2, 2), 0)
+    assert not rep.ok and not rep.injective and rep.codim_preserved
+    assert any(f.startswith("collision:") and "share an image" in f for f in rep.failures)
+
+
+def test_audit_catches_codimension_change(monkeypatch):
+    # zeroing one more free chain-side element raises the codimension by one
+    def add_zero(nf, tau, k, img):
+        if img.eq_sets is not None:
+            return img
+        for i, zeros in enumerate(img.zero_sets):
+            free = [e for e in normalform.rank_elements(tau, i + 1) if e not in zeros]
+            if free:
+                zero_sets = img.zero_sets[:i] + (tuple(sorted(zeros + (free[0],))),) + img.zero_sets[i + 1 :]
+                return FaceNormalForm(img.pi, zero_sets, None)
+        return img
+
+    _patch_psi(monkeypatch, add_zero)
+    rep = verify_injection((2, 2), 0)
+    assert not rep.ok and not rep.codim_preserved
+    assert any(f.startswith("codimension changed") for f in rep.failures)
+    assert not any(f.startswith("invalid image") for f in rep.failures)
 
 
 def test_verify_monotone_small():
