@@ -28,6 +28,7 @@ from .posets import (
     check_tau,
     element_name,
     make_maximal_ranked,
+    maximal_antichains,
     poset_from_json,
     poset_to_json,
 )
@@ -86,10 +87,19 @@ def _load_poset(cfg: RunConfig) -> Poset:
         raise ConfigError(f"bad poset file {cfg.poset_file}: {exc}") from exc
 
 
+def _poset_dd(cfg: RunConfig, poset: Poset):
+    """(VRep, HRep) of the order or chain polytope, after checking that the
+    subsets of maximal antichains it expands fit in --budget-points."""
+    subsets = sum(1 << len(a) for a in maximal_antichains(poset) or [()])
+    if subsets > cfg.budget_points:
+        raise BudgetError(f"{subsets} maximal-antichain subsets exceed --budget-points {cfg.budget_points}")
+    return (chain_polytope_dd if cfg.polytope == "chain" else order_polytope_dd)(poset)
+
+
 def _dd_for(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
     """(VRep, HRep) for the requested polytope."""
     if poset is not None:
-        return (chain_polytope_dd if cfg.polytope == "chain" else order_polytope_dd)(poset)
+        return _poset_dd(cfg, poset)
     h = chain_order_hrep(tau, k)
     if (1 << h.n_vars) > cfg.budget_points:
         raise BudgetError(f"2^{h.n_vars} candidate points exceed --budget-points")
@@ -287,7 +297,7 @@ def _dd_command(cfg: RunConfig) -> int:
     else:
         if poset is None:
             poset = make_maximal_ranked(cfg.tau)
-        v, h = (chain_polytope_dd if cfg.polytope == "chain" else order_polytope_dd)(poset)
+        v, h = _poset_dd(cfg, poset)
     data = {
         "vars": [element_name(e) for e in h.var_names],
         "ineqs": [{"coeffs": list(c), "rhs": r} for c, r in h.ineqs],

@@ -53,7 +53,8 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full & ~m) & ~(1 << i) for i, m in enumerate(g.adj)))
 
 
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
+def mask_to_tuple(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a mask, in increasing order."""
     out = []
     while mask:
         low = mask & -mask
@@ -96,7 +97,7 @@ def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
 
     if g.n:
         expand(0, (1 << g.n) - 1, 0)
-    return sorted(_mask_to_tuple(m) for m in out)
+    return sorted(mask_to_tuple(m) for m in out)
 
 
 def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:

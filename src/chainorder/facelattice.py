@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cliques import mask_to_tuple
 from .errors import BudgetError, InconsistentInputError
 from .polytopes import HRep, VRep
 
@@ -88,13 +89,7 @@ class FaceLattice:
         return self.dims[self.top]
 
     def face_vertices(self, fid: int) -> tuple[int, ...]:
-        out = []
-        m = self.face_masks[fid]
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return tuple(out)
+        return mask_to_tuple(self.face_masks[fid])
 
 
 def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ from .posets import Poset, check_tau, extend_poset, make_maximal_ranked, maximal
 Row = tuple[tuple[int, ...], int]
 
 ZERO_ONE_MAX_VARS = 30
-EXACT_ENUM_MAX_SUBSETS = 10**7
+EXACT_ENUM_MAX_RAYS = 10**5
 LATTICE_MAX_VARS = 12
 LATTICE_MAX_DILATION = 4
 LATTICE_MAX_POINTS = 10**8
@@ -246,91 +246,72 @@ def zero_one_vertices(h: HRep) -> VRep:
     return VRep(tuple(found))
 
 
-def vertex_enum_exact(h: HRep):
-    """Brute-force rational vertex enumeration over all full-rank row subsets.
+def _primitive(v: list[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
-    Independent of any 0/1 structure: every choice of n tight rows is solved
-    exactly over the rationals and solutions violating nothing are kept.
-    Subsets are walked recursively so that shared prefixes are eliminated only
-    once; rows are kept integral (gcd-reduced) until the final back
-    substitution.  Entries are ints where integral, Fractions otherwise.
+
+def _rays_held(held: int, done: int, total: int) -> None:
+    if held > EXACT_ENUM_MAX_RAYS:
+        raise BudgetError(f"{held} rays held after {done} of {total} rows exceed {EXACT_ENUM_MAX_RAYS}")
+
+
+def vertex_enum_exact(h: HRep):
+    """Exact vertex enumeration by the double-description method.
+
+    Independent of any 0/1 structure (Motzkin et al.; Fukuda and Prodon,
+    "Double description method revisited", 1996).  The system is homogenised
+    to the cone ``{(t, x) : b t - A x >= 0, d t - E x = 0, t >= 0}``, which
+    starts as all of Z^(n+1), held as lineality generators, and is cut by one
+    row at a time.  A row that is nonzero on the lineality space uses up one
+    generator.  Otherwise each ray on its positive side is combined with each
+    adjacent ray on its negative side; adjacency is the combinatorial test on
+    zero sets, int bitmasks over the rows processed so far.  Rays stay
+    integral and gcd-reduced, so the cost grows with the rays held, not with
+    C(m, n).  The vertices are the rays with t > 0, divided by t; an empty or
+    non-pointed polyhedron has none.  Entries are ints where integral,
+    Fractions otherwise.
     """
     n = h.n_vars
-    need = n - len(h.eqs)
-    if need < 0:
+    if len(h.eqs) > n:
         raise ValueError("more equations than variables")
-    total = math.comb(len(h.ineqs), need)
-    if total > EXACT_ENUM_MAX_SUBSETS:
-        raise BudgetError(f"C({len(h.ineqs)}, {need}) = {total} exceeds {EXACT_ENUM_MAX_SUBSETS}")
-
-    def reduce_row(row: list[int], pivots) -> list[int] | None:
-        for pcol, prow in pivots:
-            if row[pcol]:
-                f, p = row[pcol], prow[pcol]
-                row = [a * p - f * b for a, b in zip(row, prow)]
-        g = 0
-        for a in row:
-            g = math.gcd(g, a)
-        if g == 0:
-            return None
-        return [a // g for a in row] if g > 1 else row
-
-    def pivot_col(row: list[int]) -> int | None:
-        for c in range(n):
-            if row[c]:
-                return c
-        return None
-
-    base: list[tuple[int, list[int]]] = []
-    for coeffs, rhs in h.eqs:
-        row = reduce_row(list(coeffs) + [rhs], base)
-        if row is None:
-            continue  # dependent equation; a contradictory one kills all pivots below
-        col = pivot_col(row)
-        if col is None:
-            return ()  # 0 = nonzero: empty polytope
-        base.append((col, row))
-    need = n - len(base)
-
-    aug = [list(c) + [r] for c, r in h.ineqs]
-    seen: set = set()
-    out = []
-
-    def back_substitute(pivots) -> tuple[Fraction, ...]:
-        x: list[Fraction | None] = [None] * n
-        for pcol, prow in reversed(pivots):
-            s = Fraction(prow[n])
-            for c in range(n):
-                if c != pcol and prow[c]:
-                    s -= prow[c] * x[c]
-            x[pcol] = s / prow[pcol]
-        return tuple(x)
-
-    def record(pivots) -> None:
-        sol = back_substitute(pivots)
-        if sol in seen:
-            return
-        seen.add(sol)
-        if satisfies(sol, h):
-            out.append(tuple(int(v) if v.denominator == 1 else v for v in sol))
-
-    def walk(start: int, pivots, remaining: int) -> None:
-        if remaining == 0:
-            record(pivots)
-            return
-        for i in range(start, len(aug) - remaining + 1):
-            row = reduce_row(aug[i], pivots)
-            if row is None:
-                continue
-            col = pivot_col(row)
-            if col is None:
-                continue  # inconsistent with the chosen prefix
-            pivots.append((col, row))
-            walk(i + 1, pivots, remaining - 1)
-            pivots.pop()
-
-    walk(0, base, need)
-    return tuple(sorted(out, key=lambda v: tuple(map(Fraction, v))))
+    rows = [((rhs, *(-c for c in coeffs)), True) for coeffs, rhs in h.eqs]
+    rows.append((_unit(n + 1, 0), False))
+    rows.extend(((rhs, *(-c for c in coeffs)), False) for coeffs, rhs in h.ineqs)
+    lineality = [_unit(n + 1, i) for i in range(n + 1)]
+    rays: list[tuple[tuple[int, ...], int]] = []  # (ray, zero set as a row bitmask)
+    for done, (row, is_eq) in enumerate(rows):
+        bit = 1 << done
+        vals = [sum(a * y for a, y in zip(row, l)) for l in lineality]
+        signed = [(r, z, sum(a * y for a, y in zip(row, r))) for r, z in rays]
+        piv = next((j for j, v in enumerate(vals) if v), None)
+        if piv is not None:
+            # the row cuts the lineality space: move the rays and the other
+            # generators onto its hyperplane along the pivot generator
+            l0, a0 = lineality.pop(piv), vals.pop(piv)
+            if a0 < 0:
+                l0, a0 = tuple(-y for y in l0), -a0
+            lineality = [_primitive([a0 * y - v * y0 for y, y0 in zip(l, l0)]) for l, v in zip(lineality, vals)]
+            rays = [(_primitive([a0 * y - v * y0 for y, y0 in zip(r, l0)]), z | bit) for r, z, v in signed]
+            if not is_eq:
+                rays.append((l0, bit - 1))  # a former generator is tight on every earlier row
+            _rays_held(len(rays), done, len(rows))
+            continue
+        pos = [s for s in signed if s[2] > 0]
+        neg = [s for s in signed if s[2] < 0]
+        rays = [(r, z | bit) for r, z, v in signed if v == 0] + ([] if is_eq else [(r, z) for r, z, _ in pos])
+        masks = [z for _, z, _ in signed]
+        need = n - 1 - len(lineality)  # rank of the processed rows, less 2
+        for rp, zp, vp in pos:
+            for rn, zn, vn in neg:
+                common = zp & zn
+                if common.bit_count() >= need and sum(common & m == common for m in masks) == 2:
+                    rays.append((_primitive([vp * b - vn * a for a, b in zip(rp, rn)]), common | bit))
+                    _rays_held(len(rays), done, len(rows))
+    if lineality:
+        return ()
+    vertices = [tuple(y // r[0] if y % r[0] == 0 else Fraction(y, r[0]) for y in r[1:]) for r, _ in rays if r[0] > 0]
+    return tuple(sorted(vertices))  # ints and Fractions compare by value: the order of the Fraction key
 
 
 def lattice_point_count(h: HRep, t: int) -> int:

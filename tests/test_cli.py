@@ -163,6 +163,19 @@ def test_fvector_budget_faces_boundary(tmp_path, capsys):
         assert "budget" in err
 
 
+def test_poset_budget_points_bounds_antichain_subsets(tmp_path, capsys):
+    # one maximal antichain of 8 elements: 2^8 = 256 subsets to expand
+    poset_path = tmp_path / "antichain8.json"
+    poset_path.write_text(json.dumps({"elements": [f"a{i}" for i in range(8)], "covers": []}))
+    fvector = ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"]
+    dd = ["dd", "--poset", str(poset_path)]
+    for argv in (fvector, dd):
+        code, out, err = run_main(capsys, *argv, "--budget-points", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("budget exceeded: 256 ")
+        assert run_main(capsys, *argv)[0] == 0
+
+
 def test_verify_monotone(capsys, tmp_path):
     json_path = tmp_path / "report.json"
     code, out, _ = run_main(

@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from conftest import compositions_upto
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chainorder import polytopes
 from chainorder.errors import BudgetError
 from chainorder.polytopes import (
     HRep,
@@ -191,3 +195,130 @@ def test_vertex_counts_equal_for_order_and_chain():
 def test_hrep_rejects_duplicate_rows():
     with pytest.raises(ValueError):
         HRep(("x",), (((1,), 1), ((1,), 1)))
+
+
+def _brute_force_vertices(h: HRep):
+    """Reference vertex oracle: solve every full-rank choice of n tight rows.
+
+    Exponential in the row count, so it serves only as the reference that
+    `vertex_enum_exact` is tested against.  Subsets are walked recursively so
+    that shared prefixes are eliminated once; rows stay integral until the
+    back substitution.  Same contract: sorted by the Fraction key, ints where
+    integral, () when empty or not pointed.
+    """
+    n = h.n_vars
+    if len(h.eqs) > n:
+        raise ValueError("more equations than variables")
+
+    def reduce_row(row, pivots):
+        for pcol, prow in pivots:
+            if row[pcol]:
+                f, p = row[pcol], prow[pcol]
+                row = [a * p - f * b for a, b in zip(row, prow)]
+        g = math.gcd(*row)
+        if g == 0:
+            return None
+        return [a // g for a in row]
+
+    def pivot_col(row):
+        return next((c for c in range(n) if row[c]), None)
+
+    base = []
+    for coeffs, rhs in h.eqs:
+        row = reduce_row(list(coeffs) + [rhs], base)
+        if row is None:
+            continue
+        col = pivot_col(row)
+        if col is None:
+            return ()  # 0 = nonzero
+        base.append((col, row))
+
+    aug = [list(c) + [r] for c, r in h.ineqs]
+    seen, out = set(), []
+
+    def record(pivots):
+        x = [None] * n
+        for pcol, prow in reversed(pivots):
+            s = Fraction(prow[n])
+            for c in range(n):
+                if c != pcol and prow[c]:
+                    s -= prow[c] * x[c]
+            x[pcol] = s / prow[pcol]
+        sol = tuple(x)
+        if sol not in seen:
+            seen.add(sol)
+            if satisfies(sol, h):
+                out.append(tuple(int(v) if v.denominator == 1 else v for v in sol))
+
+    def walk(start, pivots, remaining):
+        if remaining == 0:
+            record(pivots)
+            return
+        for i in range(start, len(aug) - remaining + 1):
+            row = reduce_row(aug[i], pivots)
+            if row is None or pivot_col(row) is None:
+                continue
+            pivots.append((pivot_col(row), row))
+            walk(i + 1, pivots, remaining - 1)
+            pivots.pop()
+
+    walk(0, base, n - len(base))
+    return tuple(sorted(out, key=lambda v: tuple(map(Fraction, v))))
+
+
+def test_vertex_enum_exact_matches_brute_force_on_compositions():
+    for tau in compositions_upto(6):
+        for k in range(len(tau) + 1):
+            h = chain_order_hrep(tau, k)
+            assert vertex_enum_exact(h) == _brute_force_vertices(h), (tau, k)
+
+
+@st.composite
+def small_hreps(draw):
+    """Up to 7 inequalities and 0-2 equations in n <= 4 variables, small coefficients."""
+    n = draw(st.integers(1, 4))
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-3, 3))
+    ineqs = draw(st.lists(row, max_size=7, unique=True))
+    eqs = draw(st.lists(row, max_size=min(2, n), unique=True))
+    return HRep(tuple(range(n)), tuple(ineqs), tuple(eqs))
+
+
+_SQUARE = (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_hreps())
+@example(HRep(("x", "y"), _SQUARE))
+@example(HRep(("x", "y"), (((-1, 0), 0), ((0, -1), 0), ((1, 2), 2), ((2, 1), 2))))  # vertex (2/3, 2/3)
+@example(HRep(("x", "y"), (((-1, 0), 0), ((0, -1), 0), ((-1, 1), 1))))  # unbounded, pointed
+@example(HRep(("x", "y"), (((1, 0), 1), ((-1, 0), 0))))  # a strip: not pointed
+@example(HRep(("x", "y"), _SQUARE, (((1, 1), 3),)))  # empty by an equation
+@example(HRep(("x", "y"), (((1, 1), -1), ((-1, 0), 0), ((0, -1), 0))))  # empty by inequalities
+@example(  # two equations: the segment from (0, 0, 1) to (1/2, 1/2, 0)
+    HRep(("x", "y", "z"), (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)), (((1, 1, 1), 1), ((1, -1, 0), 0)))
+)
+def test_vertex_enum_exact_matches_brute_force_on_random_hreps(h):
+    assert vertex_enum_exact(h) == _brute_force_vertices(h)
+
+
+def test_zero_one_vertex_assumption_on_compositions_upto_8():
+    cuts = 0
+    for tau in compositions_upto(8):
+        for k in range(len(tau) + 1):
+            h = chain_order_hrep(tau, k)
+            assert set(vertex_enum_exact(h)) == set(zero_one_vertices(h).vertices), (tau, k)
+            cuts += 1
+    assert cuts == 1279
+
+
+def test_vertex_enum_exact_ray_budget(monkeypatch):
+    _, h = order_polytope_dd(antichain(3))
+    assert len(vertex_enum_exact(h)) == 8
+    monkeypatch.setattr(polytopes, "EXACT_ENUM_MAX_RAYS", 5)
+    with pytest.raises(BudgetError, match=r"\d+ rays held after \d+ of 7 rows exceed 5"):
+        vertex_enum_exact(h)
+
+
+def test_vertex_enum_exact_rejects_more_equations_than_variables():
+    with pytest.raises(ValueError):
+        vertex_enum_exact(HRep(("x",), (), (((1,), 0), ((2,), 1))))
