@@ -27,13 +27,10 @@ from .polytopes import (
     zero_one_vertices,
 )
 from .posets import (
-    ExtendedPoset,
-    KDecomposition,
     Poset,
     comparability_graph,
     extend_poset,
     has_hl_pattern,
-    k_decomposition,
     make_maximal_ranked,
     maximal_chains,
     quotient_by_partition,

@@ -2,7 +2,8 @@
 f-vectors by either pipeline, verify the injection/monotonicity claims, and
 reproduce the full two-pipeline f-vector table for a given ground-set size.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid configuration.
+Exit codes: 0 success, 1 verification failure, 2 invalid input or configuration,
+including files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .errors import BudgetError
 from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
@@ -37,29 +37,13 @@ DEFAULT_FACE_BUDGET = 5_000_000
 DEFAULT_POINT_BUDGET = 1 << 22
 
 
-@dataclass
-class RunConfig:
-    command: str
-    tau: tuple[int, ...] | None = None
-    k: int | None = None
-    poset_file: str | None = None
-    polytope: str | None = None
-    method: str = "both"
-    output: str | None = None
-    format: str = "csv"
-    export_lattice: str | None = None
-    table_n: int | None = None
-    verify_what: str | None = None
-    json_out: str | None = None
-    budget_faces: int = DEFAULT_FACE_BUDGET
-    budget_points: int = DEFAULT_POINT_BUDGET
-
-
 class ConfigError(ValueError):
     pass
 
 
-def _parse_tau(text: str) -> tuple[int, ...]:
+def _parse_tau(text: str | None) -> tuple[int, ...] | None:
+    if not text:  # an absent or empty --tau gives no tau
+        return None
     try:
         return check_tau(tuple(int(t) for t in text.split(",")))
     except ValueError as exc:
@@ -78,55 +62,55 @@ def _polytope_label(tau, k: int) -> str:
     return "chain-order"
 
 
-def _load_poset(cfg: RunConfig) -> Poset:
-    with open(cfg.poset_file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _load_poset(args: argparse.Namespace) -> Poset:
     try:
-        return poset_from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and poset errors
-        raise ConfigError(f"bad poset file {cfg.poset_file}: {exc}") from exc
+        with open(args.poset_file, "r", encoding="utf-8") as fh:
+            return poset_from_json(fh.read())
+    # ValueError covers decoding, JSON and poset errors; OSError is left to main
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ConfigError(f"bad poset file {args.poset_file}: {exc}") from exc
 
 
-def _poset_dd(cfg: RunConfig, poset: Poset):
+def _poset_dd(args: argparse.Namespace, poset: Poset):
     """(VRep, HRep) of the order or chain polytope, after checking that the
     subsets of maximal antichains it expands fit in --budget-points."""
     subsets = sum(1 << len(a) for a in maximal_antichains(poset) or [()])
-    if subsets > cfg.budget_points:
-        raise BudgetError(f"{subsets} maximal-antichain subsets exceed --budget-points {cfg.budget_points}")
-    return (chain_polytope_dd if cfg.polytope == "chain" else order_polytope_dd)(poset)
+    if subsets > args.budget_points:
+        raise BudgetError(f"{subsets} maximal-antichain subsets exceed --budget-points {args.budget_points}")
+    return (chain_polytope_dd if args.polytope == "chain" else order_polytope_dd)(poset)
 
 
-def _dd_for(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
+def _dd_for(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
     """(VRep, HRep) for the requested polytope."""
     if poset is not None:
-        return _poset_dd(cfg, poset)
+        return _poset_dd(args, poset)
     h = chain_order_hrep(tau, k)
-    if (1 << h.n_vars) > cfg.budget_points:
+    if (1 << h.n_vars) > args.budget_points:
         raise BudgetError(f"2^{h.n_vars} candidate points exceed --budget-points")
     return zero_one_vertices(h), h
 
 
-def _geometric_fvector(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
+def _geometric_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
     """(f-vector, lattice); the whole lattice is built only for export."""
-    inc = incidence_matrix(*_dd_for(cfg, tau, k, poset))
-    if cfg.export_lattice:
-        lattice = enumerate_faces(inc, max_faces=cfg.budget_faces)
+    inc = incidence_matrix(*_dd_for(args, tau, k, poset))
+    if args.export_lattice:
+        lattice = enumerate_faces(inc, max_faces=args.budget_faces)
         return f_vector(lattice), lattice
-    return count_faces(inc, max_faces=cfg.budget_faces), None
+    return count_faces(inc, max_faces=args.budget_faces), None
 
 
-def _pipelines_fvector(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
+def _pipelines_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
     """(f-vector, lattice, agree) by the configured method.
 
     With ``--method both`` a disagreement is reported on stderr, and the
     geometric f-vector is returned with ``agree`` false.
     """
     geo = norm = lattice = None
-    if cfg.method in ("geometric", "both"):
-        geo, lattice = _geometric_fvector(cfg, tau, k, poset)
-    if cfg.method in ("normalform", "both"):
+    if args.method in ("geometric", "both"):
+        geo, lattice = _geometric_fvector(args, tau, k, poset)
+    if args.method in ("normalform", "both"):
         norm = f_vector_normal_form(tau, k)
-    agree = cfg.method != "both" or geo == norm
+    agree = args.method != "both" or geo == norm
     if not agree:
         sys.stderr.write(
             f"pipeline mismatch at tau={_tau_label(tau)}, k={k}: geometric {geo} vs normal form {norm}\n"
@@ -134,9 +118,9 @@ def _pipelines_fvector(cfg: RunConfig, tau, k: int | None, poset: Poset | None):
     return (geo if geo is not None else norm), lattice, agree
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -163,9 +147,9 @@ def _export_lattice(path: str, lattice) -> None:
         json.dump(data, fh, indent=2, sort_keys=True)
 
 
-def _fvector_command(cfg: RunConfig) -> int:
-    poset = _load_poset(cfg) if cfg.poset_file else None
-    tau, k = cfg.tau, cfg.k
+def _fvector_command(args: argparse.Namespace) -> int:
+    poset = _load_poset(args) if args.poset_file else None
+    tau, k = args.tau, args.k
     if poset is None:
         if tau is None:
             raise ConfigError("fvector needs --tau or --poset")
@@ -173,21 +157,21 @@ def _fvector_command(cfg: RunConfig) -> int:
             raise ConfigError("fvector with --tau needs --k")
         label = _polytope_label(tau, k)
     else:
-        if cfg.method != "geometric":
+        if args.method != "geometric":
             raise ConfigError("--poset input supports only --method geometric")
-        label = cfg.polytope or "order"
+        label = args.polytope or "order"
 
-    fv, lattice, agree = _pipelines_fvector(cfg, tau, k, poset)
+    fv, lattice, agree = _pipelines_fvector(args, tau, k, poset)
     if not agree:
         return 1
     if lattice is not None:
-        _export_lattice(cfg.export_lattice, lattice)
-    tau_field = _tau_label(tau) if tau else cfg.poset_file
+        _export_lattice(args.export_lattice, lattice)
+    tau_field = _tau_label(tau) if tau else args.poset_file
     k_field = k if k is not None else ""
-    if cfg.format == "json":
-        _emit(cfg, json.dumps({"tau": tau_field, "k": k_field, "polytope": label, "f": list(fv)}, sort_keys=True) + "\n")
+    if args.format == "json":
+        _emit(args, json.dumps({"tau": tau_field, "k": k_field, "polytope": label, "f": list(fv)}, sort_keys=True) + "\n")
     else:
-        _emit(cfg, _csv_rows([[tau_field, k_field, label, *fv]]))
+        _emit(args, _csv_rows([[tau_field, k_field, label, *fv]]))
     return 0
 
 
@@ -211,38 +195,38 @@ def table_taus(n: int) -> list[tuple[int, ...]]:
     return sorted(rows)
 
 
-def _table_command(cfg: RunConfig) -> int:
-    if cfg.table_n is None or cfg.table_n < 1:
-        raise ConfigError(f"table needs --n >= 1, got {cfg.table_n}")
+def _table_command(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ConfigError(f"table needs --n >= 1, got {args.n}")
     rows_out: list[list] = []
     status = 0
-    for tau in table_taus(cfg.table_n):
+    for tau in table_taus(args.n):
         for k in (0, len(tau)):
-            fv, _, agree = _pipelines_fvector(cfg, tau, k, None)
+            fv, _, agree = _pipelines_fvector(args, tau, k, None)
             if not agree:
                 status = 1
             rows_out.append([_tau_label(tau), k, _polytope_label(tau, k), *fv])
-    if cfg.format == "json":
+    if args.format == "json":
         payload = [
             {"tau": r[0], "k": r[1], "polytope": r[2], "f": list(r[3:])} for r in rows_out
         ]
-        _emit(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        _emit(cfg, _csv_rows(rows_out))
+        _emit(args, _csv_rows(rows_out))
     return status
 
 
-def _verify_command(cfg: RunConfig) -> int:
-    tau = cfg.tau
+def _verify_command(args: argparse.Namespace) -> int:
+    tau = args.tau
     if tau is None:
         raise ConfigError("verify needs --tau")
     lines: list[str] = []
     payload: dict = {"tau": list(tau)}
     ok = True
-    if cfg.verify_what == "injectivity":
-        if cfg.k is not None and cfg.k >= len(tau):
-            raise ConfigError(f"injectivity needs a cut k < {len(tau)} for tau={_tau_label(tau)}, got k={cfg.k}")
-        ks = [cfg.k] if cfg.k is not None else list(range(len(tau)))
+    if args.what == "injectivity":
+        if args.k is not None and args.k >= len(tau):
+            raise ConfigError(f"injectivity needs a cut k < {len(tau)} for tau={_tau_label(tau)}, got k={args.k}")
+        ks = [args.k] if args.k is not None else list(range(len(tau)))
         reports = []
         for k in ks:
             rep = verify_injection(tau, k)
@@ -279,44 +263,44 @@ def _verify_command(cfg: RunConfig) -> int:
         payload["monotone"] = rep.monotone
         payload["failures"] = rep.failures
     payload["ok"] = ok
-    _emit(cfg, "\n".join(lines) + "\n")
-    if cfg.json_out:
-        with open(cfg.json_out, "w", encoding="utf-8") as fh:
+    _emit(args, "\n".join(lines) + "\n")
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     return 0 if ok else 1
 
 
-def _dd_command(cfg: RunConfig) -> int:
-    poset = _load_poset(cfg) if cfg.poset_file else None
-    if poset is None and cfg.tau is None:
+def _dd_command(args: argparse.Namespace) -> int:
+    poset = _load_poset(args) if args.poset_file else None
+    if poset is None and args.tau is None:
         raise ConfigError("dd needs --tau or --poset")
-    if cfg.polytope == "chain-order":
-        if cfg.tau is None or cfg.k is None:
+    if args.polytope == "chain-order":
+        if args.tau is None or args.k is None:
             raise ConfigError("chain-order needs --tau and --k")
-        v, h = _dd_for(cfg, cfg.tau, cfg.k, None)
+        v, h = _dd_for(args, args.tau, args.k, None)
     else:
         if poset is None:
-            poset = make_maximal_ranked(cfg.tau)
-        v, h = _poset_dd(cfg, poset)
+            poset = make_maximal_ranked(args.tau)
+        v, h = _poset_dd(args, poset)
     data = {
         "vars": [element_name(e) for e in h.var_names],
         "ineqs": [{"coeffs": list(c), "rhs": r} for c, r in h.ineqs],
         "eqs": [{"coeffs": list(c), "rhs": r} for c, r in h.eqs],
         "vertices": [list(vert) for vert in v.vertices],
     }
-    _emit(cfg, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-def _gen_command(cfg: RunConfig) -> int:
-    if cfg.tau is None:
+def _gen_command(args: argparse.Namespace) -> int:
+    if args.tau is None:
         raise ConfigError("gen needs --tau")
-    _emit(cfg, poset_to_json(make_maximal_ranked(cfg.tau)) + "\n")
+    _emit(args, poset_to_json(make_maximal_ranked(args.tau)) + "\n")
     return 0
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch a validated configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments to their command; returns the process exit code."""
     handlers = {
         "gen": _gen_command,
         "dd": _dd_command,
@@ -324,9 +308,7 @@ def run(cfg: RunConfig) -> int:
         "verify": _verify_command,
         "table": _table_command,
     }
-    if cfg.command not in handlers:
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    return handlers[cfg.command](cfg)
+    return handlers[args.command](args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,49 +356,24 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--output", type=str, default=None)
     t.add_argument("--budget-faces", type=int, default=DEFAULT_FACE_BUDGET)
     t.add_argument("--budget-points", type=int, default=DEFAULT_POINT_BUDGET)
+    t.set_defaults(export_lattice=None)  # the table never exports a lattice
     return parser
-
-
-def config_from_args(argv=None) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "tau", None):
-        cfg.tau = _parse_tau(args.tau)
-    for attr in (
-        "k",
-        "poset_file",
-        "polytope",
-        "method",
-        "output",
-        "format",
-        "export_lattice",
-        "json_out",
-        "budget_faces",
-        "budget_points",
-    ):
-        if hasattr(args, attr) and getattr(args, attr) is not None:
-            setattr(cfg, attr, getattr(args, attr))
-    if args.command == "verify":
-        cfg.verify_what = args.what
-    if args.command == "table":
-        cfg.table_n = args.n
-    if cfg.tau is not None and cfg.k is not None and not 0 <= cfg.k <= len(cfg.tau):
-        raise ConfigError(f"k={cfg.k} out of range for tau={cfg.tau}")
-    return cfg
 
 
 def main(argv=None) -> int:
     try:
-        cfg = config_from_args(argv)
-        return run(cfg)
-    except ConfigError as exc:
+        args = _build_parser().parse_args(argv)
+        if hasattr(args, "tau"):  # every command but table
+            args.tau = _parse_tau(args.tau)
+            k = getattr(args, "k", None)  # gen has no --k
+            if args.tau is not None and k is not None and not 0 <= k <= len(args.tau):
+                raise ConfigError(f"k={k} out of range for tau={args.tau}")
+        return run(args)
+    except (ConfigError, OSError) as exc:  # OSError: unreadable or unwritable files
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

@@ -29,7 +29,6 @@ from .errors import BudgetError
 from .posets import (
     BOTTOM,
     TOP,
-    ExtendedPoset,
     Poset,
     check_tau,
     extend_poset,
@@ -154,7 +153,7 @@ def induced_order_poset(tau, k: int) -> Poset:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _extended_order_poset(tau: tuple[int, ...], k: int) -> ExtendedPoset:
+def _extended_order_poset(tau: tuple[int, ...], k: int) -> Poset:
     return extend_poset(induced_order_poset(tau, k))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError, InconsistentInputError
 from .linalg import affine_rank, int_matrix_rank
-from .posets import Poset, check_tau, extend_poset, make_maximal_ranked, maximal_antichains, maximal_chains
+from .posets import Poset, check_tau, make_maximal_ranked, maximal_antichains, maximal_chains
 
 Row = tuple[tuple[int, ...], int]
 
@@ -135,7 +135,7 @@ def chain_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
                     v[i] = 1
                 verts.add(tuple(v))
     rows: list[Row] = [(_unit(n, i, -1), 0) for i in range(n)]
-    for chain in maximal_chains(extend_poset(p)):
+    for chain in maximal_chains(p):
         row = [0] * n
         for e in chain:
             row[p.index[e]] = 1

@@ -144,53 +144,6 @@ class Poset:
 
 
 @dataclass(frozen=True)
-class ExtendedPoset:
-    """A poset together with an adjoined global bottom and top."""
-
-    base: Poset
-    bottom: Element
-    top: Element
-
-    @property
-    def elements(self) -> tuple:
-        return (self.bottom,) + self.base.elements + (self.top,)
-
-    @cached_property
-    def covers(self) -> tuple[tuple[Element, Element], ...]:
-        mins = self.base.minimal_elements()
-        maxs = self.base.maximal_elements()
-        if not self.base.elements:
-            return ((self.bottom, self.top),)
-        return (
-            tuple((self.bottom, m) for m in mins)
-            + self.base.covers
-            + tuple((m, self.top) for m in maxs)
-        )
-
-    @cached_property
-    def as_poset(self) -> Poset:
-        rank = None
-        if self.base.rank_of is not None:
-            top_rank = 1 + max(self.base.rank_of.values(), default=0)
-            rank = {self.bottom: 0, self.top: top_rank}
-            rank.update(self.base.rank_of)
-            # adjoined bounds break the unit-rank-step rule in general
-            if any(rank[q] != rank[p] + 1 for p, q in self.covers):
-                rank = None
-        return Poset(self.elements, self.covers, rank)
-
-
-@dataclass(frozen=True)
-class KDecomposition:
-    """Split of a maximal ranked poset at a cut rank: chain part below, order part above."""
-
-    tau: tuple[int, ...]
-    k: int
-    chain_part: frozenset
-    order_part: frozenset
-
-
-@dataclass(frozen=True)
 class PartitionCheck:
     valid: bool
     reason: str | None = None
@@ -210,45 +163,31 @@ def make_maximal_ranked(tau: Sequence[int]) -> Poset:
     return Poset(elements, covers, rank)
 
 
-def k_decomposition(tau: Sequence[int], k: int) -> KDecomposition:
-    tau = check_tau(tau)
-    if not 0 <= k <= len(tau):
-        raise ValueError(f"k must be in [0, {len(tau)}], got {k}")
-    chain = frozenset((i, t) for i in range(1, k + 1) for t in range(1, tau[i - 1] + 1))
-    order = frozenset((i, t) for i in range(k + 1, len(tau) + 1) for t in range(1, tau[i - 1] + 1))
-    return KDecomposition(tau, k, chain, order)
+def extend_poset(p: Poset) -> Poset:
+    """Adjoin BOTTOM below all minima and TOP above all maxima (Stanley's P-hat)."""
+    covers = (
+        tuple((BOTTOM, m) for m in p.minimal_elements())
+        + p.covers
+        + tuple((m, TOP) for m in p.maximal_elements())
+    )
+    return Poset((BOTTOM,) + p.elements + (TOP,), covers or ((BOTTOM, TOP),))
 
 
-def extend_poset(p: Poset) -> ExtendedPoset:
-    """Adjoin a new bottom below all minima and a new top above all maxima."""
-    return ExtendedPoset(p, BOTTOM, TOP)
+def maximal_chains(p: Poset) -> list[list]:
+    """All maximal chains, as element lists from a minimum up to a maximum.
 
-
-def maximal_chains(ep: ExtendedPoset) -> list[list]:
-    """All maximal chains of the base poset, as rank-increasing element lists.
-
-    Chains are found by depth-first search from the adjoined bottom to the
-    adjoined top; the bounds themselves are stripped from the output.  The
-    result is in lexicographic order with respect to element positions.
+    The search is depth-first from each minimum in turn, so the result is in
+    lexicographic order with respect to element positions.
     """
-    p = ep.as_poset
-    bot, top = p.index[ep.bottom], p.index[ep.top]
     chains: list[list] = []
-    path: list[int] = []
-
-    def dfs(i: int) -> None:
-        if i == top:
-            if path:
-                chains.append([p.elements[j] for j in path])
-            return
-        if i != bot:
-            path.append(i)
-        for j in p.up_covers[i]:
-            dfs(j)
-        if i != bot:
-            path.pop()
-
-    dfs(bot)
+    stack = [[i] for i in reversed(range(p.n)) if not p.down_covers[i]]
+    while stack:
+        path = stack.pop()
+        ups = p.up_covers[path[-1]]
+        if ups:
+            stack.extend(path + [j] for j in reversed(ups))
+        else:
+            chains.append([p.elements[j] for j in path])
     return chains
 
 
@@ -338,15 +277,14 @@ def _block_digraph_acyclic(p: Poset, blocks: Sequence[Sequence[int]]) -> bool:
     return _topological_order(succ) is not None
 
 
-def validate_face_partition(ep: ExtendedPoset, pi: Iterable[Iterable]) -> PartitionCheck:
-    """Check the three face-partition conditions on an extended poset.
+def validate_face_partition(p: Poset, pi: Iterable[Iterable]) -> PartitionCheck:
+    """Check the three face-partition conditions on a poset from ``extend_poset``.
 
     A partition encodes a face when (a) every block is connected as an induced
     subposet, (b) the relation between distinct blocks is acyclic, and (c) the
     adjoined bottom and top lie in different blocks.  A partition that fails to
     cover the ground set is a malformed input and raises ValueError instead.
     """
-    p = ep.as_poset
     blocks = _check_partition(p.elements, pi)
     pos_blocks = [[p.index[e] for e in b] for b in blocks]
     for b in pos_blocks:
@@ -354,7 +292,7 @@ def validate_face_partition(ep: ExtendedPoset, pi: Iterable[Iterable]) -> Partit
             return PartitionCheck(False, "block not connected")
     # a block merging the extremes also breaks compatibility whenever anything
     # lies between them; report the more specific reason first
-    bot, top = p.index[ep.bottom], p.index[ep.top]
+    bot, top = p.index[BOTTOM], p.index[TOP]
     for b in pos_blocks:
         if bot in b and top in b:
             return PartitionCheck(False, "bottom and top share a block")
@@ -447,6 +385,9 @@ def poset_to_json(p: Poset) -> str:
 
 def poset_from_json(text: str) -> Poset:
     data = json.loads(text)
-    elements = tuple(data["elements"])
-    covers = tuple((a, b) for a, b in data["covers"])
-    return Poset(elements, covers)
+    elements, covers = data["elements"], data["covers"]
+    if not isinstance(elements, list) or not isinstance(covers, list):
+        raise ValueError("elements and covers must be JSON arrays")
+    if not all(isinstance(c, list) and len(c) == 2 for c in covers):
+        raise ValueError("each cover must be a two-item array")
+    return Poset(tuple(elements), tuple(map(tuple, covers)))

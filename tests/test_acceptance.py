@@ -8,7 +8,7 @@ import random
 
 from conftest import compositions_upto, random_poset
 
-from chainorder.cli import RunConfig, run, table_taus
+from chainorder.cli import main, table_taus
 from chainorder.facelattice import enumerate_faces, f_vector, incidence_matrix
 from chainorder.linalg import affine_rank
 from chainorder.normalform import f_vector_normal_form, verify_injection, verify_monotone
@@ -175,8 +175,7 @@ def test_c1_golden_rows_both_pipelines():
 
 def test_c2_full_table_reproduction(capsys):
     assert table_taus(10) == sorted(FIGURE_TABLE)
-    cfg = RunConfig(command="table", table_n=10, method="both", format="csv")
-    assert run(cfg) == 0
+    assert main(["table", "--n", "10", "--method", "both"]) == 0
     out = capsys.readouterr().out
     rows = [line for line in out.strip().splitlines()]
     assert len(rows) == 56

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainorder import cli
-from chainorder.cli import RunConfig, main, run, table_taus
+from chainorder.cli import main, table_taus
 from chainorder.posets import as_tau_shape, poset_from_json
 
 
@@ -125,7 +129,7 @@ def test_table_mismatch_names_tau_k_and_vectors(monkeypatch, capsys):
 
 def _poset_file_exit(tmp_path, capsys, text):
     poset_path = tmp_path / "p.json"
-    poset_path.write_text(text)
+    poset_path.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, out, err = run_main(capsys, "fvector", "--poset", str(poset_path), "--method", "geometric")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -144,6 +148,68 @@ def test_malformed_poset_json_exits_two(tmp_path, capsys):
     _poset_file_exit(tmp_path, capsys, '{"elements": ["a"]}')  # KeyError
     _poset_file_exit(tmp_path, capsys, "[1, 2]")  # TypeError
     _poset_file_exit(tmp_path, capsys, '{"elements": ["a"], "covers": [["a", "z"]]}')
+
+
+def test_non_utf8_poset_file_exits_two(tmp_path, capsys):
+    assert "codec can't decode" in _poset_file_exit(tmp_path, capsys, b"\xff\xfe{")
+
+
+def test_deeply_nested_poset_json_exits_two(tmp_path, capsys):
+    assert "recursion" in _poset_file_exit(tmp_path, capsys, "[" * 100000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fvector", "--method", "geometric", "--poset"],
+        ["gen", "--tau", "2", "--output"],
+        ["fvector", "--tau", "1", "--k", "0", "--method", "geometric", "--export-lattice"],
+        ["verify", "monotone", "--tau", "2,1", "--json"],
+    ],
+)
+def test_directory_as_file_exits_two(tmp_path, capsys, argv):
+    code, _, err = run_main(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
+def test_poset_json_fields_must_be_arrays(tmp_path, capsys):
+    for text in (
+        '{"elements": "ab", "covers": []}',
+        '{"elements": ["a", "b"], "covers": {}}',
+        '{"elements": ["a", "b"], "covers": ["ab"]}',
+        '{"elements": ["a", "b"], "covers": [["a", "b", "a"]]}',
+    ):
+        assert "array" in _poset_file_exit(tmp_path, capsys, text)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_names = st.text("abc", max_size=2)
+_poset_like = st.fixed_dictionaries(
+    {
+        "elements": st.lists(_names, max_size=5) | _json_values,
+        "covers": st.lists(st.lists(_names, min_size=1, max_size=3), max_size=5) | _json_values,
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=40) | (_json_values | _poset_like).map(lambda v: json.dumps(v).encode()))
+@example(b'{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+@example(b"\x80")
+def test_random_poset_files_exit_zero_or_two(tmp_path_factory, data):
+    poset_path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    poset_path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"])
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_table_rejects_n_below_one(capsys):
@@ -237,9 +303,8 @@ def test_table_json(capsys):
     assert data[0]["polytope"] == "order" and data[1]["polytope"] == "chain"
 
 
-def test_run_config_direct():
-    cfg = RunConfig(command="fvector", tau=(1, 1), k=1, method="normalform")
-    assert run(cfg) == 0
+def test_fvector_normalform_through_main(capsys):
+    assert run_main(capsys, "fvector", "--tau", "1,1", "--k", "1", "--method", "normalform")[0] == 0
 
 
 def test_unknown_flags_exit_two():

@@ -78,7 +78,7 @@ def test_face_partitions_match_brute_force(tau, k):
     ep = extend_poset(induced_order_poset(tau, k))
     tmax = top_element(tau)
     want = set()
-    for blocks in set_partitions([e if e != TOP else tmax for e in ep.base.elements] + [tmax]):
+    for blocks in set_partitions([e if e != TOP else tmax for e in induced_order_poset(tau, k).elements] + [tmax]):
         mapped = [tuple(TOP if e == tmax else e for e in b) for b in blocks] + [(BOTTOM,)]
         if validate_face_partition(ep, mapped).valid:
             want.add(tuple(sorted(tuple(sorted(b)) for b in blocks)))

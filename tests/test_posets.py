@@ -1,5 +1,9 @@
+import random
+
 import pytest
-from conftest import compositions_upto, set_partitions
+from conftest import compositions_upto, random_poset, set_partitions
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainorder.posets import (
     BOTTOM,
@@ -9,7 +13,6 @@ from chainorder.posets import (
     comparability_graph,
     extend_poset,
     has_hl_pattern,
-    k_decomposition,
     make_maximal_ranked,
     maximal_antichains,
     maximal_chains,
@@ -79,10 +82,10 @@ def test_extend_chain():
 
 
 def test_maximal_chains_products():
-    assert len(maximal_chains(extend_poset(make_maximal_ranked((2, 2))))) == 4
-    chains = maximal_chains(extend_poset(make_maximal_ranked((1, 1, 1))))
+    assert len(maximal_chains(make_maximal_ranked((2, 2)))) == 4
+    chains = maximal_chains(make_maximal_ranked((1, 1, 1)))
     assert chains == [[(1, 1), (2, 1), (3, 1)]]
-    big = maximal_chains(extend_poset(make_maximal_ranked((5, 2, 1, 4, 2, 3))))
+    big = maximal_chains(make_maximal_ranked((5, 2, 1, 4, 2, 3)))
     assert len(big) == 5 * 2 * 1 * 4 * 2 * 3
     assert big == sorted(big)
     for ch in big:
@@ -133,11 +136,10 @@ def test_validate_face_partition_rejects_non_partition():
 
 def _oracle_face_partition(ep, blocks):
     """Independent re-implementation of the three conditions, by brute force."""
-    p = ep.as_poset
-    n = p.n
-    idx = p.index
+    n = ep.n
+    idx = ep.index
     less = [[False] * n for _ in range(n)]
-    for a, b in p.covers:
+    for a, b in ep.covers:
         less[idx[a]][idx[b]] = True
     for m in range(n):
         for i in range(n):
@@ -182,7 +184,7 @@ def _oracle_face_partition(ep, blocks):
     if any((i, i) in reach for i in range(len(blocks))):
         return False
     # (c) adjoined bottom and top apart
-    return bid[idx[ep.bottom]] != bid[idx[ep.top]]
+    return bid[idx[BOTTOM]] != bid[idx[TOP]]
 
 
 def test_validate_face_partition_against_brute_force():
@@ -257,18 +259,16 @@ def test_has_hl_pattern_formula_exhaustive():
         assert has_hl_pattern(make_maximal_ranked(tau)) == expected, tau
 
 
-def test_k_decomposition_split():
-    kd = k_decomposition((2, 2), 1)
-    assert kd.chain_part == {(1, 1), (1, 2)}
-    assert kd.order_part == {(2, 1), (2, 2)}
-    assert kd.chain_part | kd.order_part == set(make_maximal_ranked((2, 2)).elements)
-    with pytest.raises(ValueError):
-        k_decomposition((2, 2), 3)
-
-
 def test_poset_json_roundtrip():
     p = make_maximal_ranked((2, 1))
     q = poset_from_json(poset_to_json(p))
     assert q.elements == ("y1_1", "y1_2", "y2_1")
     assert len(q.covers) == len(p.covers)
     assert as_tau_shape(q) == (2, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_poset_json_roundtrip_random(n, density, seed):
+    p = random_poset(random.Random(seed), n, density)
+    assert poset_from_json(poset_to_json(p)) == p
