@@ -14,6 +14,7 @@ import io
 import json
 import sys
 
+from .cliques import MAX_VERTICES
 from .errors import BudgetError
 from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, verify_injection, verify_monotone
@@ -73,7 +74,10 @@ def _load_poset(args: argparse.Namespace) -> Poset:
 
 def _poset_dd(args: argparse.Namespace, poset: Poset):
     """(VRep, HRep) of the order or chain polytope, after checking that the
-    subsets of maximal antichains it expands fit in --budget-points."""
+    poset fits the antichain search and that the subsets of maximal
+    antichains it expands fit in --budget-points."""
+    if poset.n > MAX_VERTICES:
+        raise ConfigError(f"poset has {poset.n} elements; at most {MAX_VERTICES} are supported")
     subsets = sum(1 << len(a) for a in maximal_antichains(poset) or [()])
     if subsets > args.budget_points:
         raise BudgetError(f"{subsets} maximal-antichain subsets exceed --budget-points {args.budget_points}")

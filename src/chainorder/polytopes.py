@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-
-import numpy as np
+from itertools import combinations, product
 
 from .errors import BudgetError, InconsistentInputError
 from .linalg import affine_rank, int_matrix_rank
@@ -25,7 +23,6 @@ EXACT_ENUM_MAX_RAYS = 10**5
 LATTICE_MAX_VARS = 12
 LATTICE_MAX_DILATION = 4
 LATTICE_MAX_POINTS = 10**8
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,12 +79,19 @@ def _unit(n: int, i: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _filter_of(p: Poset, seed: tuple[int, ...]) -> int:
-    """Bitmask of the up-set generated by the given positions."""
-    mask = 0
-    for i in seed:
-        mask |= (1 << i) | p.above_masks[i]
-    return mask
+def _antichain_vertices(p: Poset, spans: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Indicator vectors of the unions of ``spans[i]`` over the positions i of
+    each subset of each maximal antichain, without repeats."""
+    masks: set[int] = set()
+    for ac in maximal_antichains(p) or [()]:
+        pos = [p.index[e] for e in ac]
+        for r in range(len(pos) + 1):
+            for sub in combinations(pos, r):
+                mask = 0
+                for i in sub:
+                    mask |= spans[i]
+                masks.add(mask)
+    return tuple(tuple((m >> i) & 1 for i in range(p.n)) for m in masks)
 
 
 def order_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
@@ -98,13 +102,7 @@ def order_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
     with the adjoined bottom and top replaced by the constants 0 and 1.
     """
     n = p.n
-    masks: set[int] = set()
-    for ac in maximal_antichains(p) or [()]:
-        pos = [p.index[e] for e in ac]
-        for r in range(len(pos) + 1):
-            for sub in combinations(pos, r):
-                masks.add(_filter_of(p, sub))
-    verts = tuple(tuple((m >> i) & 1 for i in range(n)) for m in masks)
+    verts = _antichain_vertices(p, [(1 << i) | above for i, above in enumerate(p.above_masks)])  # up-sets
     rows: list[Row] = []
     for e in p.minimal_elements():
         rows.append((_unit(n, p.index[e], -1), 0))  # 0 <= x_e
@@ -125,22 +123,14 @@ def chain_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
     per maximal chain, on top of nonnegativity for every coordinate.
     """
     n = p.n
-    verts: set[tuple[int, ...]] = set()
-    for ac in maximal_antichains(p) or [()]:
-        pos = [p.index[e] for e in ac]
-        for r in range(len(pos) + 1):
-            for sub in combinations(pos, r):
-                v = [0] * n
-                for i in sub:
-                    v[i] = 1
-                verts.add(tuple(v))
+    verts = _antichain_vertices(p, [1 << i for i in range(n)])  # the antichains themselves
     rows: list[Row] = [(_unit(n, i, -1), 0) for i in range(n)]
     for chain in maximal_chains(p):
         row = [0] * n
         for e in chain:
             row[p.index[e]] = 1
         rows.append((tuple(row), 1))
-    return VRep(tuple(verts)), HRep(p.elements, tuple(rows))
+    return VRep(verts), HRep(p.elements, tuple(rows))
 
 
 def chain_order_hrep(tau, k: int) -> HRep:
@@ -172,77 +162,71 @@ def chain_order_hrep(tau, k: int) -> HRep:
         for e in p.elements:
             if e[0] == ell:
                 rows.append((_unit(n, p.index[e]), 1))
-    # chain rows: one per tuple of single elements from ranks 1..k+1
-    def tuples_through(depth: int):
-        if depth == 0:
-            yield ()
-            return
-        for prefix in tuples_through(depth - 1):
-            for t in range(1, tau[depth - 1] + 1):
-                yield prefix + ((depth, t),)
-
-    if k == ell:
-        for chain in tuples_through(ell):
+    # chain rows: one per choice of an element from each rank through the
+    # cut, less one element just above it, or at most 1 when there is none
+    ranks = [[(r, t) for t in range(1, tau[r - 1] + 1)] for r in range(1, k + 1)]
+    for chain in product(*ranks):
+        for top in [(k + 1, t) for t in range(1, tau[k] + 1)] if k < ell else [None]:
             row = [0] * n
             for e in chain:
                 row[p.index[e]] = 1
-            rows.append((tuple(row), 1))
-    else:
-        for chain in tuples_through(k):
-            for t in range(1, tau[k] + 1):
-                row = [0] * n
-                for e in chain:
-                    row[p.index[e]] = 1
-                row[p.index[(k + 1, t)]] -= 1
-                rows.append((tuple(row), 0))
+            if top is not None:
+                row[p.index[top]] = -1
+            rows.append((tuple(row), 1 if top is None else 0))
     return HRep(p.elements, tuple(rows))
 
 
-_NUMPY_COEFF_LIMIT = 10**9
-
-
-def _as_int_arrays(h: HRep):
-    big = max(
-        (abs(x) for coeffs, rhs in h.ineqs + h.eqs for x in (*coeffs, rhs)), default=0
-    )
-    if big > _NUMPY_COEFF_LIMIT:
-        raise ValueError("coefficients too large for the fixed-width enumeration path")
-    a = np.array([c for c, _ in h.ineqs], dtype=np.int64).reshape(len(h.ineqs), h.n_vars)
-    b = np.array([r for _, r in h.ineqs], dtype=np.int64)
-    if h.eqs:
-        ae = np.array([c for c, _ in h.eqs], dtype=np.int64).reshape(len(h.eqs), h.n_vars)
-        be = np.array([r for _, r in h.eqs], dtype=np.int64)
-    else:
-        ae = np.zeros((0, h.n_vars), dtype=np.int64)
-        be = np.zeros(0, dtype=np.int64)
-    return a, b, ae, be
+def _dilated_rows(h: HRep, t: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Rows of the t-th dilate as inequalities, equations also negated after
+    all the original rows, each with the most its partial sum over coordinates
+    < i may be for every depth i: t * rhs less the least the rest can add."""
+    flipped = tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in h.eqs)
+    rows = []
+    for coeffs, rhs in h.ineqs + h.eqs + flipped:
+        most = [t * rhs] * (len(coeffs) + 1)
+        for i in reversed(range(len(coeffs))):
+            most[i] = most[i + 1] - t * min(coeffs[i], 0)
+        rows.append((coeffs, most))
+    return rows
 
 
 def zero_one_vertices(h: HRep) -> VRep:
     """All 0/1 points of the system whose tight rows have full rank.
 
-    This is the production vertex enumerator for the polytope families here,
-    all of which have 0/1 vertices; `vertex_enum_exact` is the independent
-    check of that assumption.
+    Bounded backtracking: the coordinates are fixed in order, each row's
+    partial sum is kept, and a branch is cut once a row's partial sum leaves
+    its bound from `_dilated_rows`; only the rows with a nonzero coefficient
+    at the coordinate just fixed are checked.  This is the production vertex
+    enumerator for the polytope families here, all of which have 0/1
+    vertices; `vertex_enum_exact` is the independent check of that assumption.
     """
     n = h.n_vars
     if n > ZERO_ONE_MAX_VARS:
         raise BudgetError(f"{n} variables exceeds the 0/1 enumeration limit {ZERO_ONE_MAX_VARS}")
-    a, b, ae, be = _as_int_arrays(h)
-    shifts = np.arange(n, dtype=np.int64)
+    rows = _dilated_rows(h, 1)
+    if any(most[0] < 0 for _, most in rows):
+        return VRep(())
+    # per coordinate, the rows it moves: (row, coefficient, bound after it)
+    moved = [[(j, c[i], most[i + 1]) for j, (c, most) in enumerate(rows) if c[i]] for i in range(n)]
+    sums = [0] * len(rows)
     found: list[tuple[int, ...]] = []
-    for start in range(0, 1 << n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, 1 << n), dtype=np.int64)
-        pts = (idx[:, None] >> shifts) & 1
-        ok = (pts @ a.T <= b).all(axis=1)
-        if len(be):
-            ok &= (pts @ ae.T == be).all(axis=1)
-        for pt in pts[ok]:
-            point = tuple(int(x) for x in pt)
-            tight = [c for c, r in h.ineqs if sum(ci * xi for ci, xi in zip(c, point)) == r]
-            tight.extend(c for c, _ in h.eqs)
+
+    def extend(i: int, point: tuple[int, ...]) -> None:
+        if i == n:
+            tight = [c for (c, r), s in zip(h.ineqs + h.eqs, sums) if s == r]
             if len(tight) >= n and int_matrix_rank(tight) == n:
                 found.append(point)
+            return
+        for x in (0, 1):
+            if x:
+                for j, c, _ in moved[i]:
+                    sums[j] += c
+            if all(sums[j] <= most for j, _, most in moved[i]):
+                extend(i + 1, point + (x,))
+        for j, c, _ in moved[i]:
+            sums[j] -= c
+
+    extend(0, ())
     return VRep(tuple(found))
 
 
@@ -318,6 +302,11 @@ def lattice_point_count(h: HRep, t: int) -> int:
     """Number of integer points of the t-th dilate, counted in {0..t}^n.
 
     Valid for polytopes inside the unit cube, which covers every family here.
+    A frontier dynamic programme over the coordinates in order: its state is
+    the tuple of partial sums of the rows started but not finished, each
+    state counts the prefixes that reach it, and a row is checked against its
+    bound from `_dilated_rows` at each coordinate it moves, so against t * rhs
+    when it closes.
     """
     n = h.n_vars
     if t < 1:
@@ -327,20 +316,29 @@ def lattice_point_count(h: HRep, t: int) -> int:
     total = (t + 1) ** n
     if total > LATTICE_MAX_POINTS:
         raise BudgetError(f"(t+1)^n = {total} exceeds {LATTICE_MAX_POINTS}")
-    a, b, ae, be = _as_int_arrays(h)
-    b = b * t
-    be = be * t
-    base = t + 1
-    weights = base ** np.arange(n, dtype=np.int64)
-    count = 0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        pts = (idx[:, None] // weights) % base
-        ok = (pts @ a.T <= b).all(axis=1)
-        if len(be):
-            ok &= (pts @ ae.T == be).all(axis=1)
-        count += int(ok.sum())
-    return count
+    rows = _dilated_rows(h, t)
+    if any(most[0] < 0 for _, most in rows):
+        return 0
+    support = [[i for i, c in enumerate(coeffs) if c] for coeffs, _ in rows]
+    states = {(): 1}  # partial sums of the open rows -> number of prefixes
+    frontier: list[int] = []  # rows started but not finished, in state order
+    for i in range(n):
+        live = frontier + [j for j, s in enumerate(support) if s and s[0] == i]
+        opened = (0,) * (len(live) - len(frontier))
+        coeffs = [rows[j][0][i] for j in live]
+        checked = [(p, rows[j][1][i + 1]) for p, j in enumerate(live) if coeffs[p]]
+        keep = [p for p, j in enumerate(live) if support[j][-1] > i]
+        frontier = [live[p] for p in keep]
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, count in states.items():
+            state += opened
+            for x in range(t + 1):
+                sums = [s + c * x for s, c in zip(state, coeffs)]
+                if all(sums[p] <= most for p, most in checked):
+                    key = tuple(sums[p] for p in keep)
+                    nxt[key] = nxt.get(key, 0) + count
+        states = nxt
+    return sum(states.values())
 
 
 def verify_double_description(v: VRep, h: HRep) -> None:

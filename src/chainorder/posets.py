@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
-from .cliques import Graph
+from .cliques import Graph, mask_to_tuple
 
 Element = Any
 Block = tuple[Element, ...]
@@ -336,14 +336,21 @@ def quotient_by_partition(p: Poset, pi: Iterable[Iterable]) -> Poset:
 
 
 def has_hl_pattern(p: Poset) -> bool:
-    """Whether some element has at least two lower and two upper covers.
+    """Whether P contains the X poset: an element c with two incomparable
+    elements a, b below it and two incomparable elements d, e above it.
 
-    This is the local obstruction separating the order polytope from the chain
-    polytope up to affine isomorphism.
+    The five elements then form an induced X, since a, b < c < d, e forces
+    every other relation among them.  By Hibi and Li, "Unimodular
+    equivalence of order and chain polytopes" (Math. Scand., 2016), O(P) and
+    C(P) are unimodularly equivalent exactly when P contains no X.
     """
-    return any(
-        len(p.down_covers[i]) >= 2 and len(p.up_covers[i]) >= 2 for i in range(p.n)
-    )
+    above = p.above_masks
+    below = [sum(1 << j for j in range(p.n) if (above[j] >> i) & 1) for i in range(p.n)]
+
+    def has_incomparable_pair(s: int) -> bool:
+        return any(s & ~(above[i] | below[i] | (1 << i)) for i in mask_to_tuple(s))
+
+    return any(has_incomparable_pair(below[c]) and has_incomparable_pair(above[c]) for c in range(p.n))
 
 
 def as_tau_shape(p: Poset) -> tuple[int, ...] | None:

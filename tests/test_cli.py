@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import chainorder
 from chainorder import cli
 from chainorder.cli import main, table_taus
 from chainorder.posets import as_tau_shape, poset_from_json
@@ -242,6 +247,24 @@ def test_poset_budget_points_bounds_antichain_subsets(tmp_path, capsys):
         assert run_main(capsys, *argv)[0] == 0
 
 
+def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
+    # 129 elements, one more than the antichain search supports
+    names = [f"e{i}" for i in range(129)]
+    chain = [[a, b] for a, b in zip(names, names[1:])]
+    for covers in ([], chain):
+        poset_path = tmp_path / "p129.json"
+        poset_path.write_text(json.dumps({"elements": names, "covers": covers}))
+        for argv in (
+            ["dd", "--poset", str(poset_path)],
+            ["dd", "--poset", str(poset_path), "--polytope", "chain"],
+            ["fvector", "--poset", str(poset_path), "--method", "geometric"],
+            ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"],
+        ):
+            code, out, err = run_main(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == "error: poset has 129 elements; at most 128 are supported\n"
+
+
 def test_verify_monotone(capsys, tmp_path):
     json_path = tmp_path / "report.json"
     code, out, _ = run_main(
@@ -311,3 +334,14 @@ def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["fvector", "--bogus"])
     assert err.value.code == 2
+
+
+def test_cli_imports_without_numpy():
+    src = str(Path(chainorder.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chainorder.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from conftest import compositions_upto
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from chainorder import polytopes
 from chainorder.errors import BudgetError
+from chainorder.linalg import int_matrix_rank
 from chainorder.polytopes import (
     HRep,
     VRep,
@@ -322,3 +324,49 @@ def test_vertex_enum_exact_ray_budget(monkeypatch):
 def test_vertex_enum_exact_rejects_more_equations_than_variables():
     with pytest.raises(ValueError):
         vertex_enum_exact(HRep(("x",), (), (((1,), 0), ((2,), 1))))
+
+
+def _brute_force_zero_one_vertices(h: HRep) -> VRep:
+    """Reference for `zero_one_vertices`: every 0/1 point that satisfies the
+    system, kept when its tight rows have full rank."""
+    n = h.n_vars
+    found = []
+    for point in product((0, 1), repeat=n):
+        if satisfies(point, h):
+            tight = [c for c, r in h.ineqs if sum(a * x for a, x in zip(c, point)) == r]
+            tight.extend(c for c, _ in h.eqs)
+            if len(tight) >= n and int_matrix_rank(tight) == n:
+                found.append(point)
+    return VRep(tuple(found))
+
+
+def _brute_force_lattice_count(h: HRep, t: int) -> int:
+    """Reference for `lattice_point_count`: the points of {0..t}^n in the t-th dilate."""
+    dilate = HRep(h.var_names, tuple((c, t * r) for c, r in h.ineqs), tuple((c, t * r) for c, r in h.eqs))
+    return sum(satisfies(point, dilate) for point in product(range(t + 1), repeat=h.n_vars))
+
+
+@st.composite
+def cube_hreps(draw):
+    """Up to 8 inequalities and 0-2 equations in n <= 6 variables, coefficients
+    of either sign; rows may be all zero, and the unit-cube rows may be added."""
+    n = draw(st.integers(0, 6))
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-2, 3))
+    ineqs = set(draw(st.lists(row, max_size=8)))
+    if draw(st.booleans()):
+        ineqs |= {(polytopes._unit(n, i, s), (s + 1) // 2) for i in range(n) for s in (-1, 1)}
+    eqs = draw(st.lists(row, max_size=2, unique=True))
+    return HRep(tuple(range(n)), tuple(ineqs), tuple(eqs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cube_hreps(), st.integers(1, 3))
+@example(HRep((), ()), 1)  # no variables: the one point ()
+@example(HRep((), ((((), -1),))), 2)  # no variables, an all-zero row that fails
+@example(HRep(("x", "y"), ()), 3)  # no rows
+@example(HRep(("x", "y"), _SQUARE, (((1, 1), 3),)), 2)  # an infeasible equation
+@example(HRep(("x", "y"), _SQUARE, (((0, 0), 1),)), 1)  # an infeasible all-zero equation
+@example(HRep(("x", "y"), _SQUARE, (((2, 0), 1),)), 2)  # no 0/1 point, but (1, y) in the 2nd dilate
+def test_zero_one_vertices_and_lattice_count_match_brute_force(h, t):
+    assert zero_one_vertices(h) == _brute_force_zero_one_vertices(h)
+    assert lattice_point_count(h, t) == _brute_force_lattice_count(h, t)

@@ -1,10 +1,14 @@
 import random
+from itertools import combinations
 
 import pytest
 from conftest import compositions_upto, random_poset, set_partitions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainorder.facelattice import count_faces, incidence_matrix
+from chainorder.normalform import f_vector_normal_form
+from chainorder.polytopes import chain_polytope_dd, order_polytope_dd
 from chainorder.posets import (
     BOTTOM,
     TOP,
@@ -252,11 +256,57 @@ def test_has_hl_pattern_examples():
 
 
 def test_has_hl_pattern_formula_exhaustive():
+    # an X sits in P_tau exactly when two ranks i < j with j >= i + 2 both have >= 2 elements
     for tau in compositions_upto(8):
         expected = any(
-            tau[i - 2] >= 2 and tau[i] >= 2 for i in range(2, len(tau))
+            tau[i] >= 2 and tau[j] >= 2 for i in range(len(tau)) for j in range(i + 2, len(tau))
         )
         assert has_hl_pattern(make_maximal_ranked(tau)) == expected, tau
+
+
+def test_has_hl_pattern_stretched_x():
+    # the X of (2, 1, 1, 2) has a rank between its centre and one side; no
+    # element has two lower and two upper covers, yet O and C differ
+    tau = (2, 1, 1, 2)
+    assert has_hl_pattern(make_maximal_ranked(tau))
+    assert f_vector_normal_form(tau, 0) == (9, 32, 58, 58, 32, 9)
+    assert f_vector_normal_form(tau, len(tau)) == (9, 32, 59, 61, 35, 10)
+
+
+def test_no_x_gives_equal_f_vectors_on_compositions():
+    free = 0
+    for tau in compositions_upto(7):
+        if not has_hl_pattern(make_maximal_ranked(tau)):
+            assert f_vector_normal_form(tau, 0) == f_vector_normal_form(tau, len(tau)), tau
+            free += 1
+    assert free == 98  # of the 127 compositions
+
+
+def _has_x_brute_force(p):
+    """X by definition, through pairwise comparisons of elements."""
+    def incomparable_pair(group):
+        return any(not p.less(a, b) and not p.less(b, a) for a, b in combinations(group, 2))
+
+    return any(
+        incomparable_pair([a for a in p.elements if p.less(a, c)])
+        and incomparable_pair([d for d in p.elements if p.less(c, d)])
+        for c in p.elements
+    )
+
+
+def test_no_x_gives_equal_f_vectors_on_random_posets():
+    rng = random.Random(20261018)
+    seen = {True: 0, False: 0}
+    for i in range(200):
+        p = random_poset(rng, 1 + i % 8, rng.random())
+        has_x = has_hl_pattern(p)
+        assert has_x == _has_x_brute_force(p), p.covers
+        seen[has_x] += 1
+        if not has_x:
+            fo = count_faces(incidence_matrix(*order_polytope_dd(p)))
+            fc = count_faces(incidence_matrix(*chain_polytope_dd(p)))
+            assert fo == fc, p.covers
+    assert seen[True] > 0 and seen[False] > 100
 
 
 def test_poset_json_roundtrip():
