@@ -89,9 +89,7 @@ def _dd_for(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
     if poset is not None:
         return _poset_dd(args, poset)
     h = chain_order_hrep(tau, k)
-    if (1 << h.n_vars) > args.budget_points:
-        raise BudgetError(f"2^{h.n_vars} candidate points exceed --budget-points")
-    return zero_one_vertices(h), h
+    return zero_one_vertices(h, max_nodes=args.budget_points), h
 
 
 def _geometric_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):

@@ -5,14 +5,13 @@ depth-first walk over coatoms that visits every nonempty face exactly once
 using only AND and subset tests on vertex bitmasks, in O(dim * facets)
 memory.  It yields the f-vector and nothing else.
 
-``enumerate_faces`` builds the whole lattice.  Faces are fixed points of the
-closure operator that maps a vertex set to the common vertex set of all
-facets containing it.  Starting from the vertices and repeatedly closing one
-added vertex at a time reaches every face; the covers of a face are the
-inclusion-minimal faces obtained this way.  Grading the cover relation from
-the bottom yields the dimensions, which is cross-checked against exact affine
-rank in the test suite.  It serves lattice export and structural audits, and
-is the reference the iterator is tested against.
+``enumerate_faces`` builds the whole lattice from the same facet list, top
+down one level at a time: the lower covers of a face are the
+inclusion-maximal nonempty meets of it with the facets (Kaibel and Pfetsch,
+2002).  The depth of a face below the polytope gives its dimension, which is
+cross-checked against exact affine rank in the test suite.  It serves lattice
+export and structural audits, and is the reference the iterator is tested
+against.
 """
 
 from __future__ import annotations
@@ -92,6 +91,15 @@ class FaceLattice:
         return mask_to_tuple(self.face_masks[fid])
 
 
+def _facets(inc: IncidenceMatrix) -> list[int]:
+    """Vertex masks of the facets: the inclusion-maximal nonempty proper tight
+    sets.  A row tight on every vertex is an implicit equation, and a row tight
+    on no vertex or on a smaller face is redundant."""
+    all_v = (1 << inc.n_vertices) - 1
+    rows = [m for m in dict.fromkeys(inc.facet_vertices) if m and m != all_v]
+    return [m for m in rows if not any(m != g and m & g == m for g in rows)]
+
+
 def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int, ...]:
     """The f-vector, equal to ``f_vector(enumerate_faces(inc))``, without the lattice.
 
@@ -107,12 +115,7 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
     below the vertex depth, or a vertex that is not a face of its own.
     """
     nv = inc.n_vertices
-    all_v = (1 << nv) - 1
-    # The coatoms are the inclusion-maximal proper tight sets, as in the closure
-    # lattice: a row tight on every vertex is an implicit equation, and a row
-    # tight on a smaller face is redundant.
-    rows = [m for m in dict.fromkeys(inc.facet_vertices) if m != all_v]
-    facets = [m for m in rows if not any(m != g and m & g == m for g in rows)]
+    facets = _facets(inc)
     counts: list[int] = []  # faces per depth
     vertex_depths: set[int] = set()
     visited: list[int] = []
@@ -169,93 +172,61 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
 
 
 def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceLattice:
-    """Breadth-first closure enumeration of the whole face lattice.
+    """The whole face lattice, built top-down one level at a time from coatoms.
 
-    Faces are keyed by their tight-facet mask, which the closure updates with a
-    single AND per added vertex; the vertex set is computed once per distinct
-    face.  A non-graded cover relation signals inconsistent input and raises.
+    Level 0 is the polytope and level 1 its facets.  The faces at level d + 1
+    are the inclusion-maximal nonempty masks F & G over the faces F at level d
+    and the facets G, and each is recorded as a lower cover of F (Kaibel and
+    Pfetsch, 2002).  The vertices cover the empty face.  A face at depth d has
+    dimension (vertex depth) - d.  Ids are canonical: the empty face is 0, and
+    the other faces follow by dimension, then by vertex mask, so the polytope
+    comes last.  Covers are sorted.
+
+    ``max_faces`` bounds the nonempty faces, the polytope included, and is
+    checked once per level.  Incidences that are not those of a polytope raise
+    as in ``count_faces``, and so does a face reached at two depths.
     """
-    nv, nf = inc.n_vertices, inc.n_facets
-    vmasks = inc.vertex_facets
-    fverts = inc.facet_vertices
-    all_v = (1 << nv) - 1
-
-    def vertices_of(tmask: int) -> int:
-        m = all_v
-        while tmask:
-            low = tmask & -tmask
-            m &= fverts[low.bit_length() - 1]
-            tmask ^= low
-        return m
-
-    face_masks: list[int] = [0]  # id 0 = bottom (empty face)
-    tmasks: list[int] = [-1]
-    by_tight: dict[int, int] = {}
-    in_edges: list[list[int]] = [[]]
-    cover_edges: list[tuple[int, int]] = []
-
-    def face_id(tmask: int) -> int:
-        fid = by_tight.get(tmask)
-        if fid is None:
-            fid = len(face_masks)
-            if max_faces is not None and fid > max_faces:
-                raise BudgetError(f"face budget {max_faces} exceeded")
-            by_tight[tmask] = fid
-            face_masks.append(vertices_of(tmask))
-            tmasks.append(tmask)
-            in_edges.append([])
-            queue.append(fid)
-        return fid
-
-    queue: list[int] = []
-    atoms = sorted({face_id(vmasks[v]) for v in range(nv)})
-    for a in atoms:
-        in_edges[a].append(0)
-        cover_edges.append((0, a))
-
-    qi = 0
-    while qi < len(queue):
-        fid = queue[qi]
-        qi += 1
-        fmask = face_masks[fid]
-        tmask = tmasks[fid]
-        if fmask == all_v:
-            continue
-        cand: dict[int, int] = {}
-        rest = all_v & ~fmask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            t2 = tmask & vmasks[low.bit_length() - 1]
-            if t2 not in cand:
-                cand[t2] = face_id(t2)
-        # covers of this face = candidates with inclusion-maximal tight sets
-        ordered = sorted(cand, key=lambda t: -t.bit_count())
-        kept: list[int] = []
-        for t2 in ordered:
-            if not any(tk & t2 == t2 for tk in kept):
-                kept.append(t2)
-                gid = cand[t2]
-                in_edges[gid].append(fid)
-                cover_edges.append((fid, gid))
-
-    # grade from the bottom; every in-edge must agree on the rank
-    order = sorted(range(len(face_masks)), key=lambda f: face_masks[f].bit_count())
-    rank = [-1] * len(face_masks)
-    rank[0] = 0
-    for fid in order:
-        if fid == 0:
-            continue
-        parents = in_edges[fid]
-        if not parents:
-            raise InconsistentInputError("face unreachable from the bottom")
-        ranks = {rank[pf] for pf in parents}
-        if len(ranks) != 1 or -1 in ranks:
-            raise InconsistentInputError("face lattice is not graded; inconsistent incidences")
-        rank[fid] = ranks.pop() + 1
-    dims = tuple(r - 1 for r in rank)
-    top = face_masks.index(all_v)
-    return FaceLattice(nv, tuple(face_masks), dims, tuple(cover_edges), 0, top)
+    nv = inc.n_vertices
+    facets = _facets(inc)
+    level = [(1 << nv) - 1]
+    depth = {level[0]: 0}  # face mask -> depth below the polytope
+    edges: list[tuple[int, int]] = []  # (lower mask, upper mask)
+    d = 0
+    while level:
+        if max_faces is not None and len(depth) > max_faces:
+            raise BudgetError(f"face budget {max_faces} exceeded")
+        d += 1
+        below: list[int] = []
+        for f in level:
+            meets = {f & g for g in facets}
+            meets -= {0, f}
+            kept: list[int] = []
+            for c in sorted(meets, key=int.bit_count, reverse=True):
+                for b in kept:
+                    if c & b == c:
+                        break
+                else:
+                    kept.append(c)
+                    edges.append((c, f))
+                    if c not in depth:
+                        depth[c] = d
+                        below.append(c)
+                    elif depth[c] != d:
+                        raise InconsistentInputError("a face at two depths; inconsistent incidences")
+        level = below
+    vertex_depths = {dep for m, dep in depth.items() if m.bit_count() == 1}
+    if len(vertex_depths) != 1:
+        raise InconsistentInputError("vertices not all at one depth; inconsistent incidences")
+    (top_dim,) = vertex_depths
+    if any(dep >= top_dim and m.bit_count() > 1 for m, dep in depth.items()):
+        raise InconsistentInputError("a face of several vertices at or below the vertex depth")
+    if any((1 << v) not in depth for v in range(nv)):
+        raise InconsistentInputError(f"{sum(m.bit_count() == 1 for m in depth)} of {nv} vertices are faces")
+    masks = sorted(depth, key=lambda m: (-depth[m], m))
+    fid = {m: i for i, m in enumerate(masks, 1)}
+    covers = [(0, fid[1 << v]) for v in range(nv)] + [(fid[c], fid[f]) for c, f in edges]
+    dims = (-1, *(top_dim - depth[m] for m in masks))
+    return FaceLattice(nv, (0, *masks), dims, tuple(sorted(covers)), 0, len(masks))
 
 
 def f_vector(fl: FaceLattice) -> tuple[int, ...]:

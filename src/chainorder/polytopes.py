@@ -190,7 +190,7 @@ def _dilated_rows(h: HRep, t: int) -> list[tuple[tuple[int, ...], list[int]]]:
     return rows
 
 
-def zero_one_vertices(h: HRep) -> VRep:
+def zero_one_vertices(h: HRep, max_nodes: int | None = None) -> VRep:
     """All 0/1 points of the system whose tight rows have full rank.
 
     Bounded backtracking: the coordinates are fixed in order, each row's
@@ -199,6 +199,7 @@ def zero_one_vertices(h: HRep) -> VRep:
     at the coordinate just fixed are checked.  This is the production vertex
     enumerator for the polytope families here, all of which have 0/1
     vertices; `vertex_enum_exact` is the independent check of that assumption.
+    ``max_nodes`` bounds the nodes of the search tree visited, leaves included.
     """
     n = h.n_vars
     if n > ZERO_ONE_MAX_VARS:
@@ -210,8 +211,13 @@ def zero_one_vertices(h: HRep) -> VRep:
     moved = [[(j, c[i], most[i + 1]) for j, (c, most) in enumerate(rows) if c[i]] for i in range(n)]
     sums = [0] * len(rows)
     found: list[tuple[int, ...]] = []
+    nodes = 0
 
     def extend(i: int, point: tuple[int, ...]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise BudgetError(f"0/1 vertex search stopped after {max_nodes} nodes with {len(found)} vertices kept")
         if i == n:
             tight = [c for (c, r), s in zip(h.ineqs + h.eqs, sums) if s == r]
             if len(tight) >= n and int_matrix_rank(tight) == n:

@@ -82,12 +82,19 @@ def test_fvector_export_lattice(tmp_path, capsys):
         "--export-lattice", str(out_path),
     )
     assert code == 0
-    data = json.loads(out_path.read_text())
-    # triangle: bottom + 3 vertices + 3 edges + top
-    assert len(data["faces"]) == 8
-    dims = sorted(f["dim"] for f in data["faces"])
-    assert dims == [-1, 0, 0, 0, 1, 1, 1, 2]
-    assert all(len(e) == 2 for e in data["covers"])
+    # triangle: bottom + 3 vertices + 3 edges + top, ids by dimension and then
+    # vertex mask, covers sorted
+    faces = [[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
+    dims = [-1, 0, 0, 0, 1, 1, 1, 2]
+    assert json.loads(out_path.read_text()) == {
+        "faces": [{"vertices": f, "dim": d} for f, d in zip(faces, dims)],
+        "covers": [
+            [0, 1], [0, 2], [0, 3], [1, 4], [1, 5], [2, 4],
+            [2, 6], [3, 5], [3, 6], [4, 7], [5, 7], [6, 7],
+        ],
+        "bottom": 0,
+        "top": 7,
+    }
 
 
 def test_fvector_poset_file(tmp_path, capsys):
@@ -245,6 +252,20 @@ def test_poset_budget_points_bounds_antichain_subsets(tmp_path, capsys):
         assert (code, out) == (2, "")
         assert err.startswith("budget exceeded: 256 ")
         assert run_main(capsys, *argv)[0] == 0
+
+
+def test_chain_order_budget_points_bounds_search_nodes(capsys):
+    # n = 23 variables, but the pruned 0/1 search keeps 83 vertices quickly
+    code, out, _ = run_main(capsys, "dd", "--polytope", "chain-order", "--tau", "4,4,4,4,4,3", "--k", "2")
+    assert code == 0
+    assert len(json.loads(out)["vertices"]) == 83
+    # the 12-cube has 4096 vertices, so the search needs more than 1000 nodes
+    code, out, err = run_main(
+        capsys, "dd", "--polytope", "chain-order", "--tau", "12", "--k", "0", "--budget-points", "1000"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: ")
+    assert err.count("\n") == 1
 
 
 def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):

@@ -189,6 +189,55 @@ def test_count_faces_matches_lattice_on_random_posets():
             assert count_faces(inc) == f_vector(enumerate_faces(inc)), (p.elements, p.covers, dd)
 
 
+def _brute_force_lattice(v, inc):
+    """Faces as the closures of every nonempty vertex subset (the AND of the
+    rows tight on all of it) plus the empty face, dims by affine rank, covers
+    as the inclusions between faces one dimension apart."""
+    all_v = (1 << inc.n_vertices) - 1
+    faces = {0: -1}
+    for s in range(1, all_v + 1):
+        closed = all_v
+        for fm in inc.facet_vertices:
+            if fm & s == s:
+                closed &= fm
+        if closed not in faces:
+            faces[closed] = affine_rank([v.vertices[i] for i in range(inc.n_vertices) if closed >> i & 1])
+    covers = {(a, b) for a in faces for b in faces if a & b == a and faces[b] == faces[a] + 1}
+    return set(faces.items()), covers
+
+
+def _check_against_brute_force(v, h):
+    inc = incidence_matrix(v, h)
+    fl = enumerate_faces(inc)
+    faces, covers = _brute_force_lattice(v, inc)
+    assert set(zip(fl.face_masks, fl.dims)) == faces
+    assert {(fl.face_masks[a], fl.face_masks[b]) for a, b in fl.covers} == covers
+    assert len(fl.covers) == len(covers) and fl.n_faces == len(faces)
+    # canonical ids: the empty face, then by dimension and vertex mask
+    assert list(zip(fl.dims, fl.face_masks)) == sorted(zip(fl.dims, fl.face_masks))
+    assert list(fl.covers) == sorted(fl.covers)
+    assert (fl.bottom, fl.top) == (0, fl.n_faces - 1)
+
+
+def test_lattice_matches_brute_force_on_compositions():
+    for tau in compositions_upto(4):
+        for k in range(len(tau) + 1):
+            h = chain_order_hrep(tau, k)
+            _check_against_brute_force(zero_one_vertices(h), h)
+
+
+def test_lattice_matches_brute_force_on_random_posets():
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 40:
+        p = random_poset(rng, rng.randrange(1, 7))
+        for dd in (order_polytope_dd, chain_polytope_dd):
+            v, h = dd(p)
+            if v.n <= 12:
+                _check_against_brute_force(v, h)
+                checked += 1
+
+
 @st.composite
 def tau_and_cut(draw):
     """A composition of some n <= 7 and a cut 0..len(tau)."""

@@ -119,6 +119,11 @@ def test_zero_one_vertex_budget():
     h = HRep(tuple(range(31)), ((tuple([1] + [0] * 30), 1),))
     with pytest.raises(BudgetError):
         zero_one_vertices(h)
+    # the unit square prunes nothing: 1 + 2 + 4 nodes, leaves included
+    _, h = order_polytope_dd(antichain(2))
+    assert zero_one_vertices(h, max_nodes=7).n == 4
+    with pytest.raises(BudgetError, match="after 6 nodes with 3 vertices kept"):
+        zero_one_vertices(h, max_nodes=6)
 
 
 def test_vertex_enum_exact_unit_square():
