@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
 
 from .errors import BudgetError
 from .posets import (
@@ -32,7 +31,6 @@ from .posets import (
     Poset,
     check_tau,
     extend_poset,
-    make_maximal_ranked,
     validate_face_partition,
 )
 
@@ -313,85 +311,31 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+def _faces_by_codimension_at(tau: tuple[int, ...], k: int, x: int) -> int:
+    """The generating function of the normal forms by codimension, at x.
 
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a[:]
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
-def _binom_poly(t: int) -> list[int]:
-    return [comb(t, j) for j in range(t + 1)]
-
-
-def _pick_poly(t: int) -> list[int]:
-    """Nonempty subset choices of a t-set, graded by size-1."""
-    return [comb(t, j + 1) for j in range(t)]
-
-
-def _chain_rank_poly(t: int) -> list[int]:
-    """Zero/eq choices of one chain-side rank of size t, graded by codimension.
-
-    Either the whole rank is zeroed, or a proper zero subset is chosen along
-    with a nonempty eq subset of the remainder.
+    The order side is folded rank by rank, from the adjoined maximum down,
+    through a 2x2 transfer step on (closed, open): the partitions of the ranks
+    seen so far with no block, or with one block, still reaching down.  For a
+    rank of size t, ``pick`` = ((1+x)^t - 1)/x grades a nonempty subset of the
+    rank by its size - 1: the open block ends on it (graded by its size, hence
+    the factor x), or a new block starts on it.  ``stay`` is x^t for the open
+    block taking the whole rank, plus the open block ending on some elements
+    while a new one starts on the rest.  After the first order rank, ``open``
+    counts where tight chains may end: a nonempty set of singletons, or the
+    whole rank glued upward.  Each chain-side rank of size t adds its zero/eq
+    choices ((1+2x)^t - (1+x)^t)/x + x^t to the forms with tight chains and
+    its free zeros (1+x)^t to those without.  All divisions by x are exact.
     """
-    poly = [0] * (t + 1)
-    poly[t] = 1
-    for a in range(t):
-        sub = _pick_poly(t - a)
-        for j, c in enumerate(sub):
-            poly[a + j] += comb(t, a) * c
-    return poly
-
-
-def _order_side_classes(tau, k: int) -> list[tuple[list[int], int, bool]]:
-    """Partition generating polynomials grouped by the first-order-rank split.
-
-    Returns triples (poly, s, full_glue): poly counts partitions by total
-    block-size deficiency, s is the number of first-rank singletons, and
-    full_glue marks the classes whose glued block swallows the entire first
-    order rank (the only ones where tight chains may end blockwise).
-    """
-    ell = len(tau)
-    sizes = [tau[r - 1] for r in range(k + 2, ell + 1)] + [1]
-    closed, open0 = [1], [0]
-    for t in reversed(sizes):
-        opened = [0] + _pick_poly(t)  # nonempty bottom subsets, graded by size
-        new_closed = _poly_add(closed, _poly_mul(opened, open0))
-        # keep absorbing, or close with a nonempty top part and maybe reopen
-        new_open0 = _poly_mul([0] * t + [1], open0)
-        close_then = [0] * max(t, 1)
-        for b in range(1, t + 1):
-            coeff = comb(t, b)
-            term = closed[:]
-            if t - b >= 1:
-                term = _poly_add(term, _poly_mul([0] + _pick_poly(t - b), open0))
-            for j, c in enumerate(term):
-                while b - 1 + j >= len(close_then):
-                    close_then.append(0)
-                close_then[b - 1 + j] += coeff * c
-        new_open0 = _poly_add(new_open0, close_then)
-        closed, open0 = new_closed, new_open0
-    t1 = tau[k]
-    classes: list[tuple[list[int], int, bool]] = [(closed, t1, False)]
-    for a in range(1, t1 + 1):
-        poly = [0] * a + [comb(t1, a)]
-        classes.append((_poly_mul(poly, open0), t1 - a, a == t1))
-    return classes
+    closed, open_ = 1, 0
+    for t in reversed(tau[k:] + (1,)):
+        pick = ((1 + x) ** t - 1) // x
+        stay = ((1 + 2 * x) ** t - 2 * (1 + x) ** t + 1) // x + x**t
+        closed, open_ = closed + x * pick * open_, pick * closed + stay * open_
+    chains = 1
+    for t in tau[:k]:
+        chains *= ((1 + 2 * x) ** t - (1 + x) ** t) // x + x**t
+    return (1 + x) ** sum(tau[:k]) * closed + x * open_ * chains
 
 
 def f_vector_normal_form(tau, k: int) -> tuple[int, ...]:
@@ -399,44 +343,28 @@ def f_vector_normal_form(tau, k: int) -> tuple[int, ...]:
 
     Choices factor: a face partition of the order side, independent zero/eq
     data per chain-side rank, and the chain-end choice coupled only to the
-    partition through its first-order-rank statistics.  Everything is counted
-    by codimension with integer polynomial arithmetic, so this scales far
-    beyond explicit enumeration.  The single overdetermined combination (all
-    chain ranks zeroed, chain end pinned to one) lands at codimension n+1 and
-    is removed; its coefficient is asserted to be exactly 1.
+    partition through its first-order-rank statistics.  The generating
+    function by codimension has nonnegative coefficients, so its value at
+    x = 1 bounds each of them; evaluated at x = 2^W with 2^W above that bound,
+    its base-2^W digits are the counts (Kronecker substitution), and the whole
+    count is a few native integer products.  The single overdetermined
+    combination (all chain ranks zeroed, chain end pinned to one) lands at
+    codimension n+1 and is removed; its coefficient is asserted to be exactly 1.
     """
     tau = check_tau(tau)
     ell = len(tau)
     if not 0 <= k <= ell:
         raise ValueError(f"k must be in [0, {ell}], got {k}")
     n = sum(tau)
-    chain_prod = [1]
-    for i in range(k):
-        chain_prod = _poly_mul(chain_prod, _chain_rank_poly(tau[i]))
-    if k == ell:
-        part_total = [1]
-        tops_total = [1]  # the adjoined maximum is the only possible chain end
-        chains_core = chain_prod
-    else:
-        classes = _order_side_classes(tau, k)
-        part_total = [0]
-        tops_total = [0]
-        for poly, s, full_glue in classes:
-            part_total = _poly_add(part_total, poly)
-            tops = _pick_poly(s)
-            if full_glue:
-                tops = _poly_add(tops, [1])
-            tops_total = _poly_add(tops_total, _poly_mul(poly, tops))
-        chains_core = _poly_mul(chain_prod, tops_total)
-    no_chains = _poly_mul(_binom_poly(sum(tau[:k])), part_total)
-    total = _poly_add(no_chains, [0] + chains_core)
-    while len(total) <= n + 1:
-        total.append(0)
-    if total[n + 1] != 1 or any(total[d] for d in range(n + 2, len(total))):
+    w = _faces_by_codimension_at(tau, k, 1).bit_length()
+    total = _faces_by_codimension_at(tau, k, 1 << w)
+    mask = (1 << w) - 1
+    counts = [(total >> (w * d)) & mask for d in range(n + 2)]
+    if counts[n + 1] != 1 or total >> (w * (n + 2)):
         raise AssertionError("normal-form count has unexpected high-codimension terms")
-    if total[0] != 1:
+    if counts[0] != 1:
         raise AssertionError("normal-form count lost the whole polytope")
-    return tuple(total[n - i] for i in range(n))
+    return tuple(counts[n - i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -580,53 +508,3 @@ def verify_monotone(tau) -> MonotoneReport:
             if lo > hi:
                 failures.append(f"f_{i} drops from {lo} to {hi} between cuts {k} and {k + 1}")
     return MonotoneReport(tau, fvs, not failures, failures)
-
-
-def face_vertex_indices(nf: FaceNormalForm, tau, k: int, vertices) -> frozenset[int]:
-    """Indices of the 0/1 vertices lying on the face encoded by a normal form.
-
-    Vertex coordinates follow the rank-major element order of the poset.  Used
-    to match normal forms against geometrically enumerated faces.
-    """
-    tau = check_tau(tau)
-    p = make_maximal_ranked(tau)
-    pos = p.index
-    tmax = top_element(tau)
-    if nf.eq_sets is not None:
-        tops = nf.eq_sets[k]
-        if not tops:
-            tops = tuple(sorted(set(_glued_block(nf.pi, set(rank_elements(tau, k + 1)))) & set(rank_elements(tau, k + 1))))
-    hits = []
-    for vi, x in enumerate(vertices):
-
-        def val(e):
-            return 1 if e == tmax else x[pos[e]]
-
-        ok = True
-        for b in nf.pi:
-            vals = {val(e) for e in b}
-            if len(vals) > 1:
-                ok = False
-                break
-        if ok:
-            for zs in nf.zero_sets:
-                if any(val(e) != 0 for e in zs):
-                    ok = False
-                    break
-        if ok and nf.eq_sets is not None:
-            total = 0
-            for i in range(1, k + 1):
-                eq = nf.eq_sets[i - 1]
-                if eq:
-                    vals = {val(e) for e in eq}
-                    if len(vals) > 1:
-                        ok = False
-                        break
-                    total += vals.pop()
-            if ok:
-                tvals = {val(e) for e in tops}
-                if len(tvals) > 1 or total != tvals.pop():
-                    ok = False
-        if ok:
-            hits.append(vi)
-    return frozenset(hits)

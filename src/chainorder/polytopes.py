@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import BudgetError, InconsistentInputError
-from .linalg import affine_rank, int_matrix_rank
+from .errors import BudgetError
+from .linalg import int_matrix_rank
 from .posets import Poset, check_tau, make_maximal_ranked, maximal_antichains, maximal_chains
 
 Row = tuple[tuple[int, ...], int]
@@ -345,19 +345,3 @@ def lattice_point_count(h: HRep, t: int) -> int:
                     nxt[key] = nxt.get(key, 0) + count
         states = nxt
     return sum(states.values())
-
-
-def verify_double_description(v: VRep, h: HRep) -> None:
-    """Check consistency of a vertex/facet pair; raise on any defect.
-
-    Every vertex must satisfy the system and every inequality row must be
-    facet-defining: tight on a vertex subset of affine rank n-1.
-    """
-    n = h.n_vars
-    for vert in v.vertices:
-        if not satisfies(vert, h):
-            raise InconsistentInputError(f"vertex {vert} violates the inequality system")
-    for coeffs, rhs in h.ineqs:
-        tight = [vert for vert in v.vertices if sum(c * x for c, x in zip(coeffs, vert)) == rhs]
-        if not tight or affine_rank(tight) != n - 1:
-            raise InconsistentInputError(f"row {coeffs} <= {rhs} is not facet-defining")

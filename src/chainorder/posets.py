@@ -33,11 +33,11 @@ TOP = _Extreme("<top>")
 
 
 def check_tau(tau: Sequence[int]) -> tuple[int, ...]:
-    """Validate a tuple of rank sizes: nonempty, all parts >= 1."""
+    """Validate a tuple of rank sizes: nonempty, all parts ints >= 1 (not bools)."""
     tau = tuple(tau)
     if not tau:
         raise ValueError("tau must have at least one part")
-    if any(not isinstance(t, int) or t < 1 for t in tau):
+    if any(isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in tau):
         raise ValueError(f"tau parts must be positive integers, got {tau}")
     return tau
 

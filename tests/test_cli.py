@@ -1,6 +1,9 @@
 import contextlib
+import csv
+import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,6 +348,28 @@ def test_table_json(capsys):
     data = json.loads(out)
     assert [d["tau"] for d in data] == ["2,2,1", "2,2,1"]
     assert data[0]["polytope"] == "order" and data[1]["polytope"] == "chain"
+
+
+def test_table_n26_normalform_digest_and_closed_forms(capsys):
+    # the normal-form counter far past the running example (n = 17): the
+    # output is pinned byte for byte, and every row meets the closed forms
+    n = 26
+    code, out, _ = run_main(capsys, "table", "--n", str(n), "--method", "normalform")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "4739b6329a74c217be67c70e98547295b1649506b5247813252324e523c630ea"
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2 * len(table_taus(n)) == 4796
+    for row in rows:
+        tau, k, fv = tuple(int(x) for x in row[0].split(",")), int(row[1]), [int(x) for x in row[3:]]
+        assert len(fv) == n
+        assert fv[0] == 1 + sum(2**t - 1 for t in tau), row
+        assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** n, row
+        if k == 0:  # order polytope: one facet per cover with 0 and 1 adjoined
+            assert row[2] == "order"
+            assert fv[-1] == tau[0] + sum(a * b for a, b in zip(tau, tau[1:])) + tau[-1], row
+        else:  # chain polytope: nonnegativity plus one facet per maximal chain
+            assert (row[2], k) == ("chain", len(tau))
+            assert fv[-1] == n + math.prod(tau), row
 
 
 def test_fvector_normalform_through_main(capsys):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainorder import polytopes
-from chainorder.errors import BudgetError
-from chainorder.linalg import int_matrix_rank
+from chainorder.errors import BudgetError, InconsistentInputError
+from chainorder.linalg import affine_rank, int_matrix_rank
 from chainorder.polytopes import (
     HRep,
     VRep,
@@ -19,10 +19,25 @@ from chainorder.polytopes import (
     order_polytope_dd,
     satisfies,
     vertex_enum_exact,
-    verify_double_description,
     zero_one_vertices,
 )
 from chainorder.posets import Poset, make_maximal_ranked
+
+
+def verify_double_description(v: VRep, h: HRep) -> None:
+    """Check consistency of a vertex/facet pair; raise on any defect.
+
+    Every vertex must satisfy the system and every inequality row must be
+    facet-defining: tight on a vertex subset of affine rank n-1.
+    """
+    n = h.n_vars
+    for vert in v.vertices:
+        if not satisfies(vert, h):
+            raise InconsistentInputError(f"vertex {vert} violates the inequality system")
+    for coeffs, rhs in h.ineqs:
+        tight = [vert for vert in v.vertices if sum(c * x for c, x in zip(coeffs, vert)) == rhs]
+        if not tight or affine_rank(tight) != n - 1:
+            raise InconsistentInputError(f"row {coeffs} <= {rhs} is not facet-defining")
 
 
 def antichain(n):

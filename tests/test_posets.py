@@ -53,7 +53,7 @@ def test_make_maximal_ranked_running_example():
     assert len(p.covers) == 30
 
 
-@pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (2, 0, 1)])
+@pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (2, 0, 1), (True, 2)])
 def test_make_maximal_ranked_rejects_bad_tau(bad):
     with pytest.raises(ValueError):
         make_maximal_ranked(bad)
