@@ -33,7 +33,6 @@ from .posets import (
     has_hl_pattern,
     make_maximal_ranked,
     maximal_chains,
-    quotient_by_partition,
     validate_face_partition,
 )
 

@@ -365,6 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for flag in ("budget_faces", "budget_points"):  # fvector, table and dd
+            if getattr(args, flag, 0) < 0:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
         if hasattr(args, "tau"):  # every command but table
             args.tau = _parse_tau(args.tau)
             k = getattr(args, "k", None)  # gen has no --k

@@ -137,19 +137,31 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
                 n_vertex_faces += 1
                 visited.append(h)
                 continue
-            meets = {h & g for g in coatoms}
-            meets.discard(0)
+            if not coatoms:  # no meets, so no children
+                visited.append(h)
+                continue
             children: list[int] = []
-            for c in sorted(meets, key=int.bit_count, reverse=True):
-                for b in children:
-                    if c & b == c:
-                        break
-                else:
+            if len(coatoms) == 1:  # the one meet needs no set and no sort
+                c = h & coatoms[0]
+                if c:
                     for b in visited:
                         if c & b == c:
                             break
                     else:
                         children.append(c)
+            else:
+                meets = {h & g for g in coatoms}
+                meets.discard(0)
+                for c in sorted(meets, key=int.bit_count, reverse=True):
+                    for b in children:
+                        if c & b == c:
+                            break
+                    else:
+                        for b in visited:
+                            if c & b == c:
+                                break
+                        else:
+                            children.append(c)
             if children:
                 mark = len(visited)
                 walk(children, depth + 1)

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: fraction-free elimination, rank, and solving.
+"""Exact integer linear algebra: matrix rank and affine rank.
 
 All routines work on plain Python ints (arbitrary precision), so there is no
 overflow and no floating point anywhere.
@@ -10,11 +10,29 @@ from typing import Sequence
 
 
 def int_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix via Bareiss fraction-free elimination."""
+    """Rank of an integer matrix.
+
+    The rank over GF(2) comes first, from the rows' parities as int bitmasks
+    in an XOR basis.  It is a lower bound on the rank over the rationals: a
+    minor that is odd is nonzero.  When it reaches min(rows, columns) it is
+    the rank; otherwise Bareiss fraction-free elimination decides.
+    """
     m = [list(r) for r in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
+    full = min(nrows, ncols)
+    basis: dict[int, int] = {}  # leading bit -> GF(2) basis row
+    for r in m:
+        x = sum(1 << c for c, v in enumerate(r) if v & 1)
+        while x:
+            lead = x.bit_length()
+            if lead not in basis:
+                basis[lead] = x
+                if len(basis) == full:
+                    return full
+                break
+            x ^= basis[lead]
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -33,7 +51,7 @@ def int_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
                 m[r][c] = (m[r][c] * p - f * m[rank][c]) // prev
         prev = p
         rank += 1
-        if rank == min(nrows, ncols):
+        if rank == full:
             break
     return rank
 

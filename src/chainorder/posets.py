@@ -301,40 +301,6 @@ def validate_face_partition(p: Poset, pi: Iterable[Iterable]) -> PartitionCheck:
     return PartitionCheck(True)
 
 
-def quotient_by_partition(p: Poset, pi: Iterable[Iterable]) -> Poset:
-    """Poset of blocks under the transitive closure of the block relation.
-
-    Requires a compatible partition (acyclic block relation); the resulting
-    order is re-reduced to covers.
-    """
-    blocks = _check_partition(p.elements, pi)
-    pos_blocks = [[p.index[e] for e in b] for b in blocks]
-    if not _block_digraph_acyclic(p, pos_blocks):
-        raise ValueError("partition is not compatible (block relation has a cycle)")
-    order = sorted(range(len(blocks)), key=lambda bi: min(pos_blocks[bi]))
-    names = [tuple(sorted(blocks[bi], key=lambda e: p.index[e])) for bi in order]
-    nb = len(order)
-    strict = [[False] * nb for _ in range(nb)]
-    for a in range(nb):
-        for b in range(nb):
-            if a != b and any(
-                (p.above_masks[x] >> y) & 1 for x in pos_blocks[order[a]] for y in pos_blocks[order[b]]
-            ):
-                strict[a][b] = True
-    for m in range(nb):  # transitive closure
-        for a in range(nb):
-            if strict[a][m]:
-                for b in range(nb):
-                    if strict[m][b]:
-                        strict[a][b] = True
-    covers = []
-    for a in range(nb):
-        for b in range(nb):
-            if strict[a][b] and not any(strict[a][c] and strict[c][b] for c in range(nb)):
-                covers.append((names[a], names[b]))
-    return Poset(tuple(names), tuple(covers))
-
-
 def has_hl_pattern(p: Poset) -> bool:
     """Whether P contains the X poset: an element c with two incomparable
     elements a, b below it and two incomparable elements d, e above it.

@@ -244,6 +244,23 @@ def test_fvector_budget_faces_boundary(tmp_path, capsys):
         assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fvector", "--tau", "2,2", "--k", "1"],
+        ["table", "--n", "4"],
+        ["dd", "--tau", "2,2", "--polytope", "chain-order", "--k", "1"],
+    ],
+)
+def test_negative_budgets_exit_two_before_any_work(capsys, argv):
+    flags = ["--budget-points"] if argv[0] == "dd" else ["--budget-faces", "--budget-points"]
+    for flag in flags:
+        code, out, err = run_main(capsys, *argv, flag, "-1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be >= 0, got -1\n"
+    assert run_main(capsys, *argv)[0] == 0
+
+
 def test_poset_budget_points_bounds_antichain_subsets(tmp_path, capsys):
     # one maximal antichain of 8 elements: 2^8 = 256 subsets to expand
     poset_path = tmp_path / "antichain8.json"

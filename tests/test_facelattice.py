@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chainorder.errors import BudgetError, InconsistentInputError
 from chainorder.facelattice import (
+    IncidenceMatrix,
     count_faces,
     enumerate_faces,
     f_vector,
@@ -155,6 +156,14 @@ def test_non_polytopal_incidences_raise():
         enumerate_faces(inc)
     with pytest.raises(InconsistentInputError):
         count_faces(inc)
+
+
+def test_two_disjoint_facets_reach_no_vertex():
+    # facets {0, 1} and {2, 3} meet in the empty set, which is not a face
+    inc = IncidenceMatrix(4, 2, (1, 1, 2, 2), (0b0011, 0b1100))
+    for faces in (enumerate_faces, count_faces):
+        with pytest.raises(InconsistentInputError, match="vertices not all at one depth"):
+            faces(inc)
 
 
 def test_count_faces_rejects_several_points_without_facets():

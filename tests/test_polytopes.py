@@ -141,6 +141,49 @@ def test_zero_one_vertex_budget():
         zero_one_vertices(h, max_nodes=6)
 
 
+def _fraction_rank(rows) -> int:
+    """Reference for `int_matrix_rank`: Gauss-Jordan elimination over the rationals."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+# Ranks over the rationals above the rank over GF(2), which is 1, 0 and 2.
+_GF2_DEFICIENT = [([[1, 1], [1, -1]], 2), ([[2]], 1), ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3)]
+
+
+@pytest.mark.parametrize("rows,rank", _GF2_DEFICIENT)
+def test_int_matrix_rank_above_gf2_rank(rows, rank):
+    assert int_matrix_rank(rows) == _fraction_rank(rows) == rank
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda ncols: st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=7)
+    )
+)
+def test_int_matrix_rank_matches_fraction_rank(rows):
+    assert int_matrix_rank(rows) == _fraction_rank(rows)
+
+
+def test_zero_one_vertices_diamond():
+    # {+-x +- y <= 1}: the rows tight at (1, 0) and at (0, 1) have rank 2, but
+    # rank 1 over GF(2), so only the exact fallback keeps these vertices
+    rows = tuple(((a, b), 1) for a in (1, -1) for b in (1, -1))
+    assert zero_one_vertices(HRep(("x", "y"), rows)).vertices == ((0, 1), (1, 0))
+
+
 def test_vertex_enum_exact_unit_square():
     h = HRep(
         ("x", "y"),

