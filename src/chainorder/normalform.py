@@ -22,16 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import BudgetError
 from .posets import (
     BOTTOM,
     TOP,
     Poset,
+    check_partition_masks,
     check_tau,
     extend_poset,
-    validate_face_partition,
+    partition_masks,
+    validate_face_partition,  # not called here; perfbench wraps it at this module
 )
 
 Element = tuple[int, int]
@@ -151,22 +153,25 @@ def induced_order_poset(tau, k: int) -> Poset:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _extended_order_poset(tau: tuple[int, ...], k: int) -> Poset:
-    return extend_poset(induced_order_poset(tau, k))
+def _extended_order_poset(tau: tuple[int, ...], k: int) -> tuple[Poset, dict]:
+    """The extended order side, and its positions with the maximum as TOP's alias."""
+    ep = extend_poset(induced_order_poset(tau, k))
+    return ep, {**ep.index, top_element(tau): ep.index[TOP]}
 
 
 def is_valid_face_partition(tau, k: int, pi) -> bool:
-    """Check a partition of the order side (plus maximum) via the generic validator."""
-    ep = _extended_order_poset(tuple(tau), k)
-    t = top_element(tau)
-    blocks = [tuple(TOP if e == t else e for e in b) for b in pi]
-    blocks.append((BOTTOM,))
-    return validate_face_partition(ep, blocks).valid
+    """Check a partition of the order side (plus maximum) with the generic validator's core."""
+    ep, index = _extended_order_poset(tuple(tau), k)
+    return check_partition_masks(ep, partition_masks(ep, [*pi, (BOTTOM,)], index)).valid
 
 
-def _glued_block(pi, yset) -> Block | None:
-    """The unique non-singleton block meeting the given rank, if any."""
-    hits = [b for b in pi if len(b) > 1 and any(e in yset for e in b)]
+def _glued_block(pi, r: int) -> Block | None:
+    """The unique non-singleton block meeting rank r, if any.
+
+    The blocks of a face partition span whole rank intervals, so a block meets
+    rank r when r lies between its least and greatest rank.
+    """
+    hits = [b for b in pi if len(b) > 1 and min(b)[0] <= r <= max(b)[0]]
     if not hits:
         return None
     if len(hits) > 1:
@@ -180,16 +185,14 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
     ell = len(tau)
     if not 0 <= k <= ell:
         return False, "cut out of range"
-    ground = order_ground(tau, k)
-    flat = [e for b in nf.pi for e in b]
-    if sorted(flat) != sorted(ground) or len(set(flat)) != len(flat):
+    if tuple(sorted(chain.from_iterable(nf.pi))) != order_ground(tau, k):
         return False, "pi does not partition the order side"
     if not is_valid_face_partition(tau, k, nf.pi):
         return False, "pi is not a face partition"
     if len(nf.zero_sets) != k:
         return False, "zero_sets must have one entry per chain-side rank"
-    for i in range(1, k + 1):
-        if not set(nf.zero_sets[i - 1]) <= set(rank_elements(tau, i)):
+    for i, zeros in enumerate(nf.zero_sets, 1):
+        if zeros and any(e not in rank_elements(tau, i) for e in zeros):
             return False, f"zero set of rank {i} leaves its rank"
     if nf.eq_sets is None:
         return True, None
@@ -197,13 +200,12 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
         return False, "eq_sets must have one entry per rank through the cut"
     all_zeroed = True
     for i in range(1, k + 1):
-        rest = set(rank_elements(tau, i)) - set(nf.zero_sets[i - 1])
-        eq = set(nf.eq_sets[i - 1])
-        if not eq <= rest:
+        elems, zeros, eq = rank_elements(tau, i), nf.zero_sets[i - 1], nf.eq_sets[i - 1]
+        if any(e not in elems or e in zeros for e in eq):
             return False, f"eq set of rank {i} meets its zero set or leaves its rank"
-        if rest and not eq:
-            return False, f"rank {i} has free elements but an empty eq set"
-        if rest:
+        if any(e not in zeros for e in elems):
+            if not eq:
+                return False, f"rank {i} has free elements but an empty eq set"
             all_zeroed = False
     tops = nf.eq_sets[k]
     singleton_blocks = {b[0] for b in nf.pi if len(b) == 1}
@@ -212,7 +214,7 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
             return False, "tight chains at the full cut must end at the adjoined maximum"
         forced_one = True
     else:
-        yk1 = set(rank_elements(tau, k + 1))
+        yk1 = rank_elements(tau, k + 1)
         if tops:
             for t in tops:
                 if t not in yk1:
@@ -223,7 +225,7 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
         else:
             if any(e in singleton_blocks for e in yk1):
                 return False, "empty chain end needs the whole first order rank glued upward"
-            glued = _glued_block(nf.pi, yk1)
+            glued = _glued_block(nf.pi, k + 1)
             if glued is None:
                 return False, "empty chain end with no glued block"
             forced_one = top_element(tau) in glued
@@ -244,7 +246,7 @@ def codimension(nf: FaceNormalForm, tau, k: int, *, validate: bool = True) -> in
         if not ok:
             raise ValueError(f"invalid normal form: {reason}")
     m = sum(tau[k:]) + 1  # the order side plus the adjoined maximum
-    codim = (m - len(nf.pi)) + sum(len(z) for z in nf.zero_sets)
+    codim = (m - len(nf.pi)) + sum(map(len, nf.zero_sets))
     if nf.eq_sets is not None:
         codim += 1 + sum(len(s) - 1 for s in nf.eq_sets if s)
     return codim
@@ -277,7 +279,7 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
     for pi in face_partitions(tau, k):
         if k < ell:
             singles = sorted(e for e in yk1 if (e,) in pi)
-            glued = _glued_block(pi, yk1)
+            glued = _glued_block(pi, k + 1)
             top_options = [tuple(s) for size in range(1, len(singles) + 1) for s in combinations(singles, size)]
             if not singles:
                 top_options.append(())
@@ -378,39 +380,31 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
     Blocks contained in the two ranks around the cut are dropped, all other
     blocks lose their rank-(k+1) part, and the freed data is re-expressed as
     zeros and chain ends one level higher.  Defined for codimension >= 2.
-    ``nf`` must be a valid normal form, such as those from
-    ``enumerate_normal_forms``; it is not validated again here.
+    ``nf`` must be a valid normal form for ``tau`` and ``k``, such as those
+    from ``enumerate_normal_forms``; neither is validated again here.
     """
-    tau = check_tau(tau)
+    tau = tuple(tau)
     ell = len(tau)
     if k >= ell:
         raise ValueError("the cut can only be raised below the top rank")
     cod = codimension(nf, tau, k, validate=False)
     if cod < 2:
         raise ValueError("the injection is defined for codimension at least 2")
-    tmax = top_element(tau)
-    yk1 = set(rank_elements(tau, k + 1))
-    yk2 = set(rank_elements(tau, k + 2)) if k + 2 <= ell else {tmax}
-
-    kept = []
-    for b in nf.pi:
-        bs = set(b)
-        if bs <= yk1 | yk2:
-            continue
-        kept.append(tuple(e for e in b if e not in yk1))
-    ground2 = order_ground(tau, k + 1)
+    # rank arithmetic on (rank, index) ids: ranks k+1 and k+2 lie around the
+    # cut, and rank k+2 may be the adjoined maximum's
+    kept = [tuple(e for e in b if e[0] != k + 1) for b in nf.pi if max(b)[0] > k + 2]
     used = {e for b in kept for e in b}
-    pi2 = _canonical_partition(kept + [(e,) for e in ground2 if e not in used])
+    pi2 = _canonical_partition(kept + [(e,) for e in order_ground(tau, k + 1) if e not in used])
 
-    glued = _glued_block(nf.pi, yk1)
-    a_part = tuple(sorted(set(glued) & yk1)) if glued else ()
-    b_part = tuple(sorted(set(glued) & yk2)) if glued else ()
-    height1 = glued is not None and max(e[0] for e in glued) == k + 2
+    glued = _glued_block(nf.pi, k + 1)
+    a_part = tuple(sorted(e for e in glued if e[0] == k + 1)) if glued else ()
+    b_part = tuple(sorted(e for e in glued if e[0] == k + 2)) if glued else ()
+    height1 = glued is not None and max(glued)[0] == k + 2
+    sigma = sorted(b[0] for b in nf.pi if len(b) == 1 and b[0][0] == k + 2)
 
     if nf.eq_sets is not None:
         if glued is None:
             # every rank-(k+1) element is isolated: extend the chains upward
-            sigma = sorted(e for e in yk2 if (e,) in nf.pi)
             tops2 = (sigma[0],) if sigma else ()
             return FaceNormalForm(pi2, nf.zero_sets + ((),), nf.eq_sets + (tops2,))
         tops2 = b_part if height1 else ()
@@ -421,14 +415,12 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
     if not height1:
         return FaceNormalForm(pi2, nf.zero_sets + (a_part,), None)
     # height-one glued block: its top part lands in singletons after the cut
-    sigma2 = sorted([e for e in yk2 if (e,) in nf.pi] + list(b_part))
-    if b_part == (sigma2[0],):
+    if b_part == (min(sigma + list(b_part)),):
         return FaceNormalForm(pi2, nf.zero_sets + (a_part,), None)
     # re-encode the block as a bundle of tight chains through least-index picks
     eq_new = []
-    for i in range(1, k + 1):
-        rest = sorted(set(rank_elements(tau, i)) - set(nf.zero_sets[i - 1]))
-        eq_new.append((rest[0],) if rest else ())
+    for i, zeros in enumerate(nf.zero_sets, 1):
+        eq_new.append(next(((e,) for e in rank_elements(tau, i) if e not in zeros), ()))
     eq2 = tuple(eq_new) + (a_part, b_part)
     return FaceNormalForm(pi2, nf.zero_sets + ((),), eq2)
 
@@ -482,11 +474,10 @@ def verify_injection(tau, k: int) -> InjectionReport:
         if cod2 != cod:
             preserved = False
             failures.append(f"codimension changed {cod} -> {cod2} on {nf}")
-        if img in seen:
+        first = seen.setdefault(img, nf)
+        if first is not nf:
             injective = False
-            failures.append(f"collision: {seen[img]} and {nf} share an image")
-        else:
-            seen[img] = nf
+            failures.append(f"collision: {first} and {nf} share an image")
     return InjectionReport(tau, k, src_counts, img_counts, injective, preserved, failures)
 
 

@@ -62,17 +62,6 @@ class VRep:
         return len(self.vertices)
 
 
-def satisfies(point, h: HRep) -> bool:
-    """Exact membership test."""
-    for coeffs, rhs in h.ineqs:
-        if sum(c * x for c, x in zip(coeffs, point)) > rhs:
-            return False
-    for coeffs, rhs in h.eqs:
-        if sum(c * x for c, x in zip(coeffs, point)) != rhs:
-            return False
-    return True
-
-
 def _unit(n: int, i: int, sign: int = 1) -> tuple[int, ...]:
     row = [0] * n
     row[i] = sign

@@ -37,8 +37,9 @@ def check_tau(tau: Sequence[int]) -> tuple[int, ...]:
     tau = tuple(tau)
     if not tau:
         raise ValueError("tau must have at least one part")
-    if any(isinstance(t, bool) or not isinstance(t, int) or t < 1 for t in tau):
-        raise ValueError(f"tau parts must be positive integers, got {tau}")
+    for t in tau:
+        if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+            raise ValueError(f"tau parts must be positive integers, got {tau}")
     return tau
 
 
@@ -124,6 +125,17 @@ class Poset:
                 m |= (1 << j) | above[j]
             above[i] = m
         return tuple(above)
+
+    @cached_property
+    def below_masks(self) -> tuple[int, ...]:
+        """Bitmask of positions strictly below each position."""
+        below = [0] * self.n
+        for i in reversed(self._topo_reverse):
+            m = 0
+            for j in self.down_covers[i]:
+                m |= (1 << j) | below[j]
+            below[i] = m
+        return tuple(below)
 
     @cached_property
     def _topo_reverse(self) -> tuple[int, ...]:
@@ -214,67 +226,90 @@ def maximal_antichains(p: Poset) -> list[tuple]:
     ]
 
 
-def _check_partition(ground: Sequence, blocks: Iterable[Iterable]) -> list[tuple]:
-    """Normalize a partition of the ground set; raise on malformed input."""
-    ground_set = set(ground)
-    norm = [tuple(b) for b in blocks]
-    seen: set = set()
-    for b in norm:
-        if not b:
-            raise ValueError("empty block")
+def partition_masks(p: Poset, pi: Iterable[Iterable], index: dict | None = None) -> list[int]:
+    """Position masks of the blocks of a partition of p's elements.
+
+    ``index`` maps ids to positions (``p.index`` by default; an alias may share
+    a position).  Malformed input raises ValueError.
+    """
+    index = p.index if index is None else index
+    masks = []
+    seen = 0
+    for b in pi:
+        m = 0
         for e in b:
-            if e not in ground_set:
+            if e not in index:
                 raise ValueError(f"block element {e!r} outside ground set")
-            if e in seen:
+            bit = 1 << index[e]
+            if seen & bit:
                 raise ValueError(f"element {e!r} in two blocks")
-            seen.add(e)
-    if seen != ground_set:
-        missing = ground_set - seen
-        raise ValueError(f"partition does not cover ground set (missing {sorted(map(repr, missing))})")
-    return norm
+            seen |= bit
+            m |= bit
+        if not m:
+            raise ValueError("empty block")
+        masks.append(m)
+    missing = ((1 << p.n) - 1) & ~seen
+    if missing:
+        names = sorted(repr(p.elements[i]) for i in mask_to_tuple(missing))
+        raise ValueError(f"partition does not cover ground set (missing {names})")
+    return masks
 
 
-def _block_connected(p: Poset, members: Sequence[int]) -> bool:
-    """Connectivity of a block in the Hasse diagram of its induced subposet."""
-    if len(members) == 1:
-        return True
-    mset = set(members)
-    # induced strict order, then drop implied pairs to get induced covers
-    less = {(a, b) for a in members for b in members if (p.above_masks[a] >> b) & 1}
-    adj = {a: set() for a in members}
-    for a, b in less:
-        if any((a, c) in less and (c, b) in less for c in mset):
-            continue
-        adj[a].add(b)
-        adj[b].add(a)
-    stack = [members[0]]
-    reached = {members[0]}
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
-    return len(reached) == len(members)
+def _block_digraph_acyclic(p: Poset, masks: Sequence[int]) -> bool:
+    """Whether the relation between distinct blocks (position masks) is acyclic.
 
-
-def _block_digraph_acyclic(p: Poset, blocks: Sequence[Sequence[int]]) -> bool:
-    nb = len(blocks)
-    block_of = {}
-    for bi, b in enumerate(blocks):
-        for e in b:
-            block_of[e] = bi
-    succ = [set() for _ in range(nb)]
-    for bi, b in enumerate(blocks):
-        for a in b:
-            m = p.above_masks[a]
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                m ^= low
-                if block_of[j] != bi:
-                    succ[bi].add(block_of[j])
+    Singletons alone follow p's order, so a cycle passes a merged block, and a
+    path from one merged block to another through singletons implies a direct
+    relation.  The relation is therefore acyclic iff no outside element lies
+    between two members of a merged block and the merged blocks alone are.
+    """
+    merged, ups = [], []
+    for m in masks:
+        if m & (m - 1):
+            up = down = 0
+            rest = m
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                up |= p.above_masks[i]
+                down |= p.below_masks[i]
+                rest ^= low
+            if up & down & ~m:
+                return False
+            merged.append(m)
+            ups.append(up)
+    succ = [[j for j, n in enumerate(merged) if n != m and up & n] for m, up in zip(merged, ups)]
     return _topological_order(succ) is not None
+
+
+def check_partition_masks(p: Poset, masks: Sequence[int]) -> PartitionCheck:
+    """The face-partition conditions of ``validate_face_partition``, on the
+    position masks of a partition of an extended poset's elements."""
+    above, below = p.above_masks, p.below_masks
+    ends = (1 << p.index[BOTTOM]) | (1 << p.index[TOP])
+    split_ends = True
+    for m in masks:
+        if not m & (m - 1):
+            continue
+        # comparable members are joined by a chain of induced covers, so a block
+        # is connected in its induced Hasse diagram iff by comparabilities
+        reached = frontier = m & -m
+        while frontier:
+            low = frontier & -frontier
+            i = low.bit_length() - 1
+            new = (above[i] | below[i]) & m & ~reached
+            reached |= new
+            frontier ^= low | new
+        if reached != m:
+            return PartitionCheck(False, "block not connected")
+        split_ends = split_ends and m & ends != ends
+    # a block merging the extremes also breaks compatibility whenever anything
+    # lies between them; report the more specific reason first
+    if not split_ends:
+        return PartitionCheck(False, "bottom and top share a block")
+    if not _block_digraph_acyclic(p, masks):
+        return PartitionCheck(False, "block relation has a cycle")
+    return PartitionCheck(True)
 
 
 def validate_face_partition(p: Poset, pi: Iterable[Iterable]) -> PartitionCheck:
@@ -285,20 +320,7 @@ def validate_face_partition(p: Poset, pi: Iterable[Iterable]) -> PartitionCheck:
     adjoined bottom and top lie in different blocks.  A partition that fails to
     cover the ground set is a malformed input and raises ValueError instead.
     """
-    blocks = _check_partition(p.elements, pi)
-    pos_blocks = [[p.index[e] for e in b] for b in blocks]
-    for b in pos_blocks:
-        if not _block_connected(p, b):
-            return PartitionCheck(False, "block not connected")
-    # a block merging the extremes also breaks compatibility whenever anything
-    # lies between them; report the more specific reason first
-    bot, top = p.index[BOTTOM], p.index[TOP]
-    for b in pos_blocks:
-        if bot in b and top in b:
-            return PartitionCheck(False, "bottom and top share a block")
-    if not _block_digraph_acyclic(p, pos_blocks):
-        return PartitionCheck(False, "block relation has a cycle")
-    return PartitionCheck(True)
+    return check_partition_masks(p, partition_masks(p, pi))
 
 
 def has_hl_pattern(p: Poset) -> bool:
@@ -310,8 +332,7 @@ def has_hl_pattern(p: Poset) -> bool:
     equivalence of order and chain polytopes" (Math. Scand., 2016), O(P) and
     C(P) are unimodularly equivalent exactly when P contains no X.
     """
-    above = p.above_masks
-    below = [sum(1 << j for j in range(p.n) if (above[j] >> i) & 1) for i in range(p.n)]
+    above, below = p.above_masks, p.below_masks
 
     def has_incomparable_pair(s: int) -> bool:
         return any(s & ~(above[i] | below[i] | (1 << i)) for i in mask_to_tuple(s))

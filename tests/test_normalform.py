@@ -1,14 +1,16 @@
+import os
 from math import comb
 
 import pytest
-from conftest import compositions_upto, set_partitions
-from hypothesis import given
+from conftest import compositions, compositions_upto, set_partitions
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainorder import normalform
 from chainorder.errors import BudgetError
 from chainorder.facelattice import enumerate_faces, f_vector, incidence_matrix
 from chainorder.normalform import (
+    PARTITION_GROUND_LIMIT,
     FaceNormalForm,
     codimension,
     enumerate_normal_forms,
@@ -57,7 +59,7 @@ def face_vertex_indices(nf: FaceNormalForm, tau, k: int, vertices) -> frozenset[
     if nf.eq_sets is not None:
         tops = nf.eq_sets[k]
         if not tops:
-            tops = tuple(sorted(set(normalform._glued_block(nf.pi, set(rank_elements(tau, k + 1)))) & set(rank_elements(tau, k + 1))))
+            tops = tuple(sorted(set(normalform._glued_block(nf.pi, k + 1)) & set(rank_elements(tau, k + 1))))
     hits = []
     for vi, x in enumerate(vertices):
 
@@ -291,6 +293,114 @@ def test_psi_requires_codimension_two():
         psi_map(nf, tau, k)
     with pytest.raises(ValueError):
         psi_map(nf, tau, len(tau))
+
+
+def _reference_glued_block(pi, yset):
+    hits = [b for b in pi if len(b) > 1 and any(e in yset for e in b)]
+    if not hits:
+        return None
+    if len(hits) > 1:
+        raise ValueError("two glued blocks meet one rank; partition is not a face partition")
+    return hits[0]
+
+
+def _reference_psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
+    """The cut-raising map on sets of elements, as first written; the
+    reference for the rank-arithmetic ``psi_map``."""
+    tau = check_tau(tau)
+    ell = len(tau)
+    if k >= ell:
+        raise ValueError("the cut can only be raised below the top rank")
+    cod = codimension(nf, tau, k, validate=False)
+    if cod < 2:
+        raise ValueError("the injection is defined for codimension at least 2")
+    tmax = top_element(tau)
+    yk1 = set(rank_elements(tau, k + 1))
+    yk2 = set(rank_elements(tau, k + 2)) if k + 2 <= ell else {tmax}
+
+    kept = []
+    for b in nf.pi:
+        bs = set(b)
+        if bs <= yk1 | yk2:
+            continue
+        kept.append(tuple(e for e in b if e not in yk1))
+    ground2 = order_ground(tau, k + 1)
+    used = {e for b in kept for e in b}
+    pi2 = normalform._canonical_partition(kept + [(e,) for e in ground2 if e not in used])
+
+    glued = _reference_glued_block(nf.pi, yk1)
+    a_part = tuple(sorted(set(glued) & yk1)) if glued else ()
+    b_part = tuple(sorted(set(glued) & yk2)) if glued else ()
+    height1 = glued is not None and max(e[0] for e in glued) == k + 2
+
+    if nf.eq_sets is not None:
+        if glued is None:
+            # every rank-(k+1) element is isolated: extend the chains upward
+            sigma = sorted(e for e in yk2 if (e,) in nf.pi)
+            tops2 = (sigma[0],) if sigma else ()
+            return FaceNormalForm(pi2, nf.zero_sets + ((),), nf.eq_sets + (tops2,))
+        tops2 = b_part if height1 else ()
+        return FaceNormalForm(pi2, nf.zero_sets + (a_part,), nf.eq_sets + (tops2,))
+
+    if glued is None:
+        return FaceNormalForm(pi2, nf.zero_sets + ((),), None)
+    if not height1:
+        return FaceNormalForm(pi2, nf.zero_sets + (a_part,), None)
+    # height-one glued block: its top part lands in singletons after the cut
+    sigma2 = sorted([e for e in yk2 if (e,) in nf.pi] + list(b_part))
+    if b_part == (sigma2[0],):
+        return FaceNormalForm(pi2, nf.zero_sets + (a_part,), None)
+    # re-encode the block as a bundle of tight chains through least-index picks
+    eq_new = []
+    for i in range(1, k + 1):
+        rest = sorted(set(rank_elements(tau, i)) - set(nf.zero_sets[i - 1]))
+        eq_new.append((rest[0],) if rest else ())
+    eq2 = tuple(eq_new) + (a_part, b_part)
+    return FaceNormalForm(pi2, nf.zero_sets + ((),), eq2)
+
+
+def test_psi_matches_reference_on_small_compositions():
+    audited = 0
+    for tau in compositions_upto(6):
+        for k in range(len(tau)):
+            for nf in enumerate_normal_forms(tau, k):
+                if codimension(nf, tau, k, validate=False) >= 2:
+                    assert psi_map(nf, tau, k) == _reference_psi_map(nf, tau, k), (tau, k, nf)
+                    audited += 1
+    assert audited == 31_963
+
+
+@st.composite
+def _enumerable_tau_and_cut(draw):
+    tau = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    k = draw(st.integers(0, len(tau) - 1))
+    assume(sum(tau) <= 8 and sum(tau[k:]) + 1 <= PARTITION_GROUND_LIMIT)
+    return tau, k
+
+
+@settings(max_examples=25, deadline=None)
+@given(_enumerable_tau_and_cut())
+def test_psi_is_injective_and_keeps_codimension(tau_k):
+    tau, k = tau_k
+    forms = [nf for nf in enumerate_normal_forms(tau, k) if codimension(nf, tau, k, validate=False) >= 2]
+    images = [psi_map(nf, tau, k) for nf in forms]
+    assert len(set(images)) == len(images)
+    # codimension validates each image first
+    assert [codimension(img, tau, k + 1) for img in images] == [
+        codimension(nf, tau, k, validate=False) for nf in forms
+    ]
+
+
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about a minute; set CHAINORDER_SLOW=1")
+def test_injection_exhaustive_n8():
+    audited = 0
+    taus = compositions(8)
+    for tau in taus:
+        for k in range(len(tau)):
+            rep = verify_injection(tau, k)
+            assert rep.ok, (tau, k, rep.failures[:3])
+            audited += sum(rep.per_codim_counts_src.values())
+    assert len(taus) == 128 and audited == 814_979
 
 
 def test_verify_injection_examples():

@@ -17,11 +17,21 @@ from chainorder.polytopes import (
     chain_polytope_dd,
     lattice_point_count,
     order_polytope_dd,
-    satisfies,
     vertex_enum_exact,
     zero_one_vertices,
 )
 from chainorder.posets import Poset, make_maximal_ranked
+
+
+def satisfies(point, h: HRep) -> bool:
+    """Exact membership test."""
+    for coeffs, rhs in h.ineqs:
+        if sum(c * x for c, x in zip(coeffs, point)) > rhs:
+            return False
+    for coeffs, rhs in h.eqs:
+        if sum(c * x for c, x in zip(coeffs, point)) != rhs:
+            return False
+    return True
 
 
 def verify_double_description(v: VRep, h: HRep) -> None:

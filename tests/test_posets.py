@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from typing import Iterable
 
@@ -7,8 +8,9 @@ from conftest import compositions_upto, random_poset, set_partitions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainorder.cliques import mask_to_tuple
 from chainorder.facelattice import count_faces, incidence_matrix
-from chainorder.normalform import f_vector_normal_form
+from chainorder.normalform import f_vector_normal_form, is_valid_face_partition
 from chainorder.polytopes import chain_polytope_dd, order_polytope_dd
 from chainorder.posets import (
     BOTTOM,
@@ -24,7 +26,7 @@ from chainorder.posets import (
     poset_from_json,
     poset_to_json,
     _block_digraph_acyclic,
-    _check_partition,
+    partition_masks,
     validate_face_partition,
 )
 
@@ -206,18 +208,87 @@ def test_validate_face_partition_against_brute_force():
     assert 0 < valid < total
 
 
+@pytest.mark.parametrize(
+    "tau,reasons",
+    [
+        ((2, 2), {None: 51, "block not connected": 28, "bottom and top share a block": 43, "block relation has a cycle": 81}),
+        ((2, 1, 2), {None: 99, "block not connected": 99, "bottom and top share a block": 175, "block relation has a cycle": 504}),
+    ],
+)
+def test_validate_face_partition_reasons_on_every_partition(tau, reasons):
+    # the tally of every set partition of the extended poset, by reason
+    ep = extend_poset(make_maximal_ranked(tau))
+    got = Counter()
+    for blocks in set_partitions(ep.elements):
+        check = validate_face_partition(ep, blocks)
+        assert check.valid == (check.reason is None)
+        got[check.reason] += 1
+    assert got == reasons
+
+
+def _random_partition(rng, elements):
+    """Shuffled elements cut into blocks of mostly one to three, so that
+    partitions with several small merged blocks are common."""
+    rest = list(elements)
+    rng.shuffle(rest)
+    blocks = []
+    while rest:
+        size = rng.choice((1, 1, 2, 2, 3, len(rest)))
+        blocks.append(tuple(rest[:size]))
+        rest = rest[size:]
+    return blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_validate_face_partition_against_brute_force_on_random_posets(n, density, seed):
+    rng = random.Random(seed)
+    ep = extend_poset(random_poset(rng, n, density))
+    blocks = _random_partition(rng, ep.elements)
+    assert validate_face_partition(ep, blocks).valid == _oracle_face_partition(ep, blocks), (ep.covers, blocks)
+
+
+def test_malformed_partitions_raise_through_both_validators():
+    tau, k = (2, 2), 0
+    ep = extend_poset(make_maximal_ranked(tau))
+    order_side = [((1, 1),), ((1, 2),), ((2, 1),), ((2, 2),), ((3, 1),)]
+    malformed = {
+        "empty block": [()],
+        "outside ground set": [((9, 9),)],
+        "in two blocks": [((1, 1),)],
+    }
+    for reason, extra in malformed.items():
+        with pytest.raises(ValueError, match=reason):
+            validate_face_partition(ep, [(BOTTOM,), (TOP,)] + order_side[:-1] + extra)
+        with pytest.raises(ValueError, match=reason):
+            is_valid_face_partition(tau, k, order_side + extra)
+    with pytest.raises(ValueError, match="does not cover"):
+        validate_face_partition(ep, [(BOTTOM,), (TOP,)] + order_side[1:-1])
+    with pytest.raises(ValueError, match="does not cover"):
+        is_valid_face_partition(tau, k, order_side[1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_below_masks_transpose_above_masks(n, density, seed):
+    p = random_poset(random.Random(seed), n, density)
+    for i in range(p.n):
+        for j in range(p.n):
+            assert (p.below_masks[j] >> i) & 1 == (p.above_masks[i] >> j) & 1
+
+
 def quotient_by_partition(p: Poset, pi: Iterable[Iterable]) -> Poset:
     """Poset of blocks under the transitive closure of the block relation.
 
     Requires a compatible partition (acyclic block relation); the resulting
     order is re-reduced to covers.
     """
-    blocks = _check_partition(p.elements, pi)
-    pos_blocks = [[p.index[e] for e in b] for b in blocks]
-    if not _block_digraph_acyclic(p, pos_blocks):
+    masks = partition_masks(p, pi)
+    if not _block_digraph_acyclic(p, masks):
         raise ValueError("partition is not compatible (block relation has a cycle)")
-    order = sorted(range(len(blocks)), key=lambda bi: min(pos_blocks[bi]))
-    names = [tuple(sorted(blocks[bi], key=lambda e: p.index[e])) for bi in order]
+    pos_blocks = [mask_to_tuple(m) for m in masks]
+    order = sorted(range(len(masks)), key=lambda bi: min(pos_blocks[bi]))
+    names = [tuple(p.elements[i] for i in pos_blocks[bi]) for bi in order]
     nb = len(order)
     strict = [[False] * nb for _ in range(nb)]
     for a in range(nb):
