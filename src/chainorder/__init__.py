@@ -32,7 +32,6 @@ from .posets import (
     extend_poset,
     has_hl_pattern,
     make_maximal_ranked,
-    maximal_chains,
     validate_face_partition,
 )
 

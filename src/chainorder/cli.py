@@ -29,7 +29,6 @@ from .posets import (
     check_tau,
     element_name,
     make_maximal_ranked,
-    maximal_antichains,
     poset_from_json,
     poset_to_json,
 )
@@ -72,23 +71,15 @@ def _load_poset(args: argparse.Namespace) -> Poset:
         raise ConfigError(f"bad poset file {args.poset_file}: {exc}") from exc
 
 
-def _poset_dd(args: argparse.Namespace, poset: Poset):
-    """(VRep, HRep) of the order or chain polytope, after checking that the
-    poset fits the antichain search and that the subsets of maximal
-    antichains it expands fit in --budget-points."""
-    if poset.n > MAX_VERTICES:
-        raise ConfigError(f"poset has {poset.n} elements; at most {MAX_VERTICES} are supported")
-    subsets = sum(1 << len(a) for a in maximal_antichains(poset) or [()])
-    if subsets > args.budget_points:
-        raise BudgetError(f"{subsets} maximal-antichain subsets exceed --budget-points {args.budget_points}")
-    return (chain_polytope_dd if args.polytope == "chain" else order_polytope_dd)(poset)
-
-
 def _dd_for(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
-    """(VRep, HRep) for the requested polytope."""
+    """(VRep, HRep) for the requested polytope; --budget-points bounds its rows
+    and its vertex work.  A poset must also fit the antichain search."""
     if poset is not None:
-        return _poset_dd(args, poset)
-    h = chain_order_hrep(tau, k)
+        if poset.n > MAX_VERTICES:
+            raise ConfigError(f"poset has {poset.n} elements; at most {MAX_VERTICES} are supported")
+        dd = chain_polytope_dd if args.polytope == "chain" else order_polytope_dd
+        return dd(poset, max_points=args.budget_points)
+    h = chain_order_hrep(tau, k, max_points=args.budget_points)
     return zero_one_vertices(h, max_nodes=args.budget_points), h
 
 
@@ -281,9 +272,7 @@ def _dd_command(args: argparse.Namespace) -> int:
             raise ConfigError("chain-order needs --tau and --k")
         v, h = _dd_for(args, args.tau, args.k, None)
     else:
-        if poset is None:
-            poset = make_maximal_ranked(args.tau)
-        v, h = _poset_dd(args, poset)
+        v, h = _dd_for(args, None, None, make_maximal_ranked(args.tau) if poset is None else poset)
     data = {
         "vars": [element_name(e) for e in h.var_names],
         "ineqs": [{"coeffs": list(c), "rhs": r} for c, r in h.ineqs],

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import BudgetError
 from .linalg import int_matrix_rank
-from .posets import Poset, check_tau, make_maximal_ranked, maximal_antichains, maximal_chains
+from .posets import Poset, check_tau, make_maximal_ranked, maximal_antichains
 
 Row = tuple[tuple[int, ...], int]
 
@@ -68,11 +68,64 @@ def _unit(n: int, i: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _antichain_vertices(p: Poset, spans: list[int]) -> tuple[tuple[int, ...], ...]:
+def _chain_order_rows(p: Poset, chain_part: int, max_points: int | None = None) -> list[Row]:
+    """Facet rows of the polytope whose chain part is the down-set
+    ``chain_part`` (a position mask): O(P) when it is empty, C(P) when full.
+
+    One row ``-x_i <= 0`` per i in the chain part, and one row
+    ``x_s + x_c1 + ... + x_cr - x_q <= 0`` per saturated chain s < c_1 < ...
+    < c_r < q of the extended poset with the c's inside the chain part and s,
+    q outside, the adjoined bottom reading 0 and the top 1; s is the bottom
+    when r > 0 (Stanley, "Two poset polytopes", 1986; Fang, Fourier, Litza and
+    Pegel, "A continuous family of marked poset polytopes", 2020).  The empty
+    poset's 0 <= 1 gives no row.  The rows are counted against ``max_points``
+    before any is built.
+    """
+    n = p.n
+    inside = [bool(chain_part >> i & 1) for i in range(n)]
+    if max_points is not None:
+        # chains from the bottom, or from v itself outside the chain part, to v;
+        # positions come in an order with everything below v first
+        ways = [1] * n
+        rows = chain_part.bit_count()
+        for v in sorted(range(n), key=lambda i: p.below_masks[i].bit_count()):
+            ups, downs = p.up_covers[v], p.down_covers[v]
+            if inside[v]:
+                ways[v] = sum(ways[u] for u in downs) or 1
+            elif not downs:
+                rows += 1  # the bottom below v
+            rows += ways[v] * (sum(not inside[u] for u in ups) if ups else 1)
+        if rows > max_points:
+            raise BudgetError(f"{rows} facet rows exceed the point budget {max_points}")
+    out = [(_unit(n, i, -1), 0) for i in range(n) if inside[i]]
+    top = (n,)  # the adjoined top, as a coordinate after the last
+    minima = tuple(i for i in range(n) if not p.down_covers[i])
+    # (positions summed so far, the positions covering the last of them)
+    stack = [((), minima)] + [((s,), p.up_covers[s] or top) for s in range(n) if not inside[s]]
+    while stack:
+        path, ups = stack.pop()
+        for q in ups:
+            if q < n and inside[q]:
+                stack.append((path + (q,), p.up_covers[q] or top))
+                continue
+            row = [0] * (n + 1)
+            for i in path:
+                row[i] = 1
+            row[q] = -1
+            out.append((tuple(row[:n]), -row[n]))  # the top reads 1
+    return out
+
+
+def _antichain_vertices(p: Poset, spans: list[int], max_points: int | None) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the unions of ``spans[i]`` over the positions i of
-    each subset of each maximal antichain, without repeats."""
+    each subset of each maximal antichain, without repeats, after checking
+    that the subsets to expand fit in ``max_points``."""
+    antichains = maximal_antichains(p) or [()]
+    subsets = sum(1 << len(ac) for ac in antichains)
+    if max_points is not None and subsets > max_points:
+        raise BudgetError(f"{subsets} maximal-antichain subsets exceed the point budget {max_points}")
     masks: set[int] = set()
-    for ac in maximal_antichains(p) or [()]:
+    for ac in antichains:
         pos = [p.index[e] for e in ac]
         for r in range(len(pos) + 1):
             for sub in combinations(pos, r):
@@ -83,86 +136,42 @@ def _antichain_vertices(p: Poset, spans: list[int]) -> tuple[tuple[int, ...], ..
     return tuple(tuple((m >> i) & 1 for i in range(p.n)) for m in masks)
 
 
-def order_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
+def order_polytope_dd(p: Poset, max_points: int | None = None) -> tuple[VRep, HRep]:
     """Double description of the order polytope.
 
     Vertices are indicator vectors of up-sets, generated from subsets of
-    maximal antichains; inequalities are the arcs of the extended Hasse diagram
-    with the adjoined bottom and top replaced by the constants 0 and 1.
+    maximal antichains; the rows are `_chain_order_rows` with no chain part,
+    the arcs of the extended Hasse diagram.  ``max_points`` bounds both the
+    rows and the antichain subsets expanded.
     """
-    n = p.n
-    verts = _antichain_vertices(p, [(1 << i) | above for i, above in enumerate(p.above_masks)])  # up-sets
-    rows: list[Row] = []
-    for e in p.minimal_elements():
-        rows.append((_unit(n, p.index[e], -1), 0))  # 0 <= x_e
-    for a, b in p.covers:
-        row = [0] * n
-        row[p.index[a]] = 1
-        row[p.index[b]] = -1
-        rows.append((tuple(row), 0))  # x_a <= x_b
-    for e in p.maximal_elements():
-        rows.append((_unit(n, p.index[e]), 1))  # x_e <= 1
-    return VRep(verts), HRep(p.elements, tuple(rows))
+    h = HRep(p.elements, tuple(_chain_order_rows(p, 0, max_points)))
+    up_sets = [(1 << i) | above for i, above in enumerate(p.above_masks)]
+    return VRep(_antichain_vertices(p, up_sets, max_points)), h
 
 
-def chain_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
+def chain_polytope_dd(p: Poset, max_points: int | None = None) -> tuple[VRep, HRep]:
     """Double description of the chain polytope.
 
-    Vertices are indicator vectors of antichains; one sum inequality is added
-    per maximal chain, on top of nonnegativity for every coordinate.
+    Vertices are indicator vectors of antichains; the rows are
+    `_chain_order_rows` with all of P as chain part: nonnegativity, and one
+    sum per maximal chain.  ``max_points`` bounds both the rows and the
+    antichain subsets expanded.
     """
-    n = p.n
-    verts = _antichain_vertices(p, [1 << i for i in range(n)])  # the antichains themselves
-    rows: list[Row] = [(_unit(n, i, -1), 0) for i in range(n)]
-    for chain in maximal_chains(p):
-        row = [0] * n
-        for e in chain:
-            row[p.index[e]] = 1
-        rows.append((tuple(row), 1))
-    return VRep(verts), HRep(p.elements, tuple(rows))
+    h = HRep(p.elements, tuple(_chain_order_rows(p, (1 << p.n) - 1, max_points)))
+    return VRep(_antichain_vertices(p, [1 << i for i in range(p.n)], max_points)), h
 
 
-def chain_order_hrep(tau, k: int) -> HRep:
-    """Facet system of the chain-order polytope of a maximal ranked poset.
-
-    Ranks up to the cut get nonnegativity rows; covers strictly above the cut
-    keep their order rows (with unit upper bounds at the top rank); and every
-    choice of one element per rank through the cut yields a chain row whose
-    right side is the first element above the cut, or the constant 1 when the
-    cut swallows the whole poset.
+def chain_order_hrep(tau, k: int, max_points: int | None = None) -> HRep:
+    """Facet system of the chain-order polytope of a maximal ranked poset:
+    `_chain_order_rows` with the ranks up to the cut as chain part.
+    ``max_points`` bounds the rows.
     """
     tau = check_tau(tau)
     ell = len(tau)
     if not 0 <= k <= ell:
         raise ValueError(f"k must be in [0, {ell}], got {k}")
-    p = make_maximal_ranked(tau)
-    n = p.n
-    rows: list[Row] = []
-    for e in p.elements:
-        if e[0] <= k:
-            rows.append((_unit(n, p.index[e], -1), 0))
-    for a, b in p.covers:
-        if a[0] >= k + 1:
-            row = [0] * n
-            row[p.index[a]] = 1
-            row[p.index[b]] = -1
-            rows.append((tuple(row), 0))
-    if k < ell:
-        for e in p.elements:
-            if e[0] == ell:
-                rows.append((_unit(n, p.index[e]), 1))
-    # chain rows: one per choice of an element from each rank through the
-    # cut, less one element just above it, or at most 1 when there is none
-    ranks = [[(r, t) for t in range(1, tau[r - 1] + 1)] for r in range(1, k + 1)]
-    for chain in product(*ranks):
-        for top in [(k + 1, t) for t in range(1, tau[k] + 1)] if k < ell else [None]:
-            row = [0] * n
-            for e in chain:
-                row[p.index[e]] = 1
-            if top is not None:
-                row[p.index[top]] = -1
-            rows.append((tuple(row), 1 if top is None else 0))
-    return HRep(p.elements, tuple(rows))
+    p = make_maximal_ranked(tau)  # positions run rank by rank
+    return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1, max_points)))
 
 
 def _dilated_rows(h: HRep, t: int) -> list[tuple[tuple[int, ...], list[int]]]:

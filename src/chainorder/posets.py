@@ -185,24 +185,6 @@ def extend_poset(p: Poset) -> Poset:
     return Poset((BOTTOM,) + p.elements + (TOP,), covers or ((BOTTOM, TOP),))
 
 
-def maximal_chains(p: Poset) -> list[list]:
-    """All maximal chains, as element lists from a minimum up to a maximum.
-
-    The search is depth-first from each minimum in turn, so the result is in
-    lexicographic order with respect to element positions.
-    """
-    chains: list[list] = []
-    stack = [[i] for i in reversed(range(p.n)) if not p.down_covers[i]]
-    while stack:
-        path = stack.pop()
-        ups = p.up_covers[path[-1]]
-        if ups:
-            stack.extend(path + [j] for j in reversed(ups))
-        else:
-            chains.append([p.elements[j] for j in path])
-    return chains
-
-
 def comparability_graph(p: Poset) -> Graph:
     """Undirected graph joining every comparable pair."""
     adj = [0] * p.n

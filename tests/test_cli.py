@@ -288,6 +288,49 @@ def test_chain_order_budget_points_bounds_search_nodes(capsys):
     assert err.count("\n") == 1
 
 
+def test_poset_budget_points_bounds_chain_rows(tmp_path, capsys):
+    # gen --tau 4^9 has 36 elements and 4^9 maximal chains: 262,180 rows,
+    # counted from the covers and refused before any row is built
+    poset_path = tmp_path / "f49.json"
+    assert run_main(capsys, "gen", "--tau", ",".join(["4"] * 9), "--output", str(poset_path))[0] == 0
+    for argv in (
+        ["dd", "--poset", str(poset_path), "--polytope", "chain"],
+        ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"],
+    ):
+        code, out, err = run_main(capsys, *argv, "--budget-points", "1000")
+        assert (code, out) == (2, "")
+        assert err == "budget exceeded: 262180 facet rows exceed the point budget 1000\n"
+    # 3,3,3,3 has 4 * 2^3 = 32 antichain subsets, 12 + 3^4 = 93 chain rows
+    # and 3 + 27 + 3 = 33 order rows
+    assert run_main(capsys, "gen", "--tau", "3,3,3,3", "--output", str(poset_path))[0] == 0
+    for polytope, rows in (("chain", 93), ("order", 33)):
+        argv = ["dd", "--poset", str(poset_path), "--polytope", polytope]
+        code, out, _ = run_main(capsys, *argv, "--budget-points", str(rows))
+        assert code == 0 and len(json.loads(out)["ineqs"]) == rows
+        code, out, err = run_main(capsys, *argv, "--budget-points", str(rows - 1))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"budget exceeded: {rows} facet rows ")
+
+
+def test_tau_budget_points_bounds_chain_order_rows(capsys):
+    # ranks 1..8 of 4^9 as chain part: 32 + 4^8 * 4 + 4 = 262,180 rows
+    tau = ",".join(["4"] * 9)
+    for argv in (
+        ["dd", "--polytope", "chain-order", "--tau", tau, "--k", "8"],
+        ["fvector", "--tau", tau, "--k", "8", "--method", "geometric"],
+    ):
+        code, out, err = run_main(capsys, *argv, "--budget-points", "1000")
+        assert (code, out) == (2, "")
+        assert err == "budget exceeded: 262180 facet rows exceed the point budget 1000\n"
+    # the table's first polytope, O(2,2,1), has 9 rows; at 9 the vertex search
+    # is what stops
+    code, out, err = run_main(capsys, "table", "--n", "5", "--method", "geometric", "--budget-points", "8")
+    assert (code, out, err) == (2, "", "budget exceeded: 9 facet rows exceed the point budget 8\n")
+    code, out, err = run_main(capsys, "table", "--n", "5", "--method", "geometric", "--budget-points", "9")
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: 0/1 vertex search stopped after 9 nodes")
+
+
 def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
     # 129 elements, one more than the antichain search supports
     names = [f"e{i}" for i in range(129)]
@@ -387,6 +430,15 @@ def test_table_n26_normalform_digest_and_closed_forms(capsys):
         else:  # chain polytope: nonnegativity plus one facet per maximal chain
             assert (row[2], k) == ("chain", len(tau))
             assert fv[-1] == n + math.prod(tau), row
+
+
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 15 s; set CHAINORDER_SLOW=1")
+def test_table_n12_both_pipelines_digest(capsys):
+    # both pipelines agree on all 120 rows of n = 12 (14.3M faces), pinned byte for byte
+    code, out, _ = run_main(capsys, "table", "--n", "12", "--method", "both")
+    assert code == 0
+    assert out.count("\n") == 120
+    assert hashlib.sha256(out.encode()).hexdigest() == "cf89f084f66aa0a9f64cd88a541e957e7c1f4a56afa094cbd19e907309d66965"
 
 
 def test_fvector_normalform_through_main(capsys):

@@ -1,9 +1,10 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import compositions_upto
+from conftest import compositions_upto, random_poset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from chainorder.linalg import affine_rank, int_matrix_rank
 from chainorder.polytopes import (
     HRep,
     VRep,
+    _chain_order_rows,
     chain_order_hrep,
     chain_polytope_dd,
     lattice_point_count,
@@ -270,6 +272,117 @@ def test_vertex_counts_equal_for_order_and_chain():
 def test_hrep_rejects_duplicate_rows():
     with pytest.raises(ValueError):
         HRep(("x",), (((1,), 1), ((1,), 1)))
+
+
+# The three row builders that `_chain_order_rows` replaced, kept as references.
+
+
+def maximal_chains(p: Poset) -> list[list]:
+    """All maximal chains, as element lists from a minimum up to a maximum.
+
+    The search is depth-first from each minimum in turn, so the result is in
+    lexicographic order with respect to element positions.
+    """
+    chains: list[list] = []
+    stack = [[i] for i in reversed(range(p.n)) if not p.down_covers[i]]
+    while stack:
+        path = stack.pop()
+        ups = p.up_covers[path[-1]]
+        if ups:
+            stack.extend(path + [j] for j in reversed(ups))
+        else:
+            chains.append([p.elements[j] for j in path])
+    return chains
+
+
+def _row(p: Poset, plus=(), minus=None, rhs=0):
+    row = [0] * p.n
+    for e in plus:
+        row[p.index[e]] = 1
+    if minus is not None:
+        row[p.index[minus]] = -1
+    return tuple(row), rhs
+
+
+def _reference_order_rows(p: Poset) -> list:
+    """0 <= x_e at the minima, x_a <= x_b on the covers, x_e <= 1 at the maxima."""
+    rows = [_row(p, minus=e) for e in p.minimal_elements()]
+    rows += [_row(p, (a,), b) for a, b in p.covers]
+    return rows + [_row(p, (e,), rhs=1) for e in p.maximal_elements()]
+
+
+def _reference_chain_rows(p: Poset) -> list:
+    """Nonnegativity, and a sum of at most 1 along each maximal chain."""
+    return [_row(p, minus=e) for e in p.elements] + [_row(p, chain, rhs=1) for chain in maximal_chains(p)]
+
+
+def _reference_chain_order_rows(tau, k: int) -> list:
+    """Nonnegativity through the cut, the order rows above it, and a chain
+    row for each choice of one element per rank through the cut, less one
+    element just above it, or at most 1 when there is none."""
+    p = make_maximal_ranked(tau)
+    ell = len(tau)
+    rows = [_row(p, minus=e) for e in p.elements if e[0] <= k]
+    rows += [_row(p, (a,), b) for a, b in p.covers if a[0] >= k + 1]
+    if k < ell:
+        rows += [_row(p, (e,), rhs=1) for e in p.elements if e[0] == ell]
+    ranks = [[(r, t) for t in range(1, tau[r - 1] + 1)] for r in range(1, k + 1)]
+    for chain in product(*ranks):
+        if k == ell:
+            rows.append(_row(p, chain, rhs=1))
+        else:
+            rows.extend(_row(p, chain, (k + 1, t)) for t in range(1, tau[k] + 1))
+    return rows
+
+
+def _assert_rows_and_exact_count(p: Poset, chain_part: int, reference: list) -> None:
+    rows = _chain_order_rows(p, chain_part)
+    assert sorted(rows) == sorted(reference)
+    assert _chain_order_rows(p, chain_part, max_points=len(rows)) == rows
+    with pytest.raises(BudgetError, match=f"^{len(rows)} facet rows exceed the point budget {len(rows) - 1}$"):
+        _chain_order_rows(p, chain_part, max_points=len(rows) - 1)
+
+
+def test_chain_order_rows_match_reference_on_every_cut_upto_9():
+    cuts = 0
+    for tau in compositions_upto(9):
+        p = make_maximal_ranked(tau)
+        for k in range(len(tau) + 1):
+            _assert_rows_and_exact_count(p, (1 << sum(tau[:k])) - 1, _reference_chain_order_rows(tau, k))
+            cuts += 1
+    assert cuts == 2815
+
+
+def test_chain_order_rows_match_reference_on_random_posets():
+    rng = random.Random(11)
+    posets = [Poset((), ())] + [random_poset(rng, rng.randint(1, 9), rng.choice((0.15, 0.35, 0.6))) for _ in range(600)]
+    for p in posets:
+        _assert_rows_and_exact_count(p, 0, _reference_order_rows(p))
+        _assert_rows_and_exact_count(p, (1 << p.n) - 1, _reference_chain_rows(p))
+        # the count is exact on any down-set, not only the two ends
+        down = 0
+        for i in rng.sample(range(p.n), rng.randint(0, p.n)):
+            down |= (1 << i) | p.below_masks[i]
+        rows = _chain_order_rows(p, down)
+        assert len(set(rows)) == len(rows)
+        with pytest.raises(BudgetError):
+            _chain_order_rows(p, down, max_points=len(rows) - 1)
+
+
+def test_builders_check_rows_and_antichain_subsets_against_max_points():
+    # chain polytope of 4,4,4: 12 + 4^3 = 76 rows, 3 * 2^4 = 48 antichain subsets
+    p = make_maximal_ranked((4, 4, 4))
+    assert len(chain_polytope_dd(p, max_points=76)[1].ineqs) == 76
+    with pytest.raises(BudgetError, match="^76 facet rows exceed the point budget 75$"):
+        chain_polytope_dd(p, max_points=75)
+    # order polytope of the 8-antichain: 16 rows, 2^8 = 256 subsets
+    v, _ = order_polytope_dd(antichain(8), max_points=256)
+    assert v.n == 256
+    with pytest.raises(BudgetError, match="^256 maximal-antichain subsets exceed the point budget 255$"):
+        order_polytope_dd(antichain(8), max_points=255)
+    # chain-order rows of 4^10 at the top cut: 40 + 4^10, counted before building
+    with pytest.raises(BudgetError, match="^1048616 facet rows exceed the point budget 1000$"):
+        chain_order_hrep((4,) * 10, 10, max_points=1000)
 
 
 def _brute_force_vertices(h: HRep):

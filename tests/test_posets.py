@@ -7,6 +7,7 @@ import pytest
 from conftest import compositions_upto, random_poset, set_partitions
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polytopes import maximal_chains
 
 from chainorder.cliques import mask_to_tuple
 from chainorder.facelattice import count_faces, incidence_matrix
@@ -22,7 +23,6 @@ from chainorder.posets import (
     has_hl_pattern,
     make_maximal_ranked,
     maximal_antichains,
-    maximal_chains,
     poset_from_json,
     poset_to_json,
     _block_digraph_acyclic,
