@@ -195,7 +195,10 @@ def _table_command(args: argparse.Namespace) -> int:
     status = 0
     for tau in table_taus(args.n):
         for k in (0, len(tau)):
-            fv, _, agree = _pipelines_fvector(args, tau, k, None)
+            try:
+                fv, _, agree = _pipelines_fvector(args, tau, k, None)
+            except BudgetError as exc:
+                raise BudgetError(f"at tau={_tau_label(tau)}, k={k} ({_polytope_label(tau, k)}): {exc}") from exc
             if not agree:
                 status = 1
             rows_out.append([_tau_label(tau), k, _polytope_label(tau, k), *fv])

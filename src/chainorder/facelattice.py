@@ -48,9 +48,10 @@ def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
     nf = len(h.ineqs)
     vmasks = [0] * nv
     fmasks = [0] * nf
+    rows = [(coeffs, [(i, c) for i, c in enumerate(coeffs) if c], rhs) for coeffs, rhs in h.ineqs]
     for vi, vert in enumerate(v.vertices):
-        for fi, (coeffs, rhs) in enumerate(h.ineqs):
-            s = sum(c * x for c, x in zip(coeffs, vert))
+        for fi, (coeffs, support, rhs) in enumerate(rows):
+            s = sum([c * vert[i] for i, c in support])
             if s > rhs:
                 raise InconsistentInputError(f"vertex {vert} violates row {coeffs} <= {rhs}")
             if s == rhs:
@@ -192,7 +193,8 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceL
     Pfetsch, 2002).  The vertices cover the empty face.  A face at depth d has
     dimension (vertex depth) - d.  Ids are canonical: the empty face is 0, and
     the other faces follow by dimension, then by vertex mask, so the polytope
-    comes last.  Covers are sorted.
+    comes last.  Covers are sorted: listing each face's upper covers in id
+    order, for the faces in id order, gives them so.
 
     ``max_faces`` bounds the nonempty faces, the polytope included, and is
     checked once per level.  Incidences that are not those of a polytope raise
@@ -202,11 +204,13 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceL
     facets = _facets(inc)
     level = [(1 << nv) - 1]
     depth = {level[0]: 0}  # face mask -> depth below the polytope
-    edges: list[tuple[int, int]] = []  # (lower mask, upper mask)
+    lower: dict[int, list[int]] = {}  # face mask -> masks of its lower covers
+    levels: list[list[int]] = []
     d = 0
     while level:
         if max_faces is not None and len(depth) > max_faces:
             raise BudgetError(f"face budget {max_faces} exceeded")
+        levels.append(level)
         d += 1
         below: list[int] = []
         for f in level:
@@ -219,12 +223,12 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceL
                         break
                 else:
                     kept.append(c)
-                    edges.append((c, f))
                     if c not in depth:
                         depth[c] = d
                         below.append(c)
                     elif depth[c] != d:
                         raise InconsistentInputError("a face at two depths; inconsistent incidences")
+            lower[f] = kept
         level = below
     vertex_depths = {dep for m, dep in depth.items() if m.bit_count() == 1}
     if len(vertex_depths) != 1:
@@ -234,11 +238,15 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceL
         raise InconsistentInputError("a face of several vertices at or below the vertex depth")
     if any((1 << v) not in depth for v in range(nv)):
         raise InconsistentInputError(f"{sum(m.bit_count() == 1 for m in depth)} of {nv} vertices are faces")
-    masks = sorted(depth, key=lambda m: (-depth[m], m))
+    masks = [m for faces in reversed(levels) for m in sorted(faces)]
     fid = {m: i for i, m in enumerate(masks, 1)}
-    covers = [(0, fid[1 << v]) for v in range(nv)] + [(fid[c], fid[f]) for c, f in edges]
+    upper = [list(range(1, nv + 1))] + [[] for _ in masks]  # per face id: ids of its upper covers
+    for u, f in enumerate(masks, 1):
+        for c in lower[f]:
+            upper[fid[c]].append(u)
+    covers = tuple((fi, u) for fi, ups in enumerate(upper) for u in ups)
     dims = (-1, *(top_dim - depth[m] for m in masks))
-    return FaceLattice(nv, (0, *masks), dims, tuple(sorted(covers)), 0, len(masks))
+    return FaceLattice(nv, (0, *masks), dims, covers, 0, len(masks))
 
 
 def f_vector(fl: FaceLattice) -> tuple[int, ...]:

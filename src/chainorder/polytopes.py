@@ -174,16 +174,16 @@ def chain_order_hrep(tau, k: int, max_points: int | None = None) -> HRep:
     return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1, max_points)))
 
 
-def _dilated_rows(h: HRep, t: int) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Rows of the t-th dilate as inequalities, equations also negated after
-    all the original rows, each with the most its partial sum over coordinates
-    < i may be for every depth i: t * rhs less the least the rest can add."""
+def _row_bounds(h: HRep) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The rows as inequalities, equations also negated after all the
+    original rows, each with the most its partial sum over coordinates < i may
+    be for every depth i of a 0/1 point: rhs less the least the rest can add."""
     flipped = tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in h.eqs)
     rows = []
     for coeffs, rhs in h.ineqs + h.eqs + flipped:
-        most = [t * rhs] * (len(coeffs) + 1)
+        most = [rhs] * (len(coeffs) + 1)
         for i in reversed(range(len(coeffs))):
-            most[i] = most[i + 1] - t * min(coeffs[i], 0)
+            most[i] = most[i + 1] - min(coeffs[i], 0)
         rows.append((coeffs, most))
     return rows
 
@@ -193,7 +193,7 @@ def zero_one_vertices(h: HRep, max_nodes: int | None = None) -> VRep:
 
     Bounded backtracking: the coordinates are fixed in order, each row's
     partial sum is kept, and a branch is cut once a row's partial sum leaves
-    its bound from `_dilated_rows`; only the rows with a nonzero coefficient
+    its bound from `_row_bounds`; only the rows with a nonzero coefficient
     at the coordinate just fixed are checked.  This is the production vertex
     enumerator for the polytope families here, all of which have 0/1
     vertices; `vertex_enum_exact` is the independent check of that assumption.
@@ -202,7 +202,7 @@ def zero_one_vertices(h: HRep, max_nodes: int | None = None) -> VRep:
     n = h.n_vars
     if n > ZERO_ONE_MAX_VARS:
         raise BudgetError(f"{n} variables exceeds the 0/1 enumeration limit {ZERO_ONE_MAX_VARS}")
-    rows = _dilated_rows(h, 1)
+    rows = _row_bounds(h)
     if any(most[0] < 0 for _, most in rows):
         return VRep(())
     # per coordinate, the rows it moves: (row, coefficient, bound after it)
@@ -270,8 +270,9 @@ def vertex_enum_exact(h: HRep):
     rays: list[tuple[tuple[int, ...], int]] = []  # (ray, zero set as a row bitmask)
     for done, (row, is_eq) in enumerate(rows):
         bit = 1 << done
-        vals = [sum(a * y for a, y in zip(row, l)) for l in lineality]
-        signed = [(r, z, sum(a * y for a, y in zip(row, r))) for r, z in rays]
+        support = [(i, a) for i, a in enumerate(row) if a]
+        vals = [sum([a * l[i] for i, a in support]) for l in lineality]
+        signed = [(r, z, sum([a * r[i] for i, a in support])) for r, z in rays]
         piv = next((j for j, v in enumerate(vals) if v), None)
         if piv is not None:
             # the row cuts the lineality space: move the rays and the other
@@ -306,11 +307,15 @@ def lattice_point_count(h: HRep, t: int) -> int:
     """Number of integer points of the t-th dilate, counted in {0..t}^n.
 
     Valid for polytopes inside the unit cube, which covers every family here.
-    A frontier dynamic programme over the coordinates in order: its state is
-    the tuple of partial sums of the rows started but not finished, each
-    state counts the prefixes that reach it, and a row is checked against its
-    bound from `_dilated_rows` at each coordinate it moves, so against t * rhs
-    when it closes.
+    A dynamic programme over the coordinates in order.  The rows (equations
+    also negated) fall into classes by their coefficients on the coordinates
+    still to fix; of the rows in a class, only the one with the least budget
+    (t * rhs less its partial sum) can bind, so a state keeps that least
+    budget per class, and counts the prefixes that reach it.  Fixing a
+    coordinate drops it from every class, which merges the classes that then
+    agree, and cuts a prefix once a budget falls below the least the
+    coordinates still to fix can add; a class with no coordinates left is
+    checked and dropped.
     """
     n = h.n_vars
     if t < 1:
@@ -320,26 +325,40 @@ def lattice_point_count(h: HRep, t: int) -> int:
     total = (t + 1) ** n
     if total > LATTICE_MAX_POINTS:
         raise BudgetError(f"(t+1)^n = {total} exceeds {LATTICE_MAX_POINTS}")
-    rows = _dilated_rows(h, t)
-    if any(most[0] < 0 for _, most in rows):
+    flipped = tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in h.eqs)
+    least: dict[tuple[int, ...], int] = {}  # class -> least budget
+    for coeffs, rhs in h.ineqs + h.eqs + flipped:
+        least[coeffs] = min(least.get(coeffs, t * rhs), t * rhs)
+
+    def floor(rest: tuple[int, ...]) -> int:  # the least the coordinates in rest can add
+        return t * sum(c for c in rest if c < 0)
+
+    if any(b < floor(s) for s, b in least.items()):
         return 0
-    support = [[i for i, c in enumerate(coeffs) if c] for coeffs, _ in rows]
-    states = {(): 1}  # partial sums of the open rows -> number of prefixes
-    frontier: list[int] = []  # rows started but not finished, in state order
+    classes = [s for s in least if any(s)]
+    states = {tuple(least[s] for s in classes): 1}  # least budget per class -> number of prefixes
     for i in range(n):
-        live = frontier + [j for j, s in enumerate(support) if s and s[0] == i]
-        opened = (0,) * (len(live) - len(frontier))
-        coeffs = [rows[j][0][i] for j in live]
-        checked = [(p, rows[j][1][i + 1]) for p, j in enumerate(live) if coeffs[p]]
-        keep = [p for p, j in enumerate(live) if support[j][-1] > i]
-        frontier = [live[p] for p in keep]
+        sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # class after i -> (class, coefficient at i)
+        for p, s in enumerate(classes):
+            sources.setdefault(s[1:], []).append((p, s[0]))
+        # a lone class with coefficient 0 at i keeps its budget, already checked
+        keep = [srcs[0][0] for srcs in sources.values() if len(srcs) == 1 and not srcs[0][1]]
+        moved = [(s, srcs) for s, srcs in sources.items() if len(srcs) > 1 or srcs[0][1]]
+        checks = [(srcs, floor(s), any(s)) for s, srcs in moved]
+        classes = [classes[p][1:] for p in keep] + [s for s, _ in moved if any(s)]
         nxt: dict[tuple[int, ...], int] = {}
         for state, count in states.items():
-            state += opened
+            kept = tuple([state[p] for p in keep])
             for x in range(t + 1):
-                sums = [s + c * x for s, c in zip(state, coeffs)]
-                if all(sums[p] <= most for p, most in checked):
-                    key = tuple(sums[p] for p in keep)
+                budgets = []
+                for srcs, lo, live in checks:
+                    b = min([state[p] - c * x for p, c in srcs])
+                    if b < lo:
+                        break
+                    if live:
+                        budgets.append(b)
+                else:
+                    key = kept + tuple(budgets)
                     nxt[key] = nxt.get(key, 0) + count
         states = nxt
     return sum(states.values())

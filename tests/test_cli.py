@@ -98,6 +98,13 @@ def test_fvector_export_lattice(tmp_path, capsys):
         "bottom": 0,
         "top": 7,
     }
+    # a 4-polytope with 68 faces: its ids and cover order, pinned byte for byte
+    code, _, _ = run_main(
+        capsys, "fvector", "--tau", "2,2,1", "--k", "3", "--method", "geometric",
+        "--export-lattice", str(out_path),
+    )
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == "cd0414538d6f1e07391cb6d2a35783246d239e2638b4628d98fd2865e1ea56b7"
 
 
 def test_fvector_poset_file(tmp_path, capsys):
@@ -323,12 +330,17 @@ def test_tau_budget_points_bounds_chain_order_rows(capsys):
         assert (code, out) == (2, "")
         assert err == "budget exceeded: 262180 facet rows exceed the point budget 1000\n"
     # the table's first polytope, O(2,2,1), has 9 rows; at 9 the vertex search
-    # is what stops
+    # is what stops; the table names the row
     code, out, err = run_main(capsys, "table", "--n", "5", "--method", "geometric", "--budget-points", "8")
-    assert (code, out, err) == (2, "", "budget exceeded: 9 facet rows exceed the point budget 8\n")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: at tau=2,2,1, k=0 (order): 9 facet rows exceed the point budget 8\n"
     code, out, err = run_main(capsys, "table", "--n", "5", "--method", "geometric", "--budget-points", "9")
     assert (code, out) == (2, "")
-    assert err.startswith("budget exceeded: 0/1 vertex search stopped after 9 nodes")
+    assert err.startswith("budget exceeded: at tau=2,2,1, k=0 (order): 0/1 vertex search stopped after 9 nodes")
+    assert err.count("\n") == 1
+    # the first polytope of the n = 6 table, O(2,2,1,1), has 207 nonempty faces
+    code, out, err = run_main(capsys, "table", "--n", "6", "--budget-faces", "50")
+    assert (code, out, err) == (2, "", "budget exceeded: at tau=2,2,1,1, k=0 (order): face budget 50 exceeded\n")
 
 
 def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -248,6 +249,59 @@ def test_lattice_point_equality_small():
     _, hc = chain_polytope_dd(p)
     for t in (1, 2):
         assert lattice_point_count(ho, t) == lattice_point_count(hc, t)
+
+
+def _ideal_multichains(p: Poset, t: int) -> int:
+    """Reference for `lattice_point_count` on O(P) and C(P), with no H-rep:
+    the multichains I_1 <= ... <= I_t of order ideals of P, which the points of
+    t O(P) and of t C(P) biject with (Stanley, "Two poset polytopes", 1986).
+
+    A zeta transform over J(P) per step of the chain.  Taking the elements
+    below-first, an ideal less the element at hand is an ideal or bounds no
+    ideal still to be summed, so the transform never leaves J(P).
+    """
+    ideals = {0}
+    todo = [0]
+    while todo:
+        m = todo.pop()
+        for i, below in enumerate(p.below_masks):
+            grown = m | 1 << i
+            if below & m == below and grown not in ideals:
+                ideals.add(grown)
+                todo.append(grown)
+    chains = dict.fromkeys(ideals, 1)  # multichains of the length so far ending at each ideal
+    for _ in range(t - 1):
+        for i in sorted(range(p.n), key=lambda i: p.below_masks[i].bit_count()):
+            for m in ideals:
+                if m >> i & 1 and m ^ 1 << i in chains:
+                    chains[m] += chains[m ^ 1 << i]
+    return sum(chains.values())
+
+
+def _check_ehrhart_equivalence(posets) -> None:
+    for p in posets:
+        _, ho = order_polytope_dd(p)
+        _, hc = chain_polytope_dd(p)
+        for t in (1, 2, 3):
+            count = lattice_point_count(ho, t)
+            assert count == lattice_point_count(hc, t) == _ideal_multichains(p, t), (p.elements, t)
+
+
+def test_ideal_multichains_small():
+    assert [_ideal_multichains(antichain(2), t) for t in (1, 2, 3)] == [4, 9, 16]  # (t + 1)^2
+    assert [_ideal_multichains(chain(3), t) for t in (1, 2, 3)] == [4, 10, 20]  # C(t + 3, 3)
+
+
+def test_lattice_counts_equal_ideal_multichains():
+    # every composition of n <= 9, and 12-element random posets at the count's variable limit
+    rng = random.Random(12)
+    randoms = [random_poset(rng, polytopes.LATTICE_MAX_VARS, q) for q in (0.1, 0.2, 0.35, 0.5)]
+    _check_ehrhart_equivalence([make_maximal_ranked(tau) for tau in compositions_upto(9)] + randoms)
+
+
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 30 s; set CHAINORDER_SLOW=1")
+def test_lattice_counts_equal_ideal_multichains_upto_12():
+    _check_ehrhart_equivalence([make_maximal_ranked(tau) for tau in compositions_upto(12)])
 
 
 def test_lattice_point_budget():
