@@ -3,7 +3,15 @@
 ``count_faces`` is the face iterator of Kliem and Stump (arXiv:1905.01945): a
 depth-first walk over coatoms that visits every nonempty face exactly once
 using only AND and subset tests on vertex bitmasks, in O(dim * facets)
-memory.  It yields the f-vector and nothing else.
+memory.  It yields the f-vector and nothing else.  Before the walk it peels
+pyramids: a facet that misses exactly one vertex is the base of a pyramid
+with that vertex as apex, and a pyramid's f-vector follows from its base's
+by the pyramid formula.  The test reads incidences only, and it is exact,
+since the faces of a pyramid are the faces of the base and the pyramids over
+them, the apex being the one over the empty face.  Any one-element rank of
+P_tau makes C(P_tau) a pyramid, and a one-element bottom or top rank makes
+O(P_tau) one: on the n = 10 table, 42 of the 56 polytopes are pyramids, and
+the walk visits 460,220 of their 821,320 faces.
 
 ``enumerate_faces`` builds the whole lattice from the same facet list, top
 down one level at a time: the lower covers of a face are the
@@ -92,41 +100,63 @@ class FaceLattice:
         return mask_to_tuple(self.face_masks[fid])
 
 
+def _maximal(masks, top: int) -> list[int]:
+    """The inclusion-maximal masks other than 0 and ``top``, without repeats."""
+    rows = [m for m in dict.fromkeys(masks) if m and m != top]
+    return [m for m in rows if not any(m != g and m & g == m for g in rows)]
+
+
 def _facets(inc: IncidenceMatrix) -> list[int]:
     """Vertex masks of the facets: the inclusion-maximal nonempty proper tight
     sets.  A row tight on every vertex is an implicit equation, and a row tight
     on no vertex or on a smaller face is redundant."""
-    all_v = (1 << inc.n_vertices) - 1
-    rows = [m for m in dict.fromkeys(inc.facet_vertices) if m and m != all_v]
-    return [m for m in rows if not any(m != g and m & g == m for g in rows)]
+    return _maximal(inc.facet_vertices, (1 << inc.n_vertices) - 1)
 
 
 def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int, ...]:
     """The f-vector, equal to ``f_vector(enumerate_faces(inc))``, without the lattice.
 
-    Kliem-Stump face iterator.  The coatoms of the polytope are its facets.  Popping a coatom H of the
-    current face visits H; the coatoms of H are the inclusion-maximal nonempty
-    masks H & G over the coatoms G still in the list, less those contained in
-    an already visited face, whose subfaces were counted there.  A face at
-    depth d below the polytope has dimension dim - 1 - d.
+    First the pyramids are peeled.  A facet F that misses exactly one vertex v
+    makes the polytope the pyramid over F with apex v.  Every other facet G
+    holds v, since G is not inside F, so G is the pyramid over the facet F & G
+    of F; the facets of F are these masks, kept by the rule of ``_facets``.  F
+    replaces the polytope, once per apex.
 
-    ``max_faces`` bounds the nonempty faces counted, the polytope included, as
-    in ``enumerate_faces``.  Incidences that are not those of a polytope
-    raise: vertices at different depths, a face of several vertices at or
-    below the vertex depth, or a vertex that is not a face of its own.
+    The base that is left is walked by the Kliem-Stump face iterator.  The
+    coatoms of the base are its facets.  Popping a coatom H of the current
+    face visits H; the coatoms of H are the inclusion-maximal nonempty masks
+    H & G over the coatoms G still in the list, less those contained in an
+    already visited face, whose subfaces were counted there.  A face at depth
+    d below the base has dimension dim - 1 - d.  Each apex then folds the
+    base's extended f-vector (1, f_0, ..., f_{d-1}, 1) by g'_i = g_i + g_{i-1}:
+    a face of a pyramid is a face of its base, or the pyramid over one, or the
+    apex (Ziegler, *Lectures on Polytopes*, 1995).
+
+    ``max_faces`` bounds the nonempty faces of the polytope, itself included,
+    as in ``enumerate_faces``.  With j apexes and a base of b nonempty faces
+    there are (b + 1) * 2^j - 1, so the walk bounds b by what that leaves.
+    Incidences that are not those of a polytope raise: vertices of the base at
+    different depths, a face of several vertices at or below the vertex
+    depth, or a vertex of the base that is not a face of its own.
     """
-    nv = inc.n_vertices
+    top = (1 << inc.n_vertices) - 1
     facets = _facets(inc)
+    apexes = 0
+    while f := next((g for g in facets if (top ^ g).bit_count() == 1), 0):  # the base of a pyramid
+        top, facets = f, _maximal([g & f for g in facets if g != f], f)
+        apexes += 1
+    nv = top.bit_count()
+    budget = None if max_faces is None else ((max_faces + 1) >> apexes) - 1  # on the base's faces
     counts: list[int] = []  # faces per depth
     vertex_depths: set[int] = set()
     visited: list[int] = []
-    found = 1  # the polytope
+    found = 1  # the base
     n_vertex_faces = 0
 
     def walk(coatoms: list[int], depth: int) -> None:
         nonlocal found, n_vertex_faces
         found += len(coatoms)
-        if max_faces is not None and found > max_faces:
+        if budget is not None and found > budget:
             raise BudgetError(f"face budget {max_faces} exceeded")
         if depth == len(counts):
             counts.append(0)
@@ -169,19 +199,21 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
                 del visited[mark:]  # subfaces of h, covered once h is visited
             visited.append(h)
 
-    if max_faces is not None and found > max_faces:
+    if budget is not None and found > budget:
         raise BudgetError(f"face budget {max_faces} exceeded")
-    if not facets and nv == 1:
-        return (1,)  # a point
-    walk(facets, 0)
-    if len(vertex_depths) != 1:
-        raise InconsistentInputError("vertices not all at one depth; inconsistent incidences")
-    (depth,) = vertex_depths
-    if len(counts) != depth + 1 or counts[depth] != n_vertex_faces:
-        raise InconsistentInputError("a face of several vertices at or below the vertex depth")
-    if n_vertex_faces != nv:
-        raise InconsistentInputError(f"{n_vertex_faces} of {nv} vertices are faces")
-    return tuple(reversed(counts))
+    if facets or nv != 1:  # a point has no proper face to walk
+        walk(facets, 0)
+        if len(vertex_depths) != 1:
+            raise InconsistentInputError("vertices not all at one depth; inconsistent incidences")
+        (depth,) = vertex_depths
+        if len(counts) != depth + 1 or counts[depth] != n_vertex_faces:
+            raise InconsistentInputError("a face of several vertices at or below the vertex depth")
+        if n_vertex_faces != nv:
+            raise InconsistentInputError(f"{n_vertex_faces} of {nv} vertices are faces")
+    ext = [1, *reversed(counts), 1]  # the base's faces per dimension, from -1 to its own
+    for _ in range(apexes):
+        ext = [a + b for a, b in zip([*ext, 0], [0, *ext])]
+    return tuple(ext[1:-1]) or (1,)  # a point is reported as (1,), as in f_vector
 
 
 def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceLattice:

@@ -20,9 +20,8 @@ Row = tuple[tuple[int, ...], int]
 
 ZERO_ONE_MAX_VARS = 30
 EXACT_ENUM_MAX_RAYS = 10**5
-LATTICE_MAX_VARS = 12
 LATTICE_MAX_DILATION = 4
-LATTICE_MAX_POINTS = 10**8
+LATTICE_MAX_STATES = 10**5
 
 
 @dataclass(frozen=True)
@@ -316,15 +315,15 @@ def lattice_point_count(h: HRep, t: int) -> int:
     agree, and cuts a prefix once a budget falls below the least the
     coordinates still to fix can add; a class with no coordinates left is
     checked and dropped.
+
+    The states held after each coordinate are bounded by
+    ``LATTICE_MAX_STATES``, and t by ``LATTICE_MAX_DILATION``.
     """
     n = h.n_vars
     if t < 1:
         raise ValueError("dilation factor must be positive")
-    if n > LATTICE_MAX_VARS or t > LATTICE_MAX_DILATION:
-        raise BudgetError(f"lattice count budget exceeded (n={n}, t={t})")
-    total = (t + 1) ** n
-    if total > LATTICE_MAX_POINTS:
-        raise BudgetError(f"(t+1)^n = {total} exceeds {LATTICE_MAX_POINTS}")
+    if t > LATTICE_MAX_DILATION:
+        raise BudgetError(f"dilation t={t} exceeds {LATTICE_MAX_DILATION}")
     flipped = tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in h.eqs)
     least: dict[tuple[int, ...], int] = {}  # class -> least budget
     for coeffs, rhs in h.ineqs + h.eqs + flipped:
@@ -361,4 +360,8 @@ def lattice_point_count(h: HRep, t: int) -> int:
                     key = kept + tuple(budgets)
                     nxt[key] = nxt.get(key, 0) + count
         states = nxt
+        if len(states) > LATTICE_MAX_STATES:
+            raise BudgetError(
+                f"lattice count: {len(states)} states after coordinate {i + 1} of {n} exceed {LATTICE_MAX_STATES}"
+            )
     return sum(states.values())

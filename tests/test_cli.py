@@ -251,6 +251,21 @@ def test_fvector_budget_faces_boundary(tmp_path, capsys):
         assert "budget" in err
 
 
+def test_chain_poset_order_polytope_is_a_simplex(tmp_path, capsys):
+    # the order polytope of an n-element chain is the n-simplex, with 2^(n+1) - 1
+    # nonempty faces: n = 20 is counted, and n = 40 is refused by the default face budget
+    path = tmp_path / "chain.json"
+    for n in (20, 40):
+        assert run_main(capsys, "gen", "--tau", ",".join(["1"] * n), "--output", str(path))[0] == 0
+        code, out, err = run_main(capsys, "fvector", "--poset", str(path), "--method", "geometric")
+        if n == 20:
+            assert code == 0
+            assert [int(x) for x in out.split(",")[3:]] == [math.comb(21, i + 1) for i in range(20)]
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -444,7 +459,7 @@ def test_table_n26_normalform_digest_and_closed_forms(capsys):
             assert fv[-1] == n + math.prod(tau), row
 
 
-@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 15 s; set CHAINORDER_SLOW=1")
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 22 s; set CHAINORDER_SLOW=1")
 def test_table_n12_both_pipelines_digest(capsys):
     # both pipelines agree on all 120 rows of n = 12 (14.3M faces), pinned byte for byte
     code, out, _ = run_main(capsys, "table", "--n", "12", "--method", "both")

@@ -1,3 +1,5 @@
+import math
+import os
 import random
 
 import pytest
@@ -147,15 +149,32 @@ def test_cover_edges_are_graded():
         assert fl.face_masks[lo] & fl.face_masks[hi] == fl.face_masks[lo]
 
 
+def _incidence(nv, facet_masks):
+    """The incidences of facets given by their vertex masks."""
+    vertex_facets = tuple(sum(1 << fi for fi, m in enumerate(facet_masks) if m >> v & 1) for v in range(nv))
+    return IncidenceMatrix(nv, len(facet_masks), vertex_facets, tuple(facet_masks))
+
+
+def _pyramid(inc, j=1):
+    """The j-fold pyramid: j times, a new vertex on every facet, and one more
+    facet, the base."""
+    for _ in range(j):
+        apex = 1 << inc.n_vertices
+        inc = _incidence(inc.n_vertices + 1, [m | apex for m in inc.facet_vertices] + [apex - 1])
+    return inc
+
+
 def test_non_polytopal_incidences_raise():
-    # an interior point in the vertex list breaks gradedness
+    # an interior point in the vertex list breaks gradedness, in the base of a
+    # pyramid too
     h = HRep(("x", "y"), (((-1, 0), 0), ((1, 0), 2), ((0, -1), 0), ((0, 1), 2)))
     v = VRep(((0, 0), (0, 2), (2, 0), (2, 2), (1, 1)))
-    inc = incidence_matrix(v, h)
-    with pytest.raises(InconsistentInputError):
-        enumerate_faces(inc)
-    with pytest.raises(InconsistentInputError):
-        count_faces(inc)
+    for j in range(3):
+        inc = _pyramid(incidence_matrix(v, h), j)
+        with pytest.raises(InconsistentInputError):
+            enumerate_faces(inc)
+        with pytest.raises(InconsistentInputError):
+            count_faces(inc)
 
 
 def test_two_disjoint_facets_reach_no_vertex():
@@ -164,6 +183,48 @@ def test_two_disjoint_facets_reach_no_vertex():
     for faces in (enumerate_faces, count_faces):
         with pytest.raises(InconsistentInputError, match="vertices not all at one depth"):
             faces(inc)
+    for j in (1, 2):  # count_faces walks the base, so it raises as there
+        with pytest.raises(InconsistentInputError, match="vertices not all at one depth"):
+            count_faces(_pyramid(inc, j))
+        with pytest.raises(InconsistentInputError):
+            enumerate_faces(_pyramid(inc, j))
+
+
+def _simplex(d):
+    """Delta_d: d + 1 vertices, and one facet missing each of them."""
+    top = (1 << d + 1) - 1
+    return _incidence(d + 1, [top ^ 1 << v for v in range(d + 1)] if d else [])
+
+
+def test_simplices_peel_to_a_point():
+    for d in range(9):
+        fv = tuple(math.comb(d + 1, i + 1) for i in range(d)) or (1,)
+        assert count_faces(_simplex(d)) == f_vector(enumerate_faces(_simplex(d))) == fv, d
+
+
+def _with_bounds(p, least, greatest):
+    """P with a least and/or a greatest element adjoined."""
+    elements, covers = p.elements, list(p.covers)
+    if least:
+        covers += [("lo", e) for i, e in enumerate(elements) if not p.down_covers[i]]
+        elements = ("lo", *elements)
+    if greatest:
+        covers += [(e, "hi") for e in elements if e not in {a for a, _ in covers}]
+        elements = (*elements, "hi")
+    return Poset(elements, tuple(covers))
+
+
+def test_count_faces_on_pyramids():
+    cube = incidence_matrix(*order_polytope_dd(antichain(3)))
+    cases = [_pyramid(cube, j) for j in range(4)]
+    rng = random.Random(131)
+    for i in range(60):
+        p = _with_bounds(random_poset(rng, rng.randrange(0, 7)), i % 3 != 1, i % 3 != 0)
+        cases += [incidence_matrix(*dd(p)) for dd in (order_polytope_dd, chain_polytope_dd)]
+    for inc in cases:
+        assert count_faces(inc) == f_vector(enumerate_faces(inc))
+    assert count_faces(cases[3]) == (11, 39, 67, 63, 33, 9)  # pyr^3 of the 3-cube
+
 
 
 def test_count_faces_rejects_several_points_without_facets():
@@ -172,21 +233,32 @@ def test_count_faces_rejects_several_points_without_facets():
 
 
 def test_face_budget():
-    # the 3-cube has 27 nonempty faces, itself included
-    inc = incidence_matrix(*order_polytope_dd(antichain(3)))
-    for faces in (enumerate_faces, count_faces):
-        faces(inc, max_faces=27)
-        for limit in (0, 5, 26):
-            with pytest.raises(BudgetError):
-                faces(inc, max_faces=limit)
+    # nonempty faces, the polytope included: 27 for the 3-cube, 2^5 - 1 for
+    # Delta_4, and 2 * (27 + 1) - 1 for the pyramid over the 3-cube
+    cube = incidence_matrix(*order_polytope_dd(antichain(3)))
+    for inc, n in ((cube, 27), (_simplex(4), 31), (_pyramid(cube), 55)):
+        for faces in (enumerate_faces, count_faces):
+            faces(inc, max_faces=n)
+            for limit in range(n):
+                with pytest.raises(BudgetError):
+                    faces(inc, max_faces=limit)
 
 
-def test_count_faces_matches_lattice_on_compositions():
-    for tau in compositions_upto(6):
+def _check_count_faces_on_compositions(n):
+    for tau in compositions_upto(n):
         for k in range(len(tau) + 1):
             h = chain_order_hrep(tau, k)
             inc = incidence_matrix(zero_one_vertices(h), h)
             assert count_faces(inc) == f_vector(enumerate_faces(inc)), (tau, k)
+
+
+def test_count_faces_matches_lattice_on_compositions():
+    _check_count_faces_on_compositions(6)
+
+
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 15 s; set CHAINORDER_SLOW=1")
+def test_count_faces_matches_lattice_upto_8():
+    _check_count_faces_on_compositions(8)
 
 
 def test_count_faces_matches_lattice_on_random_posets():

@@ -293,10 +293,15 @@ def test_ideal_multichains_small():
 
 
 def test_lattice_counts_equal_ideal_multichains():
-    # every composition of n <= 9, and 12-element random posets at the count's variable limit
+    # every composition of n <= 9, and 12-element random posets
     rng = random.Random(12)
-    randoms = [random_poset(rng, polytopes.LATTICE_MAX_VARS, q) for q in (0.1, 0.2, 0.35, 0.5)]
+    randoms = [random_poset(rng, 12, q) for q in (0.1, 0.2, 0.35, 0.5)]
     _check_ehrhart_equivalence([make_maximal_ranked(tau) for tau in compositions_upto(9)] + randoms)
+
+
+def test_lattice_counts_past_twelve_variables():
+    # 20 variables: the count is bounded by its states, not by (t + 1)^n
+    _check_ehrhart_equivalence([make_maximal_ranked((2,) * 10)])
 
 
 @pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 30 s; set CHAINORDER_SLOW=1")
@@ -304,10 +309,15 @@ def test_lattice_counts_equal_ideal_multichains_upto_12():
     _check_ehrhart_equivalence([make_maximal_ranked(tau) for tau in compositions_upto(12)])
 
 
-def test_lattice_point_budget():
+def test_lattice_point_budget(monkeypatch):
     _, h = order_polytope_dd(antichain(3))
     with pytest.raises(BudgetError):
         lattice_point_count(h, 5)
+    # the 2-chain's order polytope holds two states after its first coordinate
+    _, h = order_polytope_dd(chain(2))
+    monkeypatch.setattr(polytopes, "LATTICE_MAX_STATES", 1)
+    with pytest.raises(BudgetError, match="2 states after coordinate 1 of 2"):
+        lattice_point_count(h, 1)
 
 
 def test_vertices_satisfy_their_hrep_everywhere():
