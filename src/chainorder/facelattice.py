@@ -1,17 +1,17 @@
 """Faces and f-vectors from vertex-facet incidences, by two paths.
 
-``count_faces`` is the face iterator of Kliem and Stump (arXiv:1905.01945): a
-depth-first walk over coatoms that visits every nonempty face exactly once
-using only AND and subset tests on vertex bitmasks, in O(dim * facets)
-memory.  It yields the f-vector and nothing else.  Before the walk it peels
-pyramids: a facet that misses exactly one vertex is the base of a pyramid
-with that vertex as apex, and a pyramid's f-vector follows from its base's
-by the pyramid formula.  The test reads incidences only, and it is exact,
-since the faces of a pyramid are the faces of the base and the pyramids over
-them, the apex being the one over the empty face.  Any one-element rank of
-P_tau makes C(P_tau) a pyramid, and a one-element bottom or top rank makes
-O(P_tau) one: on the n = 10 table, 42 of the 56 polytopes are pyramids, and
-the walk visits 460,220 of their 821,320 faces.
+``count_faces`` yields the f-vector and nothing else.  It splits a polytope
+glued at a vertex q, the hull of pieces in complementary affine spaces that
+meet only at q, and multiplies the pieces' face counts.  Ordinal sums glue
+so (Stanley, "Two poset polytopes", 1986): C(P_tau) is the ranks' cubes
+glued at the origin, O(P_tau) consecutive ranks' cubes glued in a path, and
+a pyramid is a segment glued at a vertex of its base.  The split reads
+incidences only, and is kept only if the facets are exactly those of the
+glue.  Pieces that do not split are walked by the face iterator of Kliem and
+Stump (arXiv:1905.01945): a depth-first walk over coatoms that visits every
+nonempty face once using only AND and subset tests on vertex bitmasks, in
+O(dim * facets) memory.  All 56 polytopes of the n = 10 table split, and the
+walks visit 14,736 of their 821,320 faces.
 
 ``enumerate_faces`` builds the whole lattice from the same facet list, top
 down one level at a time: the lower covers of a face are the
@@ -25,6 +25,8 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 
 from .cliques import mask_to_tuple
 from .errors import BudgetError, InconsistentInputError
@@ -101,9 +103,17 @@ class FaceLattice:
 
 
 def _maximal(masks, top: int) -> list[int]:
-    """The inclusion-maximal masks other than 0 and ``top``, without repeats."""
-    rows = [m for m in dict.fromkeys(masks) if m and m != top]
-    return [m for m in rows if not any(m != g and m & g == m for g in rows)]
+    """The inclusion-maximal masks other than 0 and ``top``, without repeats,
+    the larger first."""
+    kept: list[int] = []
+    for m in sorted(dict.fromkeys(masks), key=int.bit_count, reverse=True):
+        if m and m != top:
+            for g in kept:  # a mask inside another is inside a kept one, seen before it
+                if m & g == m:
+                    break
+            else:
+                kept.append(m)
+    return kept
 
 
 def _facets(inc: IncidenceMatrix) -> list[int]:
@@ -116,51 +126,164 @@ def _facets(inc: IncidenceMatrix) -> list[int]:
 def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int, ...]:
     """The f-vector, equal to ``f_vector(enumerate_faces(inc))``, without the lattice.
 
-    First the pyramids are peeled.  A facet F that misses exactly one vertex v
-    makes the polytope the pyramid over F with apex v.  Every other facet G
-    holds v, since G is not inside F, so G is the pyramid over the facet F & G
-    of F; the facets of F are these masks, kept by the rule of ``_facets``.  F
-    replaces the polytope, once per apex.
+    The glue rule.  Merging the vertex sets that the facets through a vertex
+    q miss, where they meet, gives components C_1, ..., C_k.  If k >= 2 and
+    they hold every vertex but q, the pieces are V_i = C_i | q, each a face
+    (the meet of the facets through q that miss no vertex of C_i), with the
+    facets of the rule of ``_facets``: the maximal masks g & V_i.  The split
+    is kept only if every restriction g & V_i is V_i or a facet of the piece,
+    which matches the facets through q one to one with the pieces', and the
+    facets missing q are as many as the product of the pieces' facets
+    missing q, which makes them the unions of one per piece.  Then each face
+    of Q is the join of faces missing q, one per piece, the empty face
+    allowed, or the hull of faces holding q, one per piece: with N(t)
+    counting the faces missing q by dim + 1, the empty one included, and Y(t)
+    those holding q by dim, N_Q = prod N_i and Y_Q = prod Y_i.  A pyramid is
+    the case of a segment, whose far end is the apex.  On a polytope the
+    checks after the components always pass, its vertex figure at q being
+    the join of the pieces'; they send incidences that are no polytope's to
+    the walk and its checks.  A piece may split again at
+    another vertex, so it carries the glue vertices above it as marks, and
+    its faces are counted per pattern of marks held.
 
-    The base that is left is walked by the Kliem-Stump face iterator.  The
-    coatoms of the base are its facets.  Popping a coatom H of the current
-    face visits H; the coatoms of H are the inclusion-maximal nonempty masks
-    H & G over the coatoms G still in the list, less those contained in an
-    already visited face, whose subfaces were counted there.  A face at depth
-    d below the base has dimension dim - 1 - d.  Each apex then folds the
-    base's extended f-vector (1, f_0, ..., f_{d-1}, 1) by g'_i = g_i + g_{i-1}:
-    a face of a pyramid is a face of its base, or the pyramid over one, or the
-    apex (Ziegler, *Lectures on Polytopes*, 1995).
+    A piece that does not split is walked.  Its coatoms are its facets.
+    Popping a coatom H of the current face visits H; the coatoms of H are the
+    inclusion-maximal nonempty masks H & G over the coatoms G still in the
+    list, less those contained in an already visited face, whose subfaces
+    were counted there.  A face at depth d below the piece has dimension
+    dim - 1 - d.  The walk tallies marked faces only when there are marks.
 
     ``max_faces`` bounds the nonempty faces of the polytope, itself included,
-    as in ``enumerate_faces``.  With j apexes and a base of b nonempty faces
-    there are (b + 1) * 2^j - 1, so the walk bounds b by what that leaves.
-    Incidences that are not those of a polytope raise: vertices of the base at
-    different depths, a face of several vertices at or below the vertex
-    depth, or a vertex of the base that is not a face of its own.
+    as in ``enumerate_faces``.  A piece, being a face, is walked under the
+    same bound, and one that runs out reports the faces found so far; the
+    exact total is checked once at the end.  Incidences that are not those of
+    a polytope raise: vertices of a piece at different depths, a face of
+    several vertices at or below the vertex depth, or a vertex of a piece
+    that is not a face of its own.
     """
-    top = (1 << inc.n_vertices) - 1
-    facets = _facets(inc)
-    apexes = 0
-    while f := next((g for g in facets if (top ^ g).bit_count() == 1), 0):  # the base of a pyramid
-        top, facets = f, _maximal([g & f for g in facets if g != f], f)
-        apexes += 1
+    ranks = _glued((1 << inc.n_vertices) - 1, _facets(inc), 0, max_faces)[0]
+    total = sum(ranks) - 1  # nonempty faces
+    if max_faces is not None and total > max_faces:
+        raise BudgetError(f"face budget {max_faces} exceeded: the polytope has {total} nonempty faces")
+    return tuple(ranks[1:-1]) or (1,)  # a point is reported as (1,), as in f_vector
+
+
+def _glued(top: int, facets: list[int], marks: int, max_faces: int | None) -> dict[int, list[int]]:
+    """The faces of the polytope on the vertices ``top``, the empty face and
+    the polytope included: for each pattern ``face & marks``, the faces per
+    rank (dim + 1).  All the lists have length dim + 2."""
+    glue = _glue_vertex(top, facets)
+    if glue is None:
+        return _walk(top, facets, marks, max_faces)
+    q, pieces = glue
+    parts = [_glued(v, fs, marks & v | q, max_faces) for v, fs in pieces]
+    # faces missing q, by pattern and dim + 1, and faces holding q, by pattern less q and dim
+    missing = reduce(_join, [{p: c[:-1] for p, c in t.items() if not p & q} for t in parts])
+    holding = reduce(_join, [{p ^ q: c[1:] for p, c in t.items() if p & q} for t in parts])
+    table = {p: [*c, 0] for p, c in missing.items()}
+    for p, c in holding.items():
+        row = table.setdefault(p | marks & q, [0] * (len(c) + 1))
+        for r, x in enumerate(c, 1):
+            row[r] += x
+    return table
+
+
+def _join(a: dict[int, list[int]], b: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Pairs of faces from two pieces: their patterns, disjoint, are joined,
+    and their counts convolved."""
+    out: dict[int, list[int]] = {}
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            row = out.setdefault(pa | pb, [0] * (len(ca) + len(cb) - 1))
+            for i, x in enumerate(ca):
+                for j, y in enumerate(cb):
+                    row[i + j] += x * y
+    return out
+
+
+def _glue_vertex(top: int, facets: list[int]) -> tuple[int, list[tuple[int, list[int]]]] | None:
+    """A glue vertex (as a mask) and the pieces with their facets, or None.
+
+    A glue vertex lies on a facet of each of two pieces, two facets that
+    cover every vertex, and on no facet that misses vertices of both.  So
+    only such vertices of covering pairs are tried, the first that splits
+    being taken."""
+    tried = 0
+    for g, h in combinations(facets, 2):
+        if g | h == top and (new := g & h & ~tried):
+            for f in facets:
+                if g | f != top and h | f != top:  # f misses vertices that g and h miss
+                    new &= ~f
+                    if not new:
+                        break
+            tried |= new
+            while new:
+                q = new & -new
+                new ^= q
+                pieces = _pieces(top, facets, q)
+                if pieces:
+                    return q, pieces
+    return None
+
+
+def _pieces(top: int, facets: list[int], q: int) -> list[tuple[int, list[int]]] | None:
+    """The pieces glued at the vertex q, with their facets, if the facets of
+    the polytope are exactly those of the glue; else None."""
+    comps: list[int] = []  # the vertex sets missed by facets through q, merged where they meet
+    n_missing = len(facets)  # facets missing q
+    for g in facets:
+        if g & q:
+            n_missing -= 1
+            miss, rest = top ^ g, []
+            for c in comps:
+                if c & miss:
+                    miss |= c
+                else:
+                    rest.append(c)
+            comps = [*rest, miss]
+    if len(comps) < 2 or sum(map(int.bit_count, comps)) != top.bit_count() - 1:
+        return None
+    pieces, product = [], 1
+    for c in comps:
+        v = c | q
+        rows = {g & v for g in facets}
+        rows.discard(v)
+        piece_facets = _maximal(rows, v)
+        # every facet restricts to the piece or to one of its facets, so the
+        # facets through q match theirs one to one
+        if len(piece_facets) != len(rows):
+            return None
+        product *= len([f for f in piece_facets if not f & q])
+        pieces.append((v, piece_facets))
+    # the facets missing q are the unions of one such facet per piece
+    return pieces if product == n_missing else None
+
+
+def _walk(top: int, facets: list[int], marks: int, max_faces: int | None) -> dict[int, list[int]]:
+    """The table of ``_glued`` by the Kliem-Stump walk over the facets."""
     nv = top.bit_count()
-    budget = None if max_faces is None else ((max_faces + 1) >> apexes) - 1  # on the base's faces
     counts: list[int] = []  # faces per depth
+    marked: dict[tuple[int, int], int] = {}  # (depth, pattern) -> faces holding a mark
     vertex_depths: set[int] = set()
     visited: list[int] = []
-    found = 1  # the base
+    found = 1  # the polytope
     n_vertex_faces = 0
+
+    def over_budget() -> BudgetError:
+        return BudgetError(f"face budget {max_faces} exceeded: the polytope has at least {found} nonempty faces")
 
     def walk(coatoms: list[int], depth: int) -> None:
         nonlocal found, n_vertex_faces
         found += len(coatoms)
-        if budget is not None and found > budget:
-            raise BudgetError(f"face budget {max_faces} exceeded")
+        if max_faces is not None and found > max_faces:
+            raise over_budget()
         if depth == len(counts):
             counts.append(0)
         counts[depth] += len(coatoms)
+        if marks:
+            for h in coatoms:
+                if p := h & marks:
+                    marked[depth, p] = marked.get((depth, p), 0) + 1
         while coatoms:
             h = coatoms.pop()
             if h & (h - 1) == 0:
@@ -194,13 +317,13 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
                         else:
                             children.append(c)
             if children:
-                mark = len(visited)
+                start = len(visited)
                 walk(children, depth + 1)
-                del visited[mark:]  # subfaces of h, covered once h is visited
+                del visited[start:]  # subfaces of h, covered once h is visited
             visited.append(h)
 
-    if budget is not None and found > budget:
-        raise BudgetError(f"face budget {max_faces} exceeded")
+    if max_faces is not None and found > max_faces:
+        raise over_budget()
     if facets or nv != 1:  # a point has no proper face to walk
         walk(facets, 0)
         if len(vertex_depths) != 1:
@@ -210,10 +333,14 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
             raise InconsistentInputError("a face of several vertices at or below the vertex depth")
         if n_vertex_faces != nv:
             raise InconsistentInputError(f"{n_vertex_faces} of {nv} vertices are faces")
-    ext = [1, *reversed(counts), 1]  # the base's faces per dimension, from -1 to its own
-    for _ in range(apexes):
-        ext = [a + b for a, b in zip([*ext, 0], [0, *ext])]
-    return tuple(ext[1:-1]) or (1,)  # a point is reported as (1,), as in f_vector
+    ranks = [1, *reversed(counts), 0]  # from the empty face to the polytope
+    table = {0: ranks}
+    for (depth, p), c in marked.items():
+        r = len(counts) - depth
+        ranks[r] -= c
+        table.setdefault(p, [0] * len(ranks))[r] += c
+    table.setdefault(marks, [0] * len(ranks))[-1] += 1
+    return table
 
 
 def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceLattice:

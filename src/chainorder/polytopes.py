@@ -20,8 +20,8 @@ Row = tuple[tuple[int, ...], int]
 
 ZERO_ONE_MAX_VARS = 30
 EXACT_ENUM_MAX_RAYS = 10**5
-LATTICE_MAX_DILATION = 4
 LATTICE_MAX_STATES = 10**5
+LATTICE_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -316,14 +316,13 @@ def lattice_point_count(h: HRep, t: int) -> int:
     coordinates still to fix can add; a class with no coordinates left is
     checked and dropped.
 
-    The states held after each coordinate are bounded by
-    ``LATTICE_MAX_STATES``, and t by ``LATTICE_MAX_DILATION``.
+    The work of each coordinate, its states times the t + 1 values it
+    takes, is bounded by ``LATTICE_MAX_STEPS`` before the coordinate is
+    fixed, and the states held after it by ``LATTICE_MAX_STATES``.
     """
     n = h.n_vars
     if t < 1:
         raise ValueError("dilation factor must be positive")
-    if t > LATTICE_MAX_DILATION:
-        raise BudgetError(f"dilation t={t} exceeds {LATTICE_MAX_DILATION}")
     flipped = tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in h.eqs)
     least: dict[tuple[int, ...], int] = {}  # class -> least budget
     for coeffs, rhs in h.ineqs + h.eqs + flipped:
@@ -337,6 +336,11 @@ def lattice_point_count(h: HRep, t: int) -> int:
     classes = [s for s in least if any(s)]
     states = {tuple(least[s] for s in classes): 1}  # least budget per class -> number of prefixes
     for i in range(n):
+        if len(states) * (t + 1) > LATTICE_MAX_STEPS:
+            raise BudgetError(
+                f"lattice count: {len(states)} states times {t + 1} values at coordinate {i + 1} of {n}"
+                f" exceed {LATTICE_MAX_STEPS} steps"
+            )
         sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # class after i -> (class, coefficient at i)
         for p, s in enumerate(classes):
             sources.setdefault(s[1:], []).append((p, s[0]))

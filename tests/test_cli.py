@@ -264,6 +264,7 @@ def test_chain_poset_order_polytope_is_a_simplex(tmp_path, capsys):
         else:
             assert (code, out) == (2, "")
             assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+            assert err.endswith(f"the polytope has {2**41 - 1} nonempty faces\n")
 
 
 @pytest.mark.parametrize(
@@ -355,7 +356,8 @@ def test_tau_budget_points_bounds_chain_order_rows(capsys):
     assert err.count("\n") == 1
     # the first polytope of the n = 6 table, O(2,2,1,1), has 207 nonempty faces
     code, out, err = run_main(capsys, "table", "--n", "6", "--budget-faces", "50")
-    assert (code, out, err) == (2, "", "budget exceeded: at tau=2,2,1,1, k=0 (order): face budget 50 exceeded\n")
+    assert (code, out) == (2, "")
+    assert err == "budget exceeded: at tau=2,2,1,1, k=0 (order): face budget 50 exceeded: the polytope has 207 nonempty faces\n"
 
 
 def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
@@ -459,13 +461,20 @@ def test_table_n26_normalform_digest_and_closed_forms(capsys):
             assert fv[-1] == n + math.prod(tau), row
 
 
-@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 22 s; set CHAINORDER_SLOW=1")
 def test_table_n12_both_pipelines_digest(capsys):
     # both pipelines agree on all 120 rows of n = 12 (14.3M faces), pinned byte for byte
     code, out, _ = run_main(capsys, "table", "--n", "12", "--method", "both")
     assert code == 0
     assert out.count("\n") == 120
     assert hashlib.sha256(out.encode()).hexdigest() == "cf89f084f66aa0a9f64cd88a541e957e7c1f4a56afa094cbd19e907309d66965"
+
+
+def test_table_n13_both_pipelines_digest(capsys):
+    # all 166 rows of n = 13; the digest is that of the normal-form pipeline alone
+    code, out, _ = run_main(capsys, "table", "--n", "13", "--method", "both")
+    assert code == 0
+    assert out.count("\n") == 166
+    assert hashlib.sha256(out.encode()).hexdigest() == "a8df618b68a82e6319247e092335991fe208e1c66f1d1d4533b59b7473f9ea67"
 
 
 def test_fvector_normalform_through_main(capsys):

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from chainorder.errors import BudgetError, InconsistentInputError
 from chainorder.facelattice import (
     IncidenceMatrix,
+    _facets,
+    _glue_vertex,
+    _pieces,
     count_faces,
     enumerate_faces,
     f_vector,
@@ -183,8 +186,8 @@ def test_two_disjoint_facets_reach_no_vertex():
     for faces in (enumerate_faces, count_faces):
         with pytest.raises(InconsistentInputError, match="vertices not all at one depth"):
             faces(inc)
-    for j in (1, 2):  # count_faces walks the base, so it raises as there
-        with pytest.raises(InconsistentInputError, match="vertices not all at one depth"):
+    for j in (1, 2):  # count_faces splits the pyramid at its apex, and a piece raises
+        with pytest.raises(InconsistentInputError, match="a face of several vertices at or below the vertex depth"):
             count_faces(_pyramid(inc, j))
         with pytest.raises(InconsistentInputError):
             enumerate_faces(_pyramid(inc, j))
@@ -226,6 +229,91 @@ def test_count_faces_on_pyramids():
     assert count_faces(cases[3]) == (11, 39, 67, 63, 33, 9)  # pyr^3 of the 3-cube
 
 
+def _glue(a, va, b, vb):
+    """The incidences of the hull of A and B placed in complementary affine
+    spaces that meet in A's vertex va and B's vertex vb; B's other vertices
+    follow A's.  A facet is a facet of one through the glue vertex with all of
+    the other, or the union of a facet of each that misses it."""
+
+    def place(m):  # B's vertices as vertices of the glue
+        return sum(1 << (va if v == vb else a.n_vertices + v - (v > vb)) for v in range(b.n_vertices) if m >> v & 1)
+
+    fa = _facets(a)
+    fb = [place(m) for m in _facets(b)]
+    q, whole_a, whole_b = 1 << va, (1 << a.n_vertices) - 1, place((1 << b.n_vertices) - 1)
+    facets = [g | whole_b for g in fa if g & q] + [h | whole_a for h in fb if h & q]
+    facets += [g | h for g in fa if not g & q for h in fb if not h & q]
+    return _incidence(a.n_vertices + b.n_vertices - 1, facets)
+
+
+SEGMENT = _incidence(2, [0b01, 0b10])
+SQUARE = _incidence(4, [0b0011, 0b1100, 0b0101, 0b1010])
+
+
+def _splits(inc):
+    return _glue_vertex((1 << inc.n_vertices) - 1, _facets(inc)) is not None
+
+
+def test_count_faces_on_glued_polytopes():
+    cube = incidence_matrix(*order_polytope_dd(antichain(3)))
+    two_squares = _glue(SQUARE, 0, SQUARE, 3)  # O(P_tau) for tau = (2, 2)
+    # a segment glued at a vertex of the 3-cube is the pyramid over it
+    pyramid = _glue(cube, 5, SEGMENT, 0)
+    for inc, fv in ((two_squares, (7, 17, 18, 8)), (pyramid, (9, 20, 18, 7))):
+        assert _splits(inc)
+        assert count_faces(inc) == f_vector(enumerate_faces(inc)) == fv
+    # d segments glued at one vertex make Delta_d
+    simplex = SEGMENT
+    for d in range(2, 7):
+        simplex = _glue(SEGMENT, 1, simplex, 0)
+        assert _splits(simplex)
+        assert count_faces(simplex) == f_vector(enumerate_faces(simplex)) == count_faces(_simplex(d)), d
+
+
+def _cross_polytope(d):
+    """The d-dimensional cross-polytope: vertices 2i and 2i + 1 are e_i and
+    -e_i, and each facet takes one of them for every i."""
+    return _incidence(2 * d, [sum(1 << 2 * i + (s >> i & 1) for i in range(d)) for s in range(2**d)])
+
+
+def test_polytopes_that_do_not_split_are_walked():
+    cube = incidence_matrix(*order_polytope_dd(antichain(3)))
+    for inc, fv in ((cube, (8, 12, 6)), (_cross_polytope(3), (6, 12, 8)), (_cross_polytope(4), (8, 24, 32, 16))):
+        assert not _splits(inc)
+        assert count_faces(inc) == f_vector(enumerate_faces(inc)) == fv
+    # one facet missing the glue vertex taken away: the facets through it, and
+    # so its components, are those of the two squares, but the facets missing
+    # it are 3, not 2 * 2.  Such incidences are no polytope's, and the walk
+    # raises on them.
+    two_squares = _glue(SQUARE, 0, SQUARE, 3)
+    top = (1 << two_squares.n_vertices) - 1
+    missing = [m for m in _facets(two_squares) if not m & 1]
+    bad = _incidence(two_squares.n_vertices, [m for m in _facets(two_squares) if m != missing[0]])
+    assert _pieces(top, _facets(two_squares), 1) is not None
+    assert _pieces(top, _facets(bad), 1) is None
+    assert not _splits(bad)
+    with pytest.raises(InconsistentInputError, match="5 of 7 vertices are faces"):
+        count_faces(bad)
+
+
+@st.composite
+def glued_random_polytopes(draw):
+    """Two polytopes of random posets of 1-4 elements, order or chain, glued
+    at a vertex of each."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a, b = (
+        incidence_matrix(*draw(st.sampled_from([order_polytope_dd, chain_polytope_dd]))(random_poset(rng, n)))
+        for n in (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    )
+    return _glue(a, draw(st.integers(0, a.n_vertices - 1)), b, draw(st.integers(0, b.n_vertices - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(glued_random_polytopes())
+def test_count_faces_on_glued_random_polytopes(inc):
+    assert _splits(inc)
+    assert count_faces(inc) == f_vector(enumerate_faces(inc))
+
 
 def test_count_faces_rejects_several_points_without_facets():
     with pytest.raises(InconsistentInputError):
@@ -242,6 +330,16 @@ def test_face_budget():
             for limit in range(n):
                 with pytest.raises(BudgetError):
                     faces(inc, max_faces=limit)
+    # a walk that runs out says how many faces it has found; a split
+    # polytope whose pieces fit says how many it has
+    with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 11 nonempty faces$"):
+        count_faces(cube, max_faces=10)
+    with pytest.raises(BudgetError, match=r"^face budget 20 exceeded: the polytope has at least 22 nonempty faces$"):
+        count_faces(_pyramid(cube), max_faces=20)  # the cube, a piece, runs out
+    with pytest.raises(BudgetError, match=r"^face budget 40 exceeded: the polytope has 55 nonempty faces$"):
+        count_faces(_pyramid(cube), max_faces=40)
+    with pytest.raises(BudgetError, match=rf"^face budget 5000000 exceeded: the polytope has {2**41 - 1} nonempty faces$"):
+        count_faces(_simplex(40), max_faces=5_000_000)
 
 
 def _check_count_faces_on_compositions(n):

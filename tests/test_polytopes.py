@@ -310,9 +310,15 @@ def test_lattice_counts_equal_ideal_multichains_upto_12():
 
 
 def test_lattice_point_budget(monkeypatch):
+    # t is bounded only by the work of each coordinate, states times (t + 1)
     _, h = order_polytope_dd(antichain(3))
-    with pytest.raises(BudgetError):
-        lattice_point_count(h, 5)
+    assert lattice_point_count(h, 5) == 6**3
+    assert lattice_point_count(h, 40) == 41**3 == 68921
+    _, hc = chain_polytope_dd(make_maximal_ranked((2, 2, 2)))
+    assert lattice_point_count(hc, 10) == 33748
+    # a huge t is refused before the first coordinate's loop, which would not end
+    with pytest.raises(BudgetError, match=r"1 states times 1000000000001 values at coordinate 1 of 3"):
+        lattice_point_count(h, 10**12)
     # the 2-chain's order polytope holds two states after its first coordinate
     _, h = order_polytope_dd(chain(2))
     monkeypatch.setattr(polytopes, "LATTICE_MAX_STATES", 1)
