@@ -3,7 +3,6 @@ chain-order polytopes of finite posets, with two independent pipelines:
 geometric (face iteration over vertex-facet incidences) and combinatorial
 (face normal forms of maximal ranked posets)."""
 
-from .cliques import Graph, maximal_cliques, maximal_independent_sets
 from .errors import BudgetError, InconsistentInputError
 from .facelattice import FaceLattice, IncidenceMatrix, count_faces, enumerate_faces, f_vector, incidence_matrix
 from .linalg import affine_rank
@@ -28,7 +27,6 @@ from .polytopes import (
 )
 from .posets import (
     Poset,
-    comparability_graph,
     extend_poset,
     has_hl_pattern,
     make_maximal_ranked,

@@ -14,7 +14,6 @@ import io
 import json
 import sys
 
-from .cliques import MAX_VERTICES
 from .errors import BudgetError
 from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, verify_injection, verify_monotone
@@ -73,10 +72,8 @@ def _load_poset(args: argparse.Namespace) -> Poset:
 
 def _dd_for(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
     """(VRep, HRep) for the requested polytope; --budget-points bounds its rows
-    and its vertex work.  A poset must also fit the antichain search."""
+    and its vertex work."""
     if poset is not None:
-        if poset.n > MAX_VERTICES:
-            raise ConfigError(f"poset has {poset.n} elements; at most {MAX_VERTICES} are supported")
         dd = chain_polytope_dd if args.polytope == "chain" else order_polytope_dd
         return dd(poset, max_points=args.budget_points)
     h = chain_order_hrep(tau, k, max_points=args.budget_points)

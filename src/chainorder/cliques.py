@@ -1,105 +1,59 @@
-"""Maximal independent set enumeration on small undirected graphs.
+"""Maximal independent set enumeration on undirected graphs given as bitmasks.
 
-Vertices are 0..n-1 and adjacency is stored as one bitmask per vertex, which
-keeps the branch-and-bound inner loop to a handful of integer operations.
+Vertices are 0..n-1 and adjacency is one bitmask per vertex, which keeps the
+branch-and-bound inner loop to a handful of integer operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-MAX_VERTICES = 128
+from .errors import BudgetError
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph as symmetric adjacency bitmasks."""
+def maximal_independent_sets(adj, max_subsets: int | None = None) -> list[int]:
+    """Masks of all inclusion-maximal independent sets, in no fixed order.
 
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n > MAX_VERTICES:
-            raise ValueError(f"graph has {self.n} vertices; at most {MAX_VERTICES} supported")
-        if len(self.adj) != self.n:
-            raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
-        for i, m in enumerate(self.adj):
-            if m & ~full:
-                raise ValueError("adjacency mask references vertices out of range")
-            if (m >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if ((self.adj[i] >> j) & 1) != ((self.adj[j] >> i) & 1):
-                    raise ValueError("adjacency is not symmetric")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        adj = [0] * n
-        for a, b in edges:
-            if a == b:
-                raise ValueError("self-loop")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return cls(n, tuple(adj))
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
-
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~m) & ~(1 << i) for i, m in enumerate(g.adj)))
-
-
-def mask_to_tuple(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of a mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-def maximal_cliques(g: Graph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal cliques, sorted lexicographically.
-
-    Pivoting branch and bound: at each node a pivot u maximizing |P & N(u)| is
-    chosen and only vertices outside N(u) are branched on.
+    Pivoting branch and bound on the non-neighbour masks: at each node a pivot
+    u maximizing |P & N(u)| is chosen and only vertices outside N(u) are
+    branched on.  ``max_subsets`` bounds the subsets of the sets found, the
+    sum of 2^|S|.  It is checked as each set is found and, at an inner node
+    r, against 2^|r| alone, which stops the search once that passes twice
+    the budget: r lies inside some maximal set, while the sets below r may
+    all have been found before.
     """
-    adj = g.adj
+    n = len(adj)
+    full = (1 << n) - 1
+    non = [full & ~m & ~(1 << i) for i, m in enumerate(adj)]
+    depth = None if max_subsets is None else max_subsets.bit_length()
     out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
+    spent = 0
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            return
-        pool = p | x
+            spent += 1 << r.bit_count()
+            if max_subsets is not None and spent > max_subsets:
+                raise BudgetError(f"{spent} maximal-antichain subsets exceed the point budget {max_subsets}")
+            continue
+        if depth is not None and r.bit_count() > depth:
+            raise BudgetError(
+                f"at least {1 << r.bit_count()} maximal-antichain subsets exceed the point budget {max_subsets}"
+            )
         pivot, best = -1, -1
-        m = pool
+        m = p | x
         while m:
             low = m & -m
             u = low.bit_length() - 1
             m ^= low
-            cnt = (p & adj[u]).bit_count()
+            cnt = (p & non[u]).bit_count()
             if cnt > best:
                 best, pivot = cnt, u
-        cand = p & ~adj[pivot]
+        cand = p & ~non[pivot]
         while cand:
             low = cand & -cand
             v = low.bit_length() - 1
             cand ^= low
-            expand(r | low, p & adj[v], x & adj[v])
+            stack.append((r | low, p & non[v], x & non[v]))
             p ^= low
             x |= low
-
-    if g.n:
-        expand(0, (1 << g.n) - 1, 0)
-    return sorted(mask_to_tuple(m) for m in out)
-
-
-def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
-    """All inclusion-maximal independent sets (= maximal cliques of the complement)."""
-    return maximal_cliques(complement(g))
+    return out

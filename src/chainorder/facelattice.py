@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
-from .cliques import mask_to_tuple
 from .errors import BudgetError, InconsistentInputError
 from .polytopes import HRep, VRep
+from .posets import mask_to_tuple
 
 __all__ = [
     "IncidenceMatrix",
@@ -48,7 +48,6 @@ class IncidenceMatrix:
 
     n_vertices: int
     n_facets: int
-    vertex_facets: tuple[int, ...]  # per vertex: bitmask of tight facet rows
     facet_vertices: tuple[int, ...]  # per facet row: bitmask of tight vertices
 
 
@@ -56,7 +55,6 @@ def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
     """Exact tightness bits; a vertex violating the system is a hard error."""
     nv = len(v.vertices)
     nf = len(h.ineqs)
-    vmasks = [0] * nv
     fmasks = [0] * nf
     rows = [(coeffs, [(i, c) for i, c in enumerate(coeffs) if c], rhs) for coeffs, rhs in h.ineqs]
     for vi, vert in enumerate(v.vertices):
@@ -65,14 +63,13 @@ def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
             if s > rhs:
                 raise InconsistentInputError(f"vertex {vert} violates row {coeffs} <= {rhs}")
             if s == rhs:
-                vmasks[vi] |= 1 << fi
                 fmasks[fi] |= 1 << vi
         for coeffs, rhs in h.eqs:
             if sum(c * x for c, x in zip(coeffs, vert)) != rhs:
                 raise InconsistentInputError(f"vertex {vert} violates equation {coeffs} = {rhs}")
     if len(set(fmasks)) != nf:
         raise InconsistentInputError("two facet rows are tight on the same vertex set")
-    return IncidenceMatrix(nv, nf, tuple(vmasks), tuple(fmasks))
+    return IncidenceMatrix(nv, nf, tuple(fmasks))
 
 
 @dataclass(frozen=True)

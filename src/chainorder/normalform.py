@@ -148,8 +148,7 @@ def induced_order_poset(tau, k: int) -> Poset:
         for a in rank_elements(tau, r)
         for b in rank_elements(tau, r + 1)
     )
-    rank = {e: e[0] - k for e in elems}
-    return Poset(elems, covers, rank if elems else None)
+    return Poset(elems, covers)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

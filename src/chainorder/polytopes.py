@@ -117,14 +117,10 @@ def _chain_order_rows(p: Poset, chain_part: int, max_points: int | None = None) 
 
 def _antichain_vertices(p: Poset, spans: list[int], max_points: int | None) -> tuple[tuple[int, ...], ...]:
     """Indicator vectors of the unions of ``spans[i]`` over the positions i of
-    each subset of each maximal antichain, without repeats, after checking
-    that the subsets to expand fit in ``max_points``."""
-    antichains = maximal_antichains(p) or [()]
-    subsets = sum(1 << len(ac) for ac in antichains)
-    if max_points is not None and subsets > max_points:
-        raise BudgetError(f"{subsets} maximal-antichain subsets exceed the point budget {max_points}")
+    each subset of each maximal antichain, without repeats; ``max_points``
+    bounds the subsets to expand as the antichains are found."""
     masks: set[int] = set()
-    for ac in antichains:
+    for ac in maximal_antichains(p, max_points):
         pos = [p.index[e] for e in ac]
         for r in range(len(pos) + 1):
             for sub in combinations(pos, r):

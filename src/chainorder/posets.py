@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Sequence
 
-from .cliques import Graph, mask_to_tuple
+from . import cliques
 
 Element = Any
 Block = tuple[Element, ...]
@@ -67,7 +67,6 @@ class Poset:
 
     elements: tuple
     covers: tuple[tuple[Element, Element], ...]
-    rank_of: Any = None  # optional mapping element -> positive rank
 
     def __post_init__(self):
         idx = self.index
@@ -87,10 +86,6 @@ class Poset:
             for w in self.up_covers[i]:
                 if w != j and (above[w] >> j) & 1:
                     raise ValueError(f"cover ({p!r}, {q!r}) is implied; covers must be reduced")
-        if self.rank_of is not None:
-            for p, q in self.covers:
-                if self.rank_of[q] != self.rank_of[p] + 1:
-                    raise ValueError(f"rank jump on cover ({p!r}, {q!r}); poset is not ranked")
 
     @property
     def n(self) -> int:
@@ -171,8 +166,7 @@ def make_maximal_ranked(tau: Sequence[int]) -> Poset:
         for t in range(1, tau[i - 1] + 1)
         for s in range(1, tau[i] + 1)
     )
-    rank = {e: e[0] for e in elements}
-    return Poset(elements, covers, rank)
+    return Poset(elements, covers)
 
 
 def extend_poset(p: Poset) -> Poset:
@@ -185,27 +179,23 @@ def extend_poset(p: Poset) -> Poset:
     return Poset((BOTTOM,) + p.elements + (TOP,), covers or ((BOTTOM, TOP),))
 
 
-def comparability_graph(p: Poset) -> Graph:
-    """Undirected graph joining every comparable pair."""
-    adj = [0] * p.n
-    for i in range(p.n):
-        m = p.above_masks[i]
-        adj[i] |= m
-        while m:
-            low = m & -m
-            adj[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    return Graph(p.n, tuple(adj))
+def mask_to_tuple(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def maximal_antichains(p: Poset) -> list[tuple]:
-    """Maximal antichains, via maximal independent sets of the comparability graph."""
-    from .cliques import maximal_independent_sets
-
-    return [
-        tuple(p.elements[i] for i in iset)
-        for iset in maximal_independent_sets(comparability_graph(p))
-    ]
+def maximal_antichains(p: Poset, max_points: int | None = None) -> list[tuple]:
+    """Maximal antichains in lexicographic order of positions: the maximal
+    independent sets of the comparability masks.  ``max_points`` bounds the
+    sum of 2^|A| as the search runs."""
+    comparable = [a | b for a, b in zip(p.above_masks, p.below_masks)]
+    sets = sorted(map(mask_to_tuple, cliques.maximal_independent_sets(comparable, max_points)))
+    return [tuple(p.elements[i] for i in s) for s in sets]
 
 
 def partition_masks(p: Poset, pi: Iterable[Iterable], index: dict | None = None) -> list[int]:

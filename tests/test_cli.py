@@ -361,21 +361,54 @@ def test_tau_budget_points_bounds_chain_order_rows(capsys):
 
 
 def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
-    # 129 elements, one more than the antichain search supports
+    # 129 elements: the antichain's 2^129 subsets exceed the default budget;
+    # the chain has 129 singleton antichains, and both polytopes are simplices
     names = [f"e{i}" for i in range(129)]
     chain = [[a, b] for a, b in zip(names, names[1:])]
-    for covers in ([], chain):
-        poset_path = tmp_path / "p129.json"
-        poset_path.write_text(json.dumps({"elements": names, "covers": covers}))
-        for argv in (
-            ["dd", "--poset", str(poset_path)],
-            ["dd", "--poset", str(poset_path), "--polytope", "chain"],
-            ["fvector", "--poset", str(poset_path), "--method", "geometric"],
-            ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"],
-        ):
-            code, out, err = run_main(capsys, *argv)
-            assert (code, out) == (2, "")
-            assert err == "error: poset has 129 elements; at most 128 are supported\n"
+    poset_path = tmp_path / "p129.json"
+    poset_path.write_text(json.dumps({"elements": names, "covers": []}))
+    for argv in (
+        ["dd", "--poset", str(poset_path)],
+        ["dd", "--poset", str(poset_path), "--polytope", "chain"],
+        ["fvector", "--poset", str(poset_path), "--method", "geometric"],
+        ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"],
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "budget exceeded: at least 16777216 maximal-antichain subsets exceed the point budget 4194304\n"
+    poset_path.write_text(json.dumps({"elements": names, "covers": chain}))
+    units = [tuple(int(i == j) for i in range(129)) for j in range(129)]
+    up_sets = [tuple(int(i >= j) for i in range(129)) for j in range(129)]
+    for polytope, vertices in (("order", up_sets), ("chain", units)):
+        code, out, _ = run_main(capsys, "dd", "--poset", str(poset_path), "--polytope", polytope)
+        assert code == 0
+        got = [tuple(v) for v in json.loads(out)["vertices"]]
+        assert len(got) == 130 and sorted(got) == sorted(vertices + [(0,) * 129])
+
+
+def test_poset_antichain_budget_is_checked_during_the_search(tmp_path, capsys):
+    # 64 disjoint 2-element chains have 2^64 maximal antichains of 64 elements;
+    # the search stops at depth 11, where an antichain has 2048 subsets
+    names = [f"a{i}" for i in range(128)]
+    poset_path = tmp_path / "chains64.json"
+    poset_path.write_text(json.dumps({"elements": names, "covers": [names[i : i + 2] for i in range(0, 128, 2)]}))
+    for polytope in ("order", "chain"):
+        argv = ["dd", "--poset", str(poset_path), "--polytope", polytope, "--budget-points", "1000"]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "budget exceeded: at least 2048 maximal-antichain subsets exceed the point budget 1000\n"
+    # a 1000-element antichain is refused by the depth bound, far from any recursion limit
+    poset_path.write_text(json.dumps({"elements": [f"e{i}" for i in range(1000)], "covers": []}))
+    for argv in (["dd", "--poset", str(poset_path)], ["fvector", "--poset", str(poset_path), "--method", "geometric"]):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("budget exceeded: at least ") and err.count("\n") == 1
+    # a budget of exactly the 2^8 subsets of the 8-antichain is enough
+    poset_path.write_text(json.dumps({"elements": [f"a{i}" for i in range(8)], "covers": []}))
+    code, out, _ = run_main(capsys, "dd", "--poset", str(poset_path), "--budget-points", "256")
+    assert code == 0 and len(json.loads(out)["vertices"]) == 256
+    code, out, err = run_main(capsys, "dd", "--poset", str(poset_path), "--budget-points", "255")
+    assert (code, out, err) == (2, "", "budget exceeded: 256 maximal-antichain subsets exceed the point budget 255\n")
 
 
 def test_verify_monotone(capsys, tmp_path):

@@ -3,23 +3,42 @@ import random
 import pytest
 from conftest import brute_force_antichain_subsets, compositions_upto
 
-from chainorder.cliques import Graph, complement, maximal_cliques, maximal_independent_sets
-from chainorder.posets import comparability_graph, make_maximal_ranked
+from chainorder.cliques import maximal_independent_sets
+from chainorder.errors import BudgetError
+from chainorder.posets import make_maximal_ranked, mask_to_tuple
+
+
+def adjacency(n, edges):
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def comparable(p):
+    return [a | b for a, b in zip(p.above_masks, p.below_masks)]
+
+
+def independent_sets(adj, max_subsets=None):
+    return sorted(map(mask_to_tuple, maximal_independent_sets(adj, max_subsets)))
+
+
+def random_graph(rng, n, density):
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
 
 
 def test_complete_bipartite_independent_sets_are_sides():
-    g = comparability_graph(make_maximal_ranked((2, 2)))
-    assert maximal_independent_sets(g) == [(0, 1), (2, 3)]
+    assert independent_sets(comparable(make_maximal_ranked((2, 2)))) == [(0, 1), (2, 3)]
 
 
 def test_edgeless_graph_single_set():
-    g = Graph.from_edges(3, [])
-    assert maximal_independent_sets(g) == [(0, 1, 2)]
+    assert independent_sets([0, 0, 0]) == [(0, 1, 2)]
+    assert independent_sets([]) == [()]
 
 
 def test_path_graph():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    got = maximal_independent_sets(g)
+    got = independent_sets(adjacency(3, [(0, 1), (1, 2)]))
     # oracle: inclusion-maximal among all independent subsets
     indep = brute_force_antichain_subsets(3, [(0, 1), (1, 2)])
     maximal = {s for s in indep if not any(s < t for t in indep)}
@@ -27,48 +46,33 @@ def test_path_graph():
     assert got == [(0, 2), (1,)]
 
 
-def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(2, (1, 1))  # self-loop at vertex 0
-    with pytest.raises(ValueError):
-        Graph(2, (2, 0))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(129, tuple([0] * 129))
-
-
 def test_output_sets_are_independent_and_maximal():
     rng = random.Random(7)
     for trial in range(30):
         n = rng.randrange(1, 13)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        g = Graph.from_edges(n, edges)
-        sets = maximal_independent_sets(g)
+        adj = adjacency(n, random_graph(rng, n, 0.4))
+        sets = maximal_independent_sets(adj)
         for s in sets:
-            for a in s:
-                assert all(not ((g.adj[a] >> b) & 1) for b in s)
-            outside = set(range(n)) - set(s)
-            for v in outside:
-                assert any((g.adj[v] >> b) & 1 for b in s), "set is extendable"
+            assert all(not adj[a] & s for a in mask_to_tuple(s))
+            outside = ((1 << n) - 1) & ~s
+            assert all(adj[v] & s for v in mask_to_tuple(outside)), "set is extendable"
         assert len(set(sets)) == len(sets)
-        assert sets == sorted(sets)
 
 
 def test_against_subset_oracle_small_graphs():
     rng = random.Random(11)
     for trial in range(25):
         n = rng.randrange(1, 17)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
-        g = Graph.from_edges(n, edges)
+        edges = random_graph(rng, n, 0.3)
         indep = brute_force_antichain_subsets(n, edges)
         want = {s for s in indep if not any(s < t for t in indep)}
-        got = set(map(frozenset, maximal_independent_sets(g)))
+        got = set(map(frozenset, independent_sets(adjacency(n, edges))))
         assert got == want
 
 
 def test_maximal_ranked_independent_sets_are_ranks():
     for tau in compositions_upto(10):
-        p = make_maximal_ranked(tau)
-        sets = maximal_independent_sets(comparability_graph(p))
+        sets = independent_sets(comparable(make_maximal_ranked(tau)))
         offsets = []
         start = 0
         for size in tau:
@@ -77,6 +81,23 @@ def test_maximal_ranked_independent_sets_are_ranks():
         assert sets == sorted(offsets), tau
 
 
-def test_cliques_are_complement_independent_sets():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    assert maximal_cliques(complement(g)) == maximal_independent_sets(g)
+def test_budget_raises_exactly_when_the_subsets_exceed_it():
+    # sound and exact: the search raises iff the sum of 2^|S| is over budget,
+    # though it stops on branches whose sets were all found before
+    rng = random.Random(5)
+    for trial in range(60):
+        n = rng.randrange(0, 15)
+        adj = adjacency(n, random_graph(rng, n, rng.choice((0.1, 0.3, 0.6))))
+        subsets = sum(1 << s.bit_count() for s in maximal_independent_sets(adj))
+        assert len(maximal_independent_sets(adj, subsets)) == len(maximal_independent_sets(adj))
+        with pytest.raises(BudgetError, match=f"maximal-antichain subsets exceed the point budget {subsets - 1}$"):
+            maximal_independent_sets(adj, subsets - 1)
+
+
+def test_budget_bounds_the_search_depth():
+    # 2^1000 subsets of one set: refused below depth 11 for a budget of 1000,
+    # at the first set when that is found before
+    with pytest.raises(BudgetError, match="^at least 2048 maximal-antichain subsets exceed the point budget 1000$"):
+        maximal_independent_sets([0] * 1000, 1000)
+    with pytest.raises(BudgetError, match="^1024 maximal-antichain subsets exceed the point budget 1000$"):
+        maximal_independent_sets([0] * 10, 1000)

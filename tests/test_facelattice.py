@@ -41,16 +41,20 @@ def square_dd():
     return v, h
 
 
+def _facets_per_vertex(inc):
+    return [sum(m >> v & 1 for m in inc.facet_vertices) for v in range(inc.n_vertices)]
+
+
 def test_incidence_square_two_facets_per_vertex():
     v, h = square_dd()
     inc = incidence_matrix(v, h)
-    assert all(m.bit_count() == 2 for m in inc.vertex_facets)
+    assert _facets_per_vertex(inc) == [2] * 4
 
 
 def test_incidence_simplex():
     v, h = order_polytope_dd(Poset(("a", "b"), (("a", "b"),)))
     inc = incidence_matrix(v, h)
-    assert all(m.bit_count() == 2 for m in inc.vertex_facets)
+    assert _facets_per_vertex(inc) == [2] * 3
     assert all(m.bit_count() == 2 for m in inc.facet_vertices)
 
 
@@ -154,8 +158,7 @@ def test_cover_edges_are_graded():
 
 def _incidence(nv, facet_masks):
     """The incidences of facets given by their vertex masks."""
-    vertex_facets = tuple(sum(1 << fi for fi, m in enumerate(facet_masks) if m >> v & 1) for v in range(nv))
-    return IncidenceMatrix(nv, len(facet_masks), vertex_facets, tuple(facet_masks))
+    return IncidenceMatrix(nv, len(facet_masks), tuple(facet_masks))
 
 
 def _pyramid(inc, j=1):
@@ -182,7 +185,7 @@ def test_non_polytopal_incidences_raise():
 
 def test_two_disjoint_facets_reach_no_vertex():
     # facets {0, 1} and {2, 3} meet in the empty set, which is not a face
-    inc = IncidenceMatrix(4, 2, (1, 1, 2, 2), (0b0011, 0b1100))
+    inc = IncidenceMatrix(4, 2, (0b0011, 0b1100))
     for faces in (enumerate_faces, count_faces):
         with pytest.raises(InconsistentInputError, match="vertices not all at one depth"):
             faces(inc)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_polytopes import maximal_chains
 
-from chainorder.cliques import mask_to_tuple
+from chainorder.errors import BudgetError
 from chainorder.facelattice import count_faces, incidence_matrix
 from chainorder.normalform import f_vector_normal_form, is_valid_face_partition
 from chainorder.polytopes import chain_polytope_dd, order_polytope_dd
@@ -18,10 +18,10 @@ from chainorder.posets import (
     TOP,
     Poset,
     as_tau_shape,
-    comparability_graph,
     extend_poset,
     has_hl_pattern,
     make_maximal_ranked,
+    mask_to_tuple,
     maximal_antichains,
     poset_from_json,
     poset_to_json,
@@ -40,7 +40,6 @@ def test_make_maximal_ranked_2_2():
         ((1, 2), (2, 1)),
         ((1, 2), (2, 2)),
     }
-    assert p.rank_of[(2, 2)] == 2
 
 
 def test_make_maximal_ranked_chain():
@@ -68,8 +67,6 @@ def test_poset_rejects_cycles_and_unreduced_covers():
         Poset(("a", "b"), (("a", "b"), ("b", "a")))
     with pytest.raises(ValueError):
         Poset(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
-    with pytest.raises(ValueError):
-        Poset(("a", "b"), (("a", "b"),), {"a": 1, "b": 3})
 
 
 def test_extend_poset_counts():
@@ -100,11 +97,14 @@ def test_maximal_chains_products():
         assert [e[0] for e in ch] == [1, 2, 3, 4, 5, 6]
 
 
-def test_comparability_graph_edges():
-    assert comparability_graph(make_maximal_ranked((2, 2))).edge_count() == 4
-    antichain = Poset(("a", "b", "c"), ())
-    assert comparability_graph(antichain).edge_count() == 0
-    assert comparability_graph(make_maximal_ranked((2, 2, 1))).edge_count() == 8
+def test_maximal_antichains_examples():
+    assert maximal_antichains(make_maximal_ranked((2, 2))) == [((1, 1), (1, 2)), ((2, 1), (2, 2))]
+    assert maximal_antichains(Poset(("a", "b", "c"), ())) == [("a", "b", "c")]
+    assert maximal_antichains(Poset((), ())) == [()]
+    # b < c beside a: listed in the order of their positions
+    assert maximal_antichains(Poset(("a", "b", "c"), (("b", "c"),))) == [("a", "b"), ("a", "c")]
+    with pytest.raises(BudgetError, match="^8 maximal-antichain subsets exceed the point budget 7$"):
+        maximal_antichains(Poset(("a", "b", "c"), ()), max_points=7)
 
 
 def test_maximal_antichains_of_ranked_posets_are_ranks():
