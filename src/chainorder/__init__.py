@@ -5,7 +5,6 @@ geometric (face iteration over vertex-facet incidences) and combinatorial
 
 from .errors import BudgetError, InconsistentInputError
 from .facelattice import FaceLattice, IncidenceMatrix, count_faces, enumerate_faces, f_vector, incidence_matrix
-from .linalg import affine_rank
 from .normalform import (
     FaceNormalForm,
     codimension,
@@ -18,6 +17,7 @@ from .normalform import (
 from .polytopes import (
     HRep,
     VRep,
+    chain_order_dd,
     chain_order_hrep,
     chain_polytope_dd,
     lattice_point_count,

@@ -17,12 +17,8 @@ import sys
 from .errors import BudgetError
 from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, verify_injection, verify_monotone
-from .polytopes import (
-    chain_order_hrep,
-    chain_polytope_dd,
-    order_polytope_dd,
-    zero_one_vertices,
-)
+from .polytopes import chain_order_dd
+from .polytopes import chain_order_hrep, zero_one_vertices  # unused: perfbench targets (ROADMAP item 1)
 from .posets import (
     Poset,
     check_tau,
@@ -71,13 +67,14 @@ def _load_poset(args: argparse.Namespace) -> Poset:
 
 
 def _dd_for(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
-    """(VRep, HRep) for the requested polytope; --budget-points bounds its rows
-    and its vertex work."""
-    if poset is not None:
-        dd = chain_polytope_dd if args.polytope == "chain" else order_polytope_dd
-        return dd(poset, max_points=args.budget_points)
-    h = chain_order_hrep(tau, k, max_points=args.budget_points)
-    return zero_one_vertices(h, max_nodes=args.budget_points), h
+    """(VRep, HRep) for the requested polytope by `chain_order_dd`: the cut k
+    of P_tau, or the order or chain polytope of the poset; --budget-points
+    bounds its rows and its vertices."""
+    if poset is None:
+        poset, chain_part = make_maximal_ranked(tau), (1 << sum(tau[:k])) - 1
+    else:
+        chain_part = (1 << poset.n) - 1 if args.polytope == "chain" else 0
+    return chain_order_dd(poset, chain_part, max_points=args.budget_points)
 
 
 def _geometric_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):

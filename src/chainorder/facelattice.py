@@ -51,21 +51,37 @@ class IncidenceMatrix:
     facet_vertices: tuple[int, ...]  # per facet row: bitmask of tight vertices
 
 
+def _value_masks(vec) -> list[tuple]:
+    """(value, mask of the coordinates holding it) per nonzero value of vec."""
+    masks: dict = {}
+    for i, x in enumerate(vec):
+        if x:
+            masks[x] = masks.get(x, 0) | 1 << i
+    return list(masks.items())
+
+
 def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
-    """Exact tightness bits; a vertex violating the system is a hard error."""
+    """Exact tightness bits; a vertex violating a row or equation is a hard
+    error.  With the vertex's nonzero coordinates grouped by value into masks
+    V_x and the row's by coefficient into R_c, a dot product is the sum of
+    x * c * |V_x & R_c|, by popcount."""
     nv = len(v.vertices)
     nf = len(h.ineqs)
     fmasks = [0] * nf
-    rows = [(coeffs, [(i, c) for i, c in enumerate(coeffs) if c], rhs) for coeffs, rhs in h.ineqs]
+    rows = [(coeffs, _value_masks(coeffs), rhs) for coeffs, rhs in h.ineqs + h.eqs]
     for vi, vert in enumerate(v.vertices):
-        for fi, (coeffs, support, rhs) in enumerate(rows):
-            s = sum([c * vert[i] for i, c in support])
-            if s > rhs:
-                raise InconsistentInputError(f"vertex {vert} violates row {coeffs} <= {rhs}")
-            if s == rhs:
-                fmasks[fi] |= 1 << vi
-        for coeffs, rhs in h.eqs:
-            if sum(c * x for c, x in zip(coeffs, vert)) != rhs:
+        groups = _value_masks(vert)
+        for fi, (coeffs, terms, rhs) in enumerate(rows):
+            s = 0
+            for x, vm in groups:
+                for c, rm in terms:
+                    s += x * c * (vm & rm).bit_count()
+            if fi < nf:
+                if s > rhs:
+                    raise InconsistentInputError(f"vertex {vert} violates row {coeffs} <= {rhs}")
+                if s == rhs:
+                    fmasks[fi] |= 1 << vi
+            elif s != rhs:
                 raise InconsistentInputError(f"vertex {vert} violates equation {coeffs} = {rhs}")
     if len(set(fmasks)) != nf:
         raise InconsistentInputError("two facet rows are tight on the same vertex set")

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: matrix rank and affine rank.
+"""Exact integer linear algebra: matrix rank.
 
 All routines work on plain Python ints (arbitrary precision), so there is no
 overflow and no floating point anywhere.
@@ -55,13 +55,3 @@ def int_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
             break
     return rank
 
-
-def affine_rank(points: Sequence[Sequence[int]]) -> int:
-    """Dimension of the affine span of a nonempty list of integer points."""
-    if not points:
-        raise ValueError("affine_rank needs at least one point")
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    if not diffs:
-        return 0
-    return int_matrix_rank(diffs)

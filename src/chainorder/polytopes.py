@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import BudgetError
-from .linalg import int_matrix_rank
-from .posets import Poset, check_tau, make_maximal_ranked, maximal_antichains
+from .linalg import int_matrix_rank  # also a perfbench tracing target until ROADMAP item 1
+from .posets import Poset, check_tau, make_maximal_ranked, mask_to_tuple
+from .posets import maximal_antichains  # unused: a perfbench tracing target until ROADMAP item 1
 
 Row = tuple[tuple[int, ...], int]
 
@@ -115,52 +115,62 @@ def _chain_order_rows(p: Poset, chain_part: int, max_points: int | None = None) 
     return out
 
 
-def _antichain_vertices(p: Poset, spans: list[int], max_points: int | None) -> tuple[tuple[int, ...], ...]:
-    """Indicator vectors of the unions of ``spans[i]`` over the positions i of
-    each subset of each maximal antichain, without repeats; ``max_points``
-    bounds the subsets to expand as the antichains are found."""
-    masks: set[int] = set()
-    for ac in maximal_antichains(p, max_points):
-        pos = [p.index[e] for e in ac]
-        for r in range(len(pos) + 1):
-            for sub in combinations(pos, r):
-                mask = 0
-                for i in sub:
-                    mask |= spans[i]
-                masks.add(mask)
-    return tuple(tuple((m >> i) & 1 for i in range(p.n)) for m in masks)
+def chain_order_dd(p: Poset, chain_part: int, max_points: int | None = None) -> tuple[VRep, HRep]:
+    """Double description of the polytope whose chain part is the down-set
+    ``chain_part`` (a position mask): O(P) when it is empty, C(P) when full.
+
+    The rows are `_chain_order_rows`; the vertices are the indicator vectors
+    of A | F, F an up-set of P inside O = P \\ C and A an antichain of C with
+    up(a) & O inside F for each a in A (Stanley, 1986; Fang, Fourier, Litza
+    and Pegel, 2020).  A search over the antichains M of O takes F = up(M),
+    then searches the antichains of the elements of C that F admits; each
+    node is one vertex, and none repeats.  ``max_points`` bounds the rows and
+    the vertices as they are found; the search also stops at an antichain of
+    more than ``max_points.bit_length()`` elements, whose subsets alone are
+    more vertices than that.
+    """
+    h = HRep(p.elements, tuple(_chain_order_rows(p, chain_part, max_points)))
+    n, above = p.n, p.above_masks
+    order_part = ((1 << n) - 1) & ~chain_part
+    up = [(1 << i) | a for i, a in enumerate(above)]
+    exclude = [u | b for u, b in zip(up, p.below_masks)]
+    # per element a of C, the elements of O that F must hold to admit it
+    needs = [(1 << i, above[i] & order_part) for i in range(n) if chain_part >> i & 1]
+    depth = None if max_points is None else max_points.bit_length()
+    vertices = []
+    # (vertex mask, candidates below the element taken last, antichain size,
+    # over O): the branch with the most candidates comes off the stack first
+    stack = [(0, order_part, 0, True)]
+    while stack:
+        mask, cand, size, outer = stack.pop()
+        if depth is not None and size > depth:
+            raise BudgetError(f"at least {1 << size} vertices exceed the point budget {max_points}")
+        vertices.append(tuple([mask >> i & 1 for i in range(n)]))
+        if max_points is not None and len(vertices) > max_points:
+            raise BudgetError(f"{len(vertices)} vertices exceed the point budget {max_points}")
+        searches = [(cand, size, outer)]
+        if outer:  # A is empty here: start the search over the chain elements F admits
+            searches.append((sum(bit for bit, need in needs if not need & ~mask), 0, False))
+        for pool, taken, over_o in searches:
+            for v in mask_to_tuple(pool):
+                below_v = pool & ((1 << v) - 1) & ~exclude[v]
+                stack.append((mask | (up[v] if over_o else 1 << v), below_v, taken + 1, over_o))
+    return VRep(vertices), h
 
 
 def order_polytope_dd(p: Poset, max_points: int | None = None) -> tuple[VRep, HRep]:
-    """Double description of the order polytope.
-
-    Vertices are indicator vectors of up-sets, generated from subsets of
-    maximal antichains; the rows are `_chain_order_rows` with no chain part,
-    the arcs of the extended Hasse diagram.  ``max_points`` bounds both the
-    rows and the antichain subsets expanded.
-    """
-    h = HRep(p.elements, tuple(_chain_order_rows(p, 0, max_points)))
-    up_sets = [(1 << i) | above for i, above in enumerate(p.above_masks)]
-    return VRep(_antichain_vertices(p, up_sets, max_points)), h
+    """`chain_order_dd` with no chain part: the vertices are the up-sets."""
+    return chain_order_dd(p, 0, max_points)
 
 
 def chain_polytope_dd(p: Poset, max_points: int | None = None) -> tuple[VRep, HRep]:
-    """Double description of the chain polytope.
-
-    Vertices are indicator vectors of antichains; the rows are
-    `_chain_order_rows` with all of P as chain part: nonnegativity, and one
-    sum per maximal chain.  ``max_points`` bounds both the rows and the
-    antichain subsets expanded.
-    """
-    h = HRep(p.elements, tuple(_chain_order_rows(p, (1 << p.n) - 1, max_points)))
-    return VRep(_antichain_vertices(p, [1 << i for i in range(p.n)], max_points)), h
+    """`chain_order_dd` with all of P as chain part: the vertices are the antichains."""
+    return chain_order_dd(p, (1 << p.n) - 1, max_points)
 
 
 def chain_order_hrep(tau, k: int, max_points: int | None = None) -> HRep:
-    """Facet system of the chain-order polytope of a maximal ranked poset:
-    `_chain_order_rows` with the ranks up to the cut as chain part.
-    ``max_points`` bounds the rows.
-    """
+    """The rows of `chain_order_dd` on P_tau with the ranks up to the cut k as
+    chain part, bounded by ``max_points``."""
     tau = check_tau(tau)
     ell = len(tau)
     if not 0 <= k <= ell:
@@ -189,9 +199,10 @@ def zero_one_vertices(h: HRep, max_nodes: int | None = None) -> VRep:
     Bounded backtracking: the coordinates are fixed in order, each row's
     partial sum is kept, and a branch is cut once a row's partial sum leaves
     its bound from `_row_bounds`; only the rows with a nonzero coefficient
-    at the coordinate just fixed are checked.  This is the production vertex
-    enumerator for the polytope families here, all of which have 0/1
-    vertices; `vertex_enum_exact` is the independent check of that assumption.
+    at the coordinate just fixed are checked.  A reference for
+    `chain_order_dd`, which lists the vertices by their closed form: it finds
+    them from the rows alone, by rank.  `vertex_enum_exact` is the
+    independent check that the polytopes here have 0/1 vertices only.
     ``max_nodes`` bounds the nodes of the search tree visited, leaves included.
     """
     n = h.n_vars

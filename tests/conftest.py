@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from chainorder.linalg import int_matrix_rank
 from chainorder.posets import Poset
 
 
@@ -72,3 +73,11 @@ def brute_force_antichain_subsets(n: int, edges) -> set[frozenset]:
             if all((a, b) not in adj for a in sub for b in sub):
                 out.add(frozenset(sub))
     return out
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine span of a nonempty list of integer points."""
+    if not points:
+        raise ValueError("affine_rank needs at least one point")
+    base = points[0]
+    return int_matrix_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])

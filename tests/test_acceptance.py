@@ -6,11 +6,10 @@ set and for the running example (5,2,1,4,2,3).
 
 import random
 
-from conftest import compositions_upto, random_poset
+from conftest import affine_rank, compositions_upto, random_poset
 
 from chainorder.cli import main, table_taus
 from chainorder.facelattice import enumerate_faces, f_vector, incidence_matrix
-from chainorder.linalg import affine_rank
 from chainorder.normalform import f_vector_normal_form, verify_injection, verify_monotone
 from chainorder.polytopes import (
     chain_order_hrep,

@@ -285,7 +285,8 @@ def test_negative_budgets_exit_two_before_any_work(capsys, argv):
 
 
 def test_poset_budget_points_bounds_antichain_subsets(tmp_path, capsys):
-    # one maximal antichain of 8 elements: 2^8 = 256 subsets to expand
+    # one antichain of 8 elements: 2^8 = 256 vertices, refused at budget 100
+    # once the search holds 8 > (100).bit_length() elements
     poset_path = tmp_path / "antichain8.json"
     poset_path.write_text(json.dumps({"elements": [f"a{i}" for i in range(8)], "covers": []}))
     fvector = ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"]
@@ -293,16 +294,16 @@ def test_poset_budget_points_bounds_antichain_subsets(tmp_path, capsys):
     for argv in (fvector, dd):
         code, out, err = run_main(capsys, *argv, "--budget-points", "100")
         assert (code, out) == (2, "")
-        assert err.startswith("budget exceeded: 256 ")
+        assert err == "budget exceeded: at least 256 vertices exceed the point budget 100\n"
         assert run_main(capsys, *argv)[0] == 0
 
 
 def test_chain_order_budget_points_bounds_search_nodes(capsys):
-    # n = 23 variables, but the pruned 0/1 search keeps 83 vertices quickly
+    # n = 23 variables and 83 vertices
     code, out, _ = run_main(capsys, "dd", "--polytope", "chain-order", "--tau", "4,4,4,4,4,3", "--k", "2")
     assert code == 0
     assert len(json.loads(out)["vertices"]) == 83
-    # the 12-cube has 4096 vertices, so the search needs more than 1000 nodes
+    # the 12-cube has 4096 vertices, more than a budget of 1000
     code, out, err = run_main(
         capsys, "dd", "--polytope", "chain-order", "--tau", "12", "--k", "0", "--budget-points", "1000"
     )
@@ -345,19 +346,29 @@ def test_tau_budget_points_bounds_chain_order_rows(capsys):
         code, out, err = run_main(capsys, *argv, "--budget-points", "1000")
         assert (code, out) == (2, "")
         assert err == "budget exceeded: 262180 facet rows exceed the point budget 1000\n"
-    # the table's first polytope, O(2,2,1), has 9 rows; at 9 the vertex search
-    # is what stops; the table names the row
+    # the table's first polytope, O(2,2,1), has 9 rows; the table names the row
     code, out, err = run_main(capsys, "table", "--n", "5", "--method", "geometric", "--budget-points", "8")
     assert (code, out) == (2, "")
     assert err == "budget exceeded: at tau=2,2,1, k=0 (order): 9 facet rows exceed the point budget 8\n"
-    code, out, err = run_main(capsys, "table", "--n", "5", "--method", "geometric", "--budget-points", "9")
-    assert (code, out) == (2, "")
-    assert err.startswith("budget exceeded: at tau=2,2,1, k=0 (order): 0/1 vertex search stopped after 9 nodes")
-    assert err.count("\n") == 1
+    # the 12-cube has 24 rows and 4,096 vertices: there the vertices bind
+    argv = ["dd", "--polytope", "chain-order", "--tau", "12", "--k", "0"]
+    code, out, _ = run_main(capsys, *argv, "--budget-points", "4096")
+    assert code == 0 and len(json.loads(out)["vertices"]) == 4096 and len(json.loads(out)["ineqs"]) == 24
+    code, out, err = run_main(capsys, *argv, "--budget-points", "4095")
+    assert (code, out, err) == (2, "", "budget exceeded: 4096 vertices exceed the point budget 4095\n")
     # the first polytope of the n = 6 table, O(2,2,1,1), has 207 nonempty faces
     code, out, err = run_main(capsys, "table", "--n", "6", "--budget-faces", "50")
     assert (code, out) == (2, "")
     assert err == "budget exceeded: at tau=2,2,1,1, k=0 (order): face budget 50 exceeded: the polytope has 207 nonempty faces\n"
+
+
+def test_chain_order_reaches_tau_rows_of_more_than_30_elements(capsys):
+    # a 40-element chain cut at 20: a simplex, as O(P) and C(P) of a chain are
+    tau = ",".join(["1"] * 40)
+    for argv in (["--polytope", "chain-order", "--k", "20"], ["--polytope", "order"]):
+        code, out, _ = run_main(capsys, "dd", "--tau", tau, *argv)
+        assert code == 0
+        assert len(json.loads(out)["vertices"]) == 41
 
 
 def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
@@ -375,7 +386,7 @@ def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
     ):
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "budget exceeded: at least 16777216 maximal-antichain subsets exceed the point budget 4194304\n"
+        assert err == "budget exceeded: at least 16777216 vertices exceed the point budget 4194304\n"
     poset_path.write_text(json.dumps({"elements": names, "covers": chain}))
     units = [tuple(int(i == j) for i in range(129)) for j in range(129)]
     up_sets = [tuple(int(i >= j) for i in range(129)) for j in range(129)]
@@ -388,7 +399,7 @@ def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
 
 def test_poset_antichain_budget_is_checked_during_the_search(tmp_path, capsys):
     # 64 disjoint 2-element chains have 2^64 maximal antichains of 64 elements;
-    # the search stops at depth 11, where an antichain has 2048 subsets
+    # the search stops at an antichain of 11 elements, which has 2048 subsets
     names = [f"a{i}" for i in range(128)]
     poset_path = tmp_path / "chains64.json"
     poset_path.write_text(json.dumps({"elements": names, "covers": [names[i : i + 2] for i in range(0, 128, 2)]}))
@@ -396,19 +407,19 @@ def test_poset_antichain_budget_is_checked_during_the_search(tmp_path, capsys):
         argv = ["dd", "--poset", str(poset_path), "--polytope", polytope, "--budget-points", "1000"]
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "budget exceeded: at least 2048 maximal-antichain subsets exceed the point budget 1000\n"
-    # a 1000-element antichain is refused by the depth bound, far from any recursion limit
+        assert err == "budget exceeded: at least 2048 vertices exceed the point budget 1000\n"
+    # a 1000-element antichain is refused by the antichain size, far from any recursion limit
     poset_path.write_text(json.dumps({"elements": [f"e{i}" for i in range(1000)], "covers": []}))
     for argv in (["dd", "--poset", str(poset_path)], ["fvector", "--poset", str(poset_path), "--method", "geometric"]):
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("budget exceeded: at least ") and err.count("\n") == 1
-    # a budget of exactly the 2^8 subsets of the 8-antichain is enough
+    # a budget of exactly the 2^8 vertices of the 8-antichain is enough
     poset_path.write_text(json.dumps({"elements": [f"a{i}" for i in range(8)], "covers": []}))
     code, out, _ = run_main(capsys, "dd", "--poset", str(poset_path), "--budget-points", "256")
     assert code == 0 and len(json.loads(out)["vertices"]) == 256
     code, out, err = run_main(capsys, "dd", "--poset", str(poset_path), "--budget-points", "255")
-    assert (code, out, err) == (2, "", "budget exceeded: 256 maximal-antichain subsets exceed the point budget 255\n")
+    assert (code, out, err) == (2, "", "budget exceeded: 256 vertices exceed the point budget 255\n")
 
 
 def test_verify_monotone(capsys, tmp_path):

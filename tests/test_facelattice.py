@@ -1,9 +1,10 @@
 import math
 import os
 import random
+from fractions import Fraction
 
 import pytest
-from conftest import compositions_upto, random_poset
+from conftest import affine_rank, compositions_upto, random_poset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from chainorder.facelattice import (
     f_vector,
     incidence_matrix,
 )
-from chainorder.linalg import affine_rank
 from chainorder.normalform import f_vector_normal_form
 from chainorder.polytopes import (
     HRep,
@@ -69,6 +69,24 @@ def test_incidence_rejects_outside_vertex():
     _, h = square_dd()
     with pytest.raises(InconsistentInputError):
         incidence_matrix(VRep(((2, 0),)), h)
+
+
+def test_listed_points_that_are_not_vertices_are_caught():
+    # the triangle x, y >= 0, x + y <= 1 with a feasible non-vertex listed:
+    # incidence_matrix passes it, and both face counts find it is no face
+    h = HRep(("x", "y"), (((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)))
+    v = VRep(((0, 0), (1, 0), (0, 1), (Fraction(1, 4), Fraction(1, 4))))
+    inc = incidence_matrix(v, h)
+    for faces in (count_faces, enumerate_faces):
+        with pytest.raises(InconsistentInputError, match="^3 of 4 vertices are faces$"):
+            faces(inc)
+    # a point that violates a row, or an equation, is refused by incidence_matrix
+    outside = VRep(((0, 0), (Fraction(3, 4), Fraction(1, 2))))
+    with pytest.raises(InconsistentInputError, match=r"violates row \(1, 1\) <= 1$"):
+        incidence_matrix(outside, h)
+    on_line = HRep(h.var_names, h.ineqs, (((1, -1), 0),))
+    with pytest.raises(InconsistentInputError, match=r"^vertex \(0, 1\) violates equation \(1, -1\) = 0$"):
+        incidence_matrix(v, on_line)
 
 
 def test_cube_f_vector():

@@ -5,17 +5,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from conftest import compositions_upto, random_poset
+from conftest import affine_rank, compositions_upto, random_poset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainorder import polytopes
 from chainorder.errors import BudgetError, InconsistentInputError
-from chainorder.linalg import affine_rank, int_matrix_rank
+from chainorder.linalg import int_matrix_rank
 from chainorder.polytopes import (
     HRep,
     VRep,
     _chain_order_rows,
+    chain_order_dd,
     chain_order_hrep,
     chain_polytope_dd,
     lattice_point_count,
@@ -440,15 +441,15 @@ def test_chain_order_rows_match_reference_on_random_posets():
 
 
 def test_builders_check_rows_and_antichain_subsets_against_max_points():
-    # chain polytope of 4,4,4: 12 + 4^3 = 76 rows, 3 * 2^4 = 48 antichain subsets
+    # chain polytope of 4,4,4: 12 + 4^3 = 76 rows, 1 + 3 * 15 = 46 antichains
     p = make_maximal_ranked((4, 4, 4))
     assert len(chain_polytope_dd(p, max_points=76)[1].ineqs) == 76
     with pytest.raises(BudgetError, match="^76 facet rows exceed the point budget 75$"):
         chain_polytope_dd(p, max_points=75)
-    # order polytope of the 8-antichain: 16 rows, 2^8 = 256 subsets
+    # order polytope of the 8-antichain: 16 rows, 2^8 = 256 vertices
     v, _ = order_polytope_dd(antichain(8), max_points=256)
     assert v.n == 256
-    with pytest.raises(BudgetError, match="^256 maximal-antichain subsets exceed the point budget 255$"):
+    with pytest.raises(BudgetError, match="^256 vertices exceed the point budget 255$"):
         order_polytope_dd(antichain(8), max_points=255)
     # chain-order rows of 4^10 at the top cut: 40 + 4^10, counted before building
     with pytest.raises(BudgetError, match="^1048616 facet rows exceed the point budget 1000$"):
@@ -567,6 +568,65 @@ def test_zero_one_vertex_assumption_on_compositions_upto_8():
             assert set(vertex_enum_exact(h)) == set(zero_one_vertices(h).vertices), (tau, k)
             cuts += 1
     assert cuts == 1279
+
+
+def _down_sets(p: Poset) -> list[int]:
+    """Every down-set of P as a position mask, grown one element at a time."""
+    found, todo = {0}, [0]
+    while todo:
+        down = todo.pop()
+        for i in range(p.n):
+            grown = down | 1 << i
+            if grown not in found and not p.below_masks[i] & ~down:
+                found.add(grown)
+                todo.append(grown)
+    return sorted(found)
+
+
+def _assert_builder_matches_references(monkeypatch, posets) -> int:
+    """On every down-set chain part of every poset, `chain_order_dd` emits no
+    vertex twice, and its vertex set is that of the 0/1 search and of the
+    double-description oracle; returns the number of polytopes checked."""
+    emitted = []
+
+    def spy(vertices):
+        emitted.append(list(vertices))
+        return VRep(vertices)
+
+    checked = 0
+    for p in posets:
+        for down in _down_sets(p):
+            with monkeypatch.context() as m:
+                m.setattr(polytopes, "VRep", spy)
+                v, h = chain_order_dd(p, down)
+            raw = emitted.pop()
+            assert len(set(raw)) == len(raw) == v.n, (p, down)
+            assert v == zero_one_vertices(h), (p, down)
+            assert set(v.vertices) == set(vertex_enum_exact(h)), (p, down)
+            checked += 1
+    return checked
+
+
+def _assert_builder_matches_references_upto(monkeypatch, total: int) -> None:
+    taus = compositions_upto(total)
+    checked = _assert_builder_matches_references(monkeypatch, map(make_maximal_ranked, taus))
+    # a down-set of P_tau is some full ranks and a subset of the next rank
+    assert checked == sum(1 + sum(2**t - 1 for t in tau) for tau in taus)
+
+
+def test_builder_matches_references_on_compositions(monkeypatch):
+    _assert_builder_matches_references_upto(monkeypatch, 7)
+
+
+@pytest.mark.skipif(not os.environ.get("CHAINORDER_SLOW"), reason="set CHAINORDER_SLOW=1 to run")
+def test_builder_matches_references_upto_9(monkeypatch):
+    _assert_builder_matches_references_upto(monkeypatch, 9)
+
+
+def test_builder_matches_references_on_random_posets(monkeypatch):
+    rng = random.Random(3)
+    posets = [random_poset(rng, rng.randint(1, 8), rng.choice((0.15, 0.35, 0.6))) for _ in range(200)]
+    assert _assert_builder_matches_references(monkeypatch, [Poset((), ())] + posets) == 3360
 
 
 def test_vertex_enum_exact_ray_budget(monkeypatch):
