@@ -57,7 +57,14 @@ def _polytope_label(tau, k: int) -> str:
     return "chain-order"
 
 
-def _load_poset(args: argparse.Namespace) -> Poset:
+def _load_poset(args: argparse.Namespace) -> Poset | None:
+    """The --poset file's poset, or None for --tau input; one of the two must be given."""
+    if args.poset_file and args.tau is not None:
+        raise ConfigError(f"{args.command} takes --tau or --poset, not both")
+    if not args.poset_file:
+        if args.tau is None:
+            raise ConfigError(f"{args.command} needs --tau or --poset")
+        return None
     try:
         with open(args.poset_file, "r", encoding="utf-8") as fh:
             return poset_from_json(fh.read())
@@ -135,17 +142,21 @@ def _export_lattice(path: str, lattice) -> None:
 
 
 def _fvector_command(args: argparse.Namespace) -> int:
-    poset = _load_poset(args) if args.poset_file else None
+    if args.export_lattice and args.method == "normalform":
+        raise ConfigError("--export-lattice needs --method geometric or both")
+    poset = _load_poset(args)
     tau, k = args.tau, args.k
     if poset is None:
-        if tau is None:
-            raise ConfigError("fvector needs --tau or --poset")
         if k is None:
             raise ConfigError("fvector with --tau needs --k")
+        if args.polytope:
+            raise ConfigError("--polytope is for --poset input; --tau input takes --k")
         label = _polytope_label(tau, k)
     else:
         if args.method != "geometric":
             raise ConfigError("--poset input supports only --method geometric")
+        if k is not None:
+            raise ConfigError("--k is for --tau input; --poset input takes --polytope")
         label = args.polytope or "order"
 
     fv, lattice, agree = _pipelines_fvector(args, tau, k, poset)
@@ -243,6 +254,8 @@ def _verify_command(args: argparse.Namespace) -> int:
             for rep in reports
         ]
     else:  # monotone
+        if args.k is not None:
+            raise ConfigError("verify monotone checks every cut; --k is for injectivity")
         rep = verify_monotone(tau)
         for k in sorted(rep.f_vectors):
             lines.append(f"k={k}: f = {rep.f_vectors[k]}")
@@ -261,11 +274,11 @@ def _verify_command(args: argparse.Namespace) -> int:
 
 
 def _dd_command(args: argparse.Namespace) -> int:
-    poset = _load_poset(args) if args.poset_file else None
-    if poset is None and args.tau is None:
-        raise ConfigError("dd needs --tau or --poset")
+    if args.k is not None and args.polytope != "chain-order":
+        raise ConfigError("--k is for --polytope chain-order")
+    poset = _load_poset(args)
     if args.polytope == "chain-order":
-        if args.tau is None or args.k is None:
+        if poset is not None or args.k is None:
             raise ConfigError("chain-order needs --tau and --k")
         v, h = _dd_for(args, args.tau, args.k, None)
     else:

@@ -85,56 +85,43 @@ def _canonical_partition(blocks) -> tuple[Block, ...]:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
-def face_partitions(tau, k: int):
-    """Yield all face partitions of the order side plus the adjoined maximum.
+def _subsets(elems, least=0):
+    """Subsets of ``elems`` with at least ``least`` elements, by size."""
+    for size in range(least, len(elems) + 1):
+        yield from combinations(elems, size)
+
+
+def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
+    """All face partitions of the order side plus the adjoined maximum.
 
     Valid blocks of such a partition are either singletons or span an interval
     of ranks: a nonempty bottom subset, every intermediate rank in full, and a
     nonempty top subset.  Two multi-rank blocks may share a boundary rank but
-    their spans cannot cross, so the generator walks the ranks once keeping at
-    most one block open.
+    their spans cannot cross, so at most one block is open at a time.  One
+    loop folds the ranks bottom up over states (closed blocks, open block or
+    ()), the states `_faces_by_codimension_at` counts.  The open block takes
+    the whole rank, or ends on a nonempty part of it; then a nonempty subset
+    of the elements left free may open a new block, and the rest close as
+    singletons.  No block opens or stays open at the last rank.
     """
     tau = check_tau(tau)
-    ell = len(tau)
-    ranks = list(range(k + 1, ell + 2))
-    nr = len(ranks)
-    Y = [rank_elements(tau, r) for r in ranks]
-    ground = [e for elems in Y for e in elems]
-    out_blocks: list[tuple[Element, ...]] = []
-
-    def nonempty_subsets(elems):
-        for size in range(1, len(elems) + 1):
-            yield from combinations(elems, size)
-
-    def finish():
-        used = {e for b in out_blocks for e in b}
-        blocks = list(out_blocks) + [(e,) for e in ground if e not in used]
-        return _canonical_partition(blocks)
-
-    def open_or_skip(idx, avail):
-        yield from rec(idx + 1, None)
-        if idx < nr - 1:
-            for bottom in nonempty_subsets(avail):
-                yield from rec(idx + 1, bottom)
-
-    def rec(idx, open_elems):
-        if idx == nr:
-            if open_elems is None:
-                yield finish()
-            return
-        elems = Y[idx]
-        if open_elems is None:
-            yield from open_or_skip(idx, elems)
-            return
-        if idx < nr - 1:  # absorb the whole rank and keep the block open
-            yield from rec(idx + 1, open_elems + elems)
-        for top_part in nonempty_subsets(elems):
-            out_blocks.append(open_elems + top_part)
-            rest = tuple(e for e in elems if e not in top_part)
-            yield from open_or_skip(idx, rest)
-            out_blocks.pop()
-
-    yield from rec(0, None)
+    ranks = [rank_elements(tau, r) for r in range(k + 1, len(tau) + 2)]
+    states: list[tuple[tuple[Block, ...], Block]] = [((), ())]
+    for idx, elems in enumerate(ranks):
+        last = idx == len(ranks) - 1
+        nxt = []
+        for closed, open_ in states:
+            ends = [(closed, elems)]  # (closed blocks, elements left free)
+            if open_:
+                if not last:
+                    nxt.append((closed, open_ + elems))
+                ends = [(closed + (open_ + top,), tuple(e for e in elems if e not in top)) for top in _subsets(elems, 1)]
+            for done, free in ends:
+                nxt.append((done + tuple((e,) for e in free), ()))
+                if not last:
+                    nxt.extend((done + tuple((e,) for e in free if e not in new), new) for new in _subsets(free, 1))
+        states = nxt
+    return [_canonical_partition(closed) for closed, _ in states]
 
 
 def induced_order_poset(tau, k: int) -> Poset:
@@ -251,17 +238,15 @@ def codimension(nf: FaceNormalForm, tau, k: int, *, validate: bool = True) -> in
     return codim
 
 
-def _subsets(elems):
-    for size in range(len(elems) + 1):
-        yield from combinations(elems, size)
-
-
 def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
     """All valid normal forms, canonically sorted.
 
-    Partition enumeration walks interval-block structures only, so everything
-    generated is already a face partition; zero and eq choices are filtered by
-    the validity rules as they are produced.
+    Every partition from `face_partitions` is already a face partition.  The
+    chain-side choices do not depend on it, so they are built once: per zero
+    sets, the eq-set prefixes (a nonempty subset of each rank's free elements,
+    or () where a rank is fully zeroed) and whether every chain rank is
+    zeroed.  Each partition pairs them with its own chain-end options, leaving
+    out the combination that cuts out the empty face.
     """
     tau = check_tau(tau)
     ell = len(tau)
@@ -273,36 +258,25 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
             f"order side has {len(ground)} elements; enumeration limit is {PARTITION_GROUND_LIMIT}"
         )
     chain_ranks = [rank_elements(tau, i) for i in range(1, k + 1)]
-    yk1 = set(rank_elements(tau, k + 1)) if k < ell else None
+    chain_choices = []  # (zero sets, eq-set prefixes, all chain ranks zeroed)
+    for zeros in product(*map(_subsets, chain_ranks)):
+        frees = [tuple(e for e in elems if e not in z) for elems, z in zip(chain_ranks, zeros)]
+        prefixes = list(product(*[_subsets(free, 1 if free else 0) for free in frees]))
+        chain_choices.append((zeros, prefixes, not any(frees)))
     forms: list[FaceNormalForm] = []
     for pi in face_partitions(tau, k):
         if k < ell:
-            singles = sorted(e for e in yk1 if (e,) in pi)
-            glued = _glued_block(pi, k + 1)
-            top_options = [tuple(s) for size in range(1, len(singles) + 1) for s in combinations(singles, size)]
-            if not singles:
-                top_options.append(())
-            glued_to_max = glued is not None and top_element(tau) in glued
+            # tight chains end on a nonempty set of singletons, or in the
+            # block that glues the whole first order rank upward
+            singles = [e for e in rank_elements(tau, k + 1) if (e,) in pi]
+            top_options = list(_subsets(singles, 1 if singles else 0))
+            forced_one = not singles and top_element(tau) in (_glued_block(pi, k + 1) or ())
         else:
-            top_options = [(top_element(tau),)]
-            glued_to_max = True
-        for zeros in product(*[list(_subsets(elems)) for elems in chain_ranks]):
+            top_options, forced_one = [(top_element(tau),)], True
+        for zeros, prefixes, all_zeroed in chain_choices:
             forms.append(FaceNormalForm(pi, zeros, None))
-            eq_choices = []
-            all_zeroed = True
-            for i, elems in enumerate(chain_ranks):
-                rest = tuple(e for e in elems if e not in set(zeros[i]))
-                if rest:
-                    all_zeroed = False
-                    eq_choices.append([tuple(s) for size in range(1, len(rest) + 1) for s in combinations(rest, size)])
-                else:
-                    eq_choices.append([()])
-            for prefix in product(*eq_choices):
-                for tops in top_options:
-                    forced_one = glued_to_max if (k == ell or not tops) else False
-                    if all_zeroed and forced_one:
-                        continue  # would cut out the empty face
-                    forms.append(FaceNormalForm(pi, zeros, prefix + (tops,)))
+            if not (all_zeroed and forced_one):  # else the empty face
+                forms.extend(FaceNormalForm(pi, zeros, prefix + (tops,)) for prefix in prefixes for tops in top_options)
     forms.sort(key=FaceNormalForm.sort_key)
     return forms
 

@@ -168,15 +168,15 @@ def chain_polytope_dd(p: Poset, max_points: int | None = None) -> tuple[VRep, HR
     return chain_order_dd(p, (1 << p.n) - 1, max_points)
 
 
-def chain_order_hrep(tau, k: int, max_points: int | None = None) -> HRep:
+def chain_order_hrep(tau, k: int) -> HRep:
     """The rows of `chain_order_dd` on P_tau with the ranks up to the cut k as
-    chain part, bounded by ``max_points``."""
+    chain part."""
     tau = check_tau(tau)
     ell = len(tau)
     if not 0 <= k <= ell:
         raise ValueError(f"k must be in [0, {ell}], got {k}")
     p = make_maximal_ranked(tau)  # positions run rank by rank
-    return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1, max_points)))
+    return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1)))
 
 
 def _row_bounds(h: HRep) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -193,7 +193,7 @@ def _row_bounds(h: HRep) -> list[tuple[tuple[int, ...], list[int]]]:
     return rows
 
 
-def zero_one_vertices(h: HRep, max_nodes: int | None = None) -> VRep:
+def zero_one_vertices(h: HRep) -> VRep:
     """All 0/1 points of the system whose tight rows have full rank.
 
     Bounded backtracking: the coordinates are fixed in order, each row's
@@ -203,7 +203,6 @@ def zero_one_vertices(h: HRep, max_nodes: int | None = None) -> VRep:
     `chain_order_dd`, which lists the vertices by their closed form: it finds
     them from the rows alone, by rank.  `vertex_enum_exact` is the
     independent check that the polytopes here have 0/1 vertices only.
-    ``max_nodes`` bounds the nodes of the search tree visited, leaves included.
     """
     n = h.n_vars
     if n > ZERO_ONE_MAX_VARS:
@@ -215,13 +214,8 @@ def zero_one_vertices(h: HRep, max_nodes: int | None = None) -> VRep:
     moved = [[(j, c[i], most[i + 1]) for j, (c, most) in enumerate(rows) if c[i]] for i in range(n)]
     sums = [0] * len(rows)
     found: list[tuple[int, ...]] = []
-    nodes = 0
 
     def extend(i: int, point: tuple[int, ...]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise BudgetError(f"0/1 vertex search stopped after {max_nodes} nodes with {len(found)} vertices kept")
         if i == n:
             tight = [c for (c, r), s in zip(h.ineqs + h.eqs, sums) if s == r]
             if len(tight) >= n and int_matrix_rank(tight) == n:

@@ -132,6 +132,34 @@ def test_fvector_poset_rejects_normalform(tmp_path, capsys):
     assert "geometric" in err
 
 
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["fvector", "--tau", "2,2", "--k", "1", "--method", "normalform"], ["--export-lattice", "LATTICE"]),
+        (["fvector", "--poset", "POSET", "--method", "geometric"], ["--k", "1"]),
+        (["fvector", "--poset", "POSET", "--method", "geometric"], ["--tau", "2,2"]),
+        (["fvector", "--tau", "2,2", "--k", "1"], ["--polytope", "chain"]),
+        (["dd", "--poset", "POSET"], ["--tau", "3,3"]),
+        (["dd", "--polytope", "chain-order", "--tau", "2,2", "--k", "1"], ["--poset", "POSET"]),
+        (["dd", "--tau", "2,2", "--polytope", "order"], ["--k", "1"]),
+        (["verify", "monotone", "--tau", "2,2"], ["--k", "1"]),
+    ],
+)
+def test_flags_the_command_would_ignore_exit_two(tmp_path, capsys, argv, extra):
+    """Each run exits 0 without ``extra`` and 2, with one error line and no
+    output, with it."""
+    poset_path = tmp_path / "p.json"
+    run_main(capsys, "gen", "--tau", "2,1", "--output", str(poset_path))
+    paths = {"POSET": str(poset_path), "LATTICE": str(tmp_path / "lattice.json")}
+    argv, extra = ([paths.get(a, a) for a in args] for args in (argv, extra))
+    assert run_main(capsys, *argv)[0] == 0
+    code, out, err = run_main(capsys, *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "lattice.json").exists()
+
+
 def test_mismatch_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "f_vector_normal_form", lambda tau, k: (99,))
     code, _, err = run_main(capsys, "fvector", "--tau", "1,1", "--k", "0", "--method", "both")

@@ -129,7 +129,14 @@ def test_worked_codimension_five_configuration():
     assert codimension(nf, tau, k) == 5
 
 
-@pytest.mark.parametrize("tau,k", [((2,), 0), ((1, 1), 0), ((2, 2), 0), ((2, 2), 1), ((1, 2), 0), ((1, 1, 2), 1)])
+@pytest.mark.parametrize(
+    "tau,k",
+    # six small cuts first, so their test ids stay put, then every cut of every composition <= 6
+    list(dict.fromkeys(
+        [((2,), 0), ((1, 1), 0), ((2, 2), 0), ((2, 2), 1), ((1, 2), 0), ((1, 1, 2), 1)]
+        + [(tau, k) for tau in compositions_upto(6) for k in range(len(tau) + 1)]
+    )),
+)
 def test_face_partitions_match_brute_force(tau, k):
     ep = extend_poset(induced_order_poset(tau, k))
     tmax = top_element(tau)
@@ -138,8 +145,9 @@ def test_face_partitions_match_brute_force(tau, k):
         mapped = [tuple(TOP if e == tmax else e for e in b) for b in blocks] + [(BOTTOM,)]
         if validate_face_partition(ep, mapped).valid:
             want.add(tuple(sorted(tuple(sorted(b)) for b in blocks)))
-    got = set(face_partitions(tau, k))
-    assert got == want
+    got = face_partitions(tau, k)
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_enumeration_matches_counting():

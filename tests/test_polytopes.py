@@ -148,11 +148,6 @@ def test_zero_one_vertex_budget():
     h = HRep(tuple(range(31)), ((tuple([1] + [0] * 30), 1),))
     with pytest.raises(BudgetError):
         zero_one_vertices(h)
-    # the unit square prunes nothing: 1 + 2 + 4 nodes, leaves included
-    _, h = order_polytope_dd(antichain(2))
-    assert zero_one_vertices(h, max_nodes=7).n == 4
-    with pytest.raises(BudgetError, match="after 6 nodes with 3 vertices kept"):
-        zero_one_vertices(h, max_nodes=6)
 
 
 def _fraction_rank(rows) -> int:
@@ -451,9 +446,10 @@ def test_builders_check_rows_and_antichain_subsets_against_max_points():
     assert v.n == 256
     with pytest.raises(BudgetError, match="^256 vertices exceed the point budget 255$"):
         order_polytope_dd(antichain(8), max_points=255)
-    # chain-order rows of 4^10 at the top cut: 40 + 4^10, counted before building
+    # chain rows of 4^10, all 40 elements in the chain part: 40 + 4^10,
+    # counted before any row or vertex is built
     with pytest.raises(BudgetError, match="^1048616 facet rows exceed the point budget 1000$"):
-        chain_order_hrep((4,) * 10, 10, max_points=1000)
+        chain_order_dd(make_maximal_ranked((4,) * 10), (1 << 40) - 1, max_points=1000)
 
 
 def _brute_force_vertices(h: HRep):
