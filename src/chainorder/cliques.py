@@ -6,39 +6,24 @@ branch-and-bound inner loop to a handful of integer operations.
 
 from __future__ import annotations
 
-from .errors import BudgetError
 
-
-def maximal_independent_sets(adj, max_subsets: int | None = None) -> list[int]:
+def maximal_independent_sets(adj) -> list[int]:
     """Masks of all inclusion-maximal independent sets, in no fixed order.
 
     Pivoting branch and bound on the non-neighbour masks: at each node a pivot
     u maximizing |P & N(u)| is chosen and only vertices outside N(u) are
-    branched on.  ``max_subsets`` bounds the subsets of the sets found, the
-    sum of 2^|S|.  It is checked as each set is found and, at an inner node
-    r, against 2^|r| alone, which stops the search once that passes twice
-    the budget: r lies inside some maximal set, while the sets below r may
-    all have been found before.
+    branched on.
     """
     n = len(adj)
     full = (1 << n) - 1
     non = [full & ~m & ~(1 << i) for i, m in enumerate(adj)]
-    depth = None if max_subsets is None else max_subsets.bit_length()
     out: list[int] = []
-    spent = 0
     stack = [(0, full, 0)]
     while stack:
         r, p, x = stack.pop()
         if p == 0 and x == 0:
             out.append(r)
-            spent += 1 << r.bit_count()
-            if max_subsets is not None and spent > max_subsets:
-                raise BudgetError(f"{spent} maximal-antichain subsets exceed the point budget {max_subsets}")
             continue
-        if depth is not None and r.bit_count() > depth:
-            raise BudgetError(
-                f"at least {1 << r.bit_count()} maximal-antichain subsets exceed the point budget {max_subsets}"
-            )
         pivot, best = -1, -1
         m = p | x
         while m:

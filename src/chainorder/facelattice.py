@@ -62,7 +62,8 @@ def _value_masks(vec) -> list[tuple]:
 
 def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
     """Exact tightness bits; a vertex violating a row or equation is a hard
-    error.  With the vertex's nonzero coordinates grouped by value into masks
+    error.  Rows need not be facets: `_facets` keeps each maximal tight set
+    once.  With the vertex's nonzero coordinates grouped by value into masks
     V_x and the row's by coefficient into R_c, a dot product is the sum of
     x * c * |V_x & R_c|, by popcount."""
     nv = len(v.vertices)
@@ -83,8 +84,6 @@ def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
                     fmasks[fi] |= 1 << vi
             elif s != rhs:
                 raise InconsistentInputError(f"vertex {vert} violates equation {coeffs} = {rhs}")
-    if len(set(fmasks)) != nf:
-        raise InconsistentInputError("two facet rows are tight on the same vertex set")
     return IncidenceMatrix(nv, nf, tuple(fmasks))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .errors import BudgetError
 from .posets import (
@@ -82,7 +82,7 @@ def order_ground(tau: tuple[int, ...], k: int) -> tuple[Element, ...]:
 
 
 def _canonical_partition(blocks) -> tuple[Block, ...]:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+    return tuple(sorted(map(tuple, map(sorted, blocks))))
 
 
 def _subsets(elems, least=0):
@@ -140,15 +140,9 @@ def induced_order_poset(tau, k: int) -> Poset:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _extended_order_poset(tau: tuple[int, ...], k: int) -> tuple[Poset, dict]:
-    """The extended order side, and its positions with the maximum as TOP's alias."""
+    """The extended order side, and its positions with the maximum in TOP's place."""
     ep = extend_poset(induced_order_poset(tau, k))
-    return ep, {**ep.index, top_element(tau): ep.index[TOP]}
-
-
-def is_valid_face_partition(tau, k: int, pi) -> bool:
-    """Check a partition of the order side (plus maximum) with the generic validator's core."""
-    ep, index = _extended_order_poset(tuple(tau), k)
-    return check_partition_masks(ep, partition_masks(ep, [*pi, (BOTTOM,)], index)).valid
+    return ep, {top_element(tau) if e is TOP else e: i for e, i in ep.index.items()}
 
 
 def _glued_block(pi, r: int) -> Block | None:
@@ -165,56 +159,65 @@ def _glued_block(pi, r: int) -> Block | None:
     return hits[0]
 
 
+def _in_order(s, allowed) -> bool:
+    """Whether s is a tuple of some of ``allowed`` in their order, each once."""
+    return s == () or s == tuple([e for e in allowed if e in s])
+
+
 def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | None]:
-    """Full validity check; returns (ok, reason)."""
+    """Full validity check; returns (ok, reason).
+
+    Only the canonical encoding passes, the one `enumerate_normal_forms` and
+    `psi_map` build: sorted blocks, each sorted, and every zero set, eq set
+    and chain-end set a tuple of its allowed elements in rank order, so that
+    equal faces have equal forms.
+    """
     tau = check_tau(tau)
     ell = len(tau)
     if not 0 <= k <= ell:
         return False, "cut out of range"
-    if tuple(sorted(chain.from_iterable(nf.pi))) != order_ground(tau, k):
-        return False, "pi does not partition the order side"
-    if not is_valid_face_partition(tau, k, nf.pi):
+    ep, index = _extended_order_poset(tau, k)
+    try:
+        masks = partition_masks(ep, [*nf.pi, (BOTTOM,)], index)
+    except ValueError as exc:
+        return False, f"pi does not partition the order side: {exc}"
+    if nf.pi != _canonical_partition(nf.pi):
+        return False, "pi is not sorted blockwise and within its blocks"
+    if not check_partition_masks(ep, masks).valid:
         return False, "pi is not a face partition"
     if len(nf.zero_sets) != k:
         return False, "zero_sets must have one entry per chain-side rank"
     for i, zeros in enumerate(nf.zero_sets, 1):
-        if zeros and any(e not in rank_elements(tau, i) for e in zeros):
-            return False, f"zero set of rank {i} leaves its rank"
+        if not _in_order(zeros, rank_elements(tau, i)):
+            return False, f"zero set of rank {i} is not a tuple of its rank's elements in order"
     if nf.eq_sets is None:
         return True, None
     if len(nf.eq_sets) != k + 1:
         return False, "eq_sets must have one entry per rank through the cut"
     all_zeroed = True
     for i in range(1, k + 1):
-        elems, zeros, eq = rank_elements(tau, i), nf.zero_sets[i - 1], nf.eq_sets[i - 1]
-        if any(e not in elems or e in zeros for e in eq):
-            return False, f"eq set of rank {i} meets its zero set or leaves its rank"
-        if any(e not in zeros for e in elems):
-            if not eq:
+        free = tuple([e for e in rank_elements(tau, i) if e not in nf.zero_sets[i - 1]])
+        if not _in_order(nf.eq_sets[i - 1], free):
+            return False, f"eq set of rank {i} is not a tuple of its free elements in order"
+        if free:
+            if not nf.eq_sets[i - 1]:
                 return False, f"rank {i} has free elements but an empty eq set"
             all_zeroed = False
     tops = nf.eq_sets[k]
-    singleton_blocks = {b[0] for b in nf.pi if len(b) == 1}
     if k == ell:
-        if tuple(tops) != (top_element(tau),):
+        if tops != (top_element(tau),):
             return False, "tight chains at the full cut must end at the adjoined maximum"
         forced_one = True
     else:
-        yk1 = rank_elements(tau, k + 1)
+        singles = tuple([e for e in rank_elements(tau, k + 1) if (e,) in nf.pi])
+        if not _in_order(tops, singles):
+            return False, "chain ends are not singletons of the first order rank in order"
         if tops:
-            for t in tops:
-                if t not in yk1:
-                    return False, "chain ends outside the first order rank"
-                if t not in singleton_blocks:
-                    return False, "chain ends at a non-singleton block element"
             forced_one = False
-        else:
-            if any(e in singleton_blocks for e in yk1):
-                return False, "empty chain end needs the whole first order rank glued upward"
-            glued = _glued_block(nf.pi, k + 1)
-            if glued is None:
-                return False, "empty chain end with no glued block"
-            forced_one = top_element(tau) in glued
+        elif singles:
+            return False, "empty chain end needs the whole first order rank glued upward"
+        else:  # a face partition puts the whole rank in one glued block
+            forced_one = top_element(tau) in _glued_block(nf.pi, k + 1)
     if all_zeroed and forced_one:
         return False, "all chain ranks zeroed with the chain end pinned to one: empty face"
     return True, None

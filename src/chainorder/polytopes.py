@@ -158,14 +158,14 @@ def chain_order_dd(p: Poset, chain_part: int, max_points: int | None = None) -> 
     return VRep(vertices), h
 
 
-def order_polytope_dd(p: Poset, max_points: int | None = None) -> tuple[VRep, HRep]:
+def order_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
     """`chain_order_dd` with no chain part: the vertices are the up-sets."""
-    return chain_order_dd(p, 0, max_points)
+    return chain_order_dd(p, 0)
 
 
-def chain_polytope_dd(p: Poset, max_points: int | None = None) -> tuple[VRep, HRep]:
+def chain_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
     """`chain_order_dd` with all of P as chain part: the vertices are the antichains."""
-    return chain_order_dd(p, (1 << p.n) - 1, max_points)
+    return chain_order_dd(p, (1 << p.n) - 1)
 
 
 def chain_order_hrep(tau, k: int) -> HRep:

@@ -189,20 +189,20 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def maximal_antichains(p: Poset, max_points: int | None = None) -> list[tuple]:
+def maximal_antichains(p: Poset) -> list[tuple]:
     """Maximal antichains in lexicographic order of positions: the maximal
-    independent sets of the comparability masks.  ``max_points`` bounds the
-    sum of 2^|A| as the search runs."""
+    independent sets of the comparability masks."""
     comparable = [a | b for a, b in zip(p.above_masks, p.below_masks)]
-    sets = sorted(map(mask_to_tuple, cliques.maximal_independent_sets(comparable, max_points)))
+    sets = sorted(map(mask_to_tuple, cliques.maximal_independent_sets(comparable)))
     return [tuple(p.elements[i] for i in s) for s in sets]
 
 
 def partition_masks(p: Poset, pi: Iterable[Iterable], index: dict | None = None) -> list[int]:
     """Position masks of the blocks of a partition of p's elements.
 
-    ``index`` maps ids to positions (``p.index`` by default; an alias may share
-    a position).  Malformed input raises ValueError.
+    ``index`` maps ids to positions (``p.index`` by default; it may name a
+    position by another id).  Malformed input raises ValueError, naming the
+    ids of ``index``.
     """
     index = p.index if index is None else index
     masks = []
@@ -222,7 +222,7 @@ def partition_masks(p: Poset, pi: Iterable[Iterable], index: dict | None = None)
         masks.append(m)
     missing = ((1 << p.n) - 1) & ~seen
     if missing:
-        names = sorted(repr(p.elements[i]) for i in mask_to_tuple(missing))
+        names = sorted(repr(e) for e, i in index.items() if missing >> i & 1)
         raise ValueError(f"partition does not cover ground set (missing {names})")
     return masks
 

@@ -118,10 +118,23 @@ def test_fvector_poset_file(tmp_path, capsys):
     assert out.endswith(",chain,7,17,18,8\n")
 
 
-def test_fvector_config_errors(capsys):
+def test_fvector_config_errors(tmp_path, capsys):
     assert run_main(capsys, "fvector", "--tau", "2,2")[0] == 2  # missing k
     assert run_main(capsys, "fvector", "--tau", "0,2", "--k", "0")[0] == 2
     assert run_main(capsys, "fvector", "--tau", "2,2", "--k", "9")[0] == 2
+    poset_path = tmp_path / "p.json"
+    run_main(capsys, "gen", "--tau", "2,1", "--output", str(poset_path))
+    # each exits 2 with one error line and no output; an empty --tau gives none
+    for argv, message in [
+        (["fvector", "--k", "1"], "fvector needs --tau or --poset"),
+        (["dd"], "dd needs --tau or --poset"),
+        (["verify", "injectivity", "--tau="], "verify needs --tau"),
+        (["gen", "--tau="], "gen needs --tau"),
+        (["dd", "--polytope", "chain-order", "--tau", "2,2"], "chain-order needs --tau and --k"),
+        (["dd", "--polytope", "chain-order", "--poset", str(poset_path), "--k", "1"], "chain-order needs --tau and --k"),
+    ]:
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_fvector_poset_rejects_normalform(tmp_path, capsys):

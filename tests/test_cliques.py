@@ -1,10 +1,8 @@
 import random
 
-import pytest
 from conftest import brute_force_antichain_subsets, compositions_upto
 
 from chainorder.cliques import maximal_independent_sets
-from chainorder.errors import BudgetError
 from chainorder.posets import make_maximal_ranked, mask_to_tuple
 
 
@@ -20,8 +18,8 @@ def comparable(p):
     return [a | b for a, b in zip(p.above_masks, p.below_masks)]
 
 
-def independent_sets(adj, max_subsets=None):
-    return sorted(map(mask_to_tuple, maximal_independent_sets(adj, max_subsets)))
+def independent_sets(adj):
+    return sorted(map(mask_to_tuple, maximal_independent_sets(adj)))
 
 
 def random_graph(rng, n, density):
@@ -80,24 +78,3 @@ def test_maximal_ranked_independent_sets_are_ranks():
             start += size
         assert sets == sorted(offsets), tau
 
-
-def test_budget_raises_exactly_when_the_subsets_exceed_it():
-    # sound and exact: the search raises iff the sum of 2^|S| is over budget,
-    # though it stops on branches whose sets were all found before
-    rng = random.Random(5)
-    for trial in range(60):
-        n = rng.randrange(0, 15)
-        adj = adjacency(n, random_graph(rng, n, rng.choice((0.1, 0.3, 0.6))))
-        subsets = sum(1 << s.bit_count() for s in maximal_independent_sets(adj))
-        assert len(maximal_independent_sets(adj, subsets)) == len(maximal_independent_sets(adj))
-        with pytest.raises(BudgetError, match=f"maximal-antichain subsets exceed the point budget {subsets - 1}$"):
-            maximal_independent_sets(adj, subsets - 1)
-
-
-def test_budget_bounds_the_search_depth():
-    # 2^1000 subsets of one set: refused below depth 11 for a budget of 1000,
-    # at the first set when that is found before
-    with pytest.raises(BudgetError, match="^at least 2048 maximal-antichain subsets exceed the point budget 1000$"):
-        maximal_independent_sets([0] * 1000, 1000)
-    with pytest.raises(BudgetError, match="^1024 maximal-antichain subsets exceed the point budget 1000$"):
-        maximal_independent_sets([0] * 10, 1000)

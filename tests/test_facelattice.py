@@ -108,7 +108,13 @@ def test_rows_that_are_not_facets_are_ignored():
     square = incidence_matrix(square_v, HRep(("x", "y"), square_h.ineqs + (((-1, -1), 0),)))
     cube_v, cube_h = order_polytope_dd(antichain(3))
     cube = incidence_matrix(cube_v, HRep(cube_h.var_names, (((1, 1, 0), 2),) + cube_h.ineqs))
-    for inc, fv in ((point, (1,)), (square, (4, 4)), (cube, (8, 12, 6))):
+    # the triangle x <= y <= 1, 0 <= x with rows sharing a tight set: two
+    # tight nowhere, x + y <= 5 and x <= 3, and 2x - 2y <= 0, twice the facet x <= y
+    tri_v, tri_h = order_polytope_dd(make_maximal_ranked((1, 1)))
+    nowhere = incidence_matrix(tri_v, HRep(tri_h.var_names, tri_h.ineqs + (((1, 1), 5), ((1, 0), 3))))
+    multiple = incidence_matrix(tri_v, HRep(tri_h.var_names, tri_h.ineqs + (((2, -2), 0),)))
+    cases = ((point, (1,)), (square, (4, 4)), (cube, (8, 12, 6)), (nowhere, (3, 3)), (multiple, (3, 3)))
+    for inc, fv in cases:
         assert f_vector(enumerate_faces(inc)) == count_faces(inc) == fv
 
 

@@ -207,6 +207,112 @@ def test_all_zeroed_with_pinned_end_is_rejected():
     assert codimension(nf2, tau, k) == 2
 
 
+# a valid form at cut 1 of (2, 2): (1, 1) zeroed, tight chains through (1, 2) ending at (2, 1)
+_PI = (((2, 1),), ((2, 2),), ((3, 1),))
+_ZEROS = (((1, 1),),)
+_EQ = (((1, 2),), ((2, 1),))
+_MUST_PARTITION = "pi does not partition the order side: "
+
+
+@pytest.mark.parametrize(
+    "tau,k,nf,reason",
+    [
+        pytest.param((2, 2), 3, FaceNormalForm(_PI, _ZEROS, _EQ), "cut out of range", id="cut"),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI + ((),), _ZEROS, _EQ), _MUST_PARTITION + "empty block", id="empty-block"
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI + (((9, 9),),), _ZEROS, _EQ),
+            _MUST_PARTITION + "block element (9, 9) outside ground set", id="outside",
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI[:2] + ((TOP,),), _ZEROS, _EQ),
+            _MUST_PARTITION + "block element <top> outside ground set", id="top-sentinel",
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI + (((2, 1),),), _ZEROS, _EQ),
+            _MUST_PARTITION + "element (2, 1) in two blocks", id="two-blocks",
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI[1:], _ZEROS, _EQ),
+            _MUST_PARTITION + "partition does not cover ground set (missing ['(2, 1)'])", id="uncovered",
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI[:2], _ZEROS, _EQ),
+            _MUST_PARTITION + "partition does not cover ground set (missing ['(3, 1)'])", id="maximum-uncovered",
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI[::-1], _ZEROS, _EQ),
+            "pi is not sorted blockwise and within its blocks", id="blocks-unsorted",
+        ),
+        pytest.param(
+            (1, 1), 0, FaceNormalForm((((2, 1), (1, 1)), ((3, 1),)), (), None),
+            "pi is not sorted blockwise and within its blocks", id="block-unsorted",
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm((((2, 1), (2, 2)), ((3, 1),)), _ZEROS, _EQ),
+            "pi is not a face partition", id="not-face-partition",
+        ),
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI, (), _EQ), "zero_sets must have one entry per chain-side rank", id="zeros-length"
+        ),
+        *[
+            pytest.param(
+                (2, 2), 1, FaceNormalForm(_PI, (zeros,), None),
+                "zero set of rank 1 is not a tuple of its rank's elements in order", id=f"zeros-{name}",
+            )
+            for name, zeros in [("outside", ((2, 1),)), ("reversed", ((1, 2), (1, 1))), ("repeat", ((1, 1), (1, 1)))]
+        ],
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI, _ZEROS, _EQ[:1]),
+            "eq_sets must have one entry per rank through the cut", id="eq-length",
+        ),
+        *[
+            pytest.param(
+                (2, 2), 1, FaceNormalForm(_PI, (zeros,), (eq, ((2, 1),))),
+                "eq set of rank 1 is not a tuple of its free elements in order", id=f"eq-{name}",
+            )
+            for name, zeros, eq in [
+                ("zeroed", ((1, 1),), ((1, 1),)),
+                ("reversed", (), ((1, 2), (1, 1))),
+                ("repeat", ((1, 1),), ((1, 2), (1, 2))),
+            ]
+        ],
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI, _ZEROS, ((), ((2, 1),))),
+            "rank 1 has free elements but an empty eq set", id="eq-empty",
+        ),
+        pytest.param(
+            (2, 2), 2, FaceNormalForm((((3, 1),),), ((), ()), (((1, 1),), ((2, 1),), ())),
+            "tight chains at the full cut must end at the adjoined maximum", id="full-cut-end",
+        ),
+        *[
+            pytest.param(
+                (2, 2), 1, FaceNormalForm(pi, _ZEROS, (((1, 2),), tops)),
+                "chain ends are not singletons of the first order rank in order", id=f"ends-{name}",
+            )
+            for name, pi, tops in [
+                ("outside", _PI, ((3, 1),)),
+                ("reversed", _PI, ((2, 2), (2, 1))),
+                ("repeat", _PI, ((2, 1), (2, 1))),
+                ("in-block", (((2, 1), (3, 1)), ((2, 2),)), ((2, 1),)),
+            ]
+        ],
+        pytest.param(
+            (2, 2), 1, FaceNormalForm(_PI, _ZEROS, (((1, 2),), ())),
+            "empty chain end needs the whole first order rank glued upward", id="end-not-glued",
+        ),
+        pytest.param(
+            (1, 1), 1, FaceNormalForm((((2, 1), (3, 1)),), (((1, 1),),), ((), ())),
+            "all chain ranks zeroed with the chain end pinned to one: empty face", id="empty-face",
+        ),
+    ],
+)
+def test_every_rejection_reason(tau, k, nf, reason):
+    assert is_valid_normal_form(FaceNormalForm(_PI, _ZEROS, _EQ), (2, 2), 1) == (True, None)
+    assert is_valid_normal_form(nf, tau, k) == (False, reason)
+
+
 def test_enumeration_budget():
     with pytest.raises(BudgetError):
         enumerate_normal_forms((1,) * 11, 0)
@@ -461,6 +567,31 @@ def test_audit_catches_collision(monkeypatch):
     rep = verify_injection((2, 2), 0)
     assert not rep.ok and not rep.injective and rep.codim_preserved
     assert any(f.startswith("collision:") and "share an image" in f for f in rep.failures)
+
+
+def test_audit_catches_non_canonical_image(monkeypatch):
+    # every second source of a codimension sent onto the image before it with
+    # one zero set reversed: the same face, so only a canonical encoding shows
+    # the collision
+    pending = {}
+
+    def reversed_zeros(nf, tau, k, img):
+        i = next((i for i, zeros in enumerate(img.zero_sets) if len(zeros) > 1), None)
+        if i is None:
+            return img
+        cod = codimension(nf, tau, k)
+        if cod not in pending:
+            pending[cod] = (img, i)
+            return img
+        earlier, j = pending.pop(cod)
+        zero_sets = earlier.zero_sets[:j] + (earlier.zero_sets[j][::-1],) + earlier.zero_sets[j + 1 :]
+        return FaceNormalForm(earlier.pi, zero_sets, earlier.eq_sets)
+
+    _patch_psi(monkeypatch, reversed_zeros)
+    rep = verify_injection((2, 2, 2), 1)
+    assert not rep.ok
+    assert rep.failures and all(f.startswith("invalid image of") for f in rep.failures)
+    assert all("is not a tuple of its rank's elements in order" in f for f in rep.failures)
 
 
 def test_audit_catches_codimension_change(monkeypatch):

@@ -438,14 +438,14 @@ def test_chain_order_rows_match_reference_on_random_posets():
 def test_builders_check_rows_and_antichain_subsets_against_max_points():
     # chain polytope of 4,4,4: 12 + 4^3 = 76 rows, 1 + 3 * 15 = 46 antichains
     p = make_maximal_ranked((4, 4, 4))
-    assert len(chain_polytope_dd(p, max_points=76)[1].ineqs) == 76
+    assert len(chain_order_dd(p, (1 << p.n) - 1, max_points=76)[1].ineqs) == 76
     with pytest.raises(BudgetError, match="^76 facet rows exceed the point budget 75$"):
-        chain_polytope_dd(p, max_points=75)
+        chain_order_dd(p, (1 << p.n) - 1, max_points=75)
     # order polytope of the 8-antichain: 16 rows, 2^8 = 256 vertices
-    v, _ = order_polytope_dd(antichain(8), max_points=256)
+    v, _ = chain_order_dd(antichain(8), 0, max_points=256)
     assert v.n == 256
     with pytest.raises(BudgetError, match="^256 vertices exceed the point budget 255$"):
-        order_polytope_dd(antichain(8), max_points=255)
+        chain_order_dd(antichain(8), 0, max_points=255)
     # chain rows of 4^10, all 40 elements in the chain part: 40 + 4^10,
     # counted before any row or vertex is built
     with pytest.raises(BudgetError, match="^1048616 facet rows exceed the point budget 1000$"):
