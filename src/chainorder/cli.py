@@ -286,7 +286,7 @@ def _dd_command(args: argparse.Namespace) -> int:
     data = {
         "vars": [element_name(e) for e in h.var_names],
         "ineqs": [{"coeffs": list(c), "rhs": r} for c, r in h.ineqs],
-        "eqs": [{"coeffs": list(c), "rhs": r} for c, r in h.eqs],
+        "eqs": [],
         "vertices": [list(vert) for vert in v.vertices],
     }
     _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -44,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Tightness bits between vertices and facet inequalities (equations excluded)."""
+    """Tightness bits between vertices and inequality rows."""
 
     n_vertices: int
     n_facets: int
@@ -61,15 +61,14 @@ def _value_masks(vec) -> list[tuple]:
 
 
 def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
-    """Exact tightness bits; a vertex violating a row or equation is a hard
-    error.  Rows need not be facets: `_facets` keeps each maximal tight set
-    once.  With the vertex's nonzero coordinates grouped by value into masks
-    V_x and the row's by coefficient into R_c, a dot product is the sum of
+    """Exact tightness bits; a vertex violating a row is a hard error.  Rows
+    need not be facets: `_facets` keeps each maximal tight set once.  With
+    the vertex's nonzero coordinates grouped by value into masks V_x and the
+    row's by coefficient into R_c, a dot product is the sum of
     x * c * |V_x & R_c|, by popcount."""
     nv = len(v.vertices)
-    nf = len(h.ineqs)
-    fmasks = [0] * nf
-    rows = [(coeffs, _value_masks(coeffs), rhs) for coeffs, rhs in h.ineqs + h.eqs]
+    fmasks = [0] * len(h.ineqs)
+    rows = [(coeffs, _value_masks(coeffs), rhs) for coeffs, rhs in h.ineqs]
     for vi, vert in enumerate(v.vertices):
         groups = _value_masks(vert)
         for fi, (coeffs, terms, rhs) in enumerate(rows):
@@ -77,14 +76,11 @@ def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
             for x, vm in groups:
                 for c, rm in terms:
                     s += x * c * (vm & rm).bit_count()
-            if fi < nf:
-                if s > rhs:
-                    raise InconsistentInputError(f"vertex {vert} violates row {coeffs} <= {rhs}")
-                if s == rhs:
-                    fmasks[fi] |= 1 << vi
-            elif s != rhs:
-                raise InconsistentInputError(f"vertex {vert} violates equation {coeffs} = {rhs}")
-    return IncidenceMatrix(nv, nf, tuple(fmasks))
+            if s > rhs:
+                raise InconsistentInputError(f"vertex {vert} violates row {coeffs} <= {rhs}")
+            if s == rhs:
+                fmasks[fi] |= 1 << vi
+    return IncidenceMatrix(nv, len(fmasks), tuple(fmasks))
 
 
 @dataclass(frozen=True)

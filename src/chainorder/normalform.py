@@ -161,7 +161,7 @@ def _glued_block(pi, r: int) -> Block | None:
 
 def _in_order(s, allowed) -> bool:
     """Whether s is a tuple of some of ``allowed`` in their order, each once."""
-    return s == () or s == tuple([e for e in allowed if e in s])
+    return s == () or isinstance(s, tuple) and s == tuple([e for e in allowed if e in s])
 
 
 def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | None]:
@@ -170,7 +170,7 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
     Only the canonical encoding passes, the one `enumerate_normal_forms` and
     `psi_map` build: sorted blocks, each sorted, and every zero set, eq set
     and chain-end set a tuple of its allowed elements in rank order, so that
-    equal faces have equal forms.
+    equal faces have equal forms.  An entry of the wrong type is a reason too.
     """
     tau = check_tau(tau)
     ell = len(tau)
@@ -179,21 +179,21 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
     ep, index = _extended_order_poset(tau, k)
     try:
         masks = partition_masks(ep, [*nf.pi, (BOTTOM,)], index)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         return False, f"pi does not partition the order side: {exc}"
     if nf.pi != _canonical_partition(nf.pi):
         return False, "pi is not sorted blockwise and within its blocks"
     if not check_partition_masks(ep, masks).valid:
         return False, "pi is not a face partition"
-    if len(nf.zero_sets) != k:
-        return False, "zero_sets must have one entry per chain-side rank"
+    if not isinstance(nf.zero_sets, tuple) or len(nf.zero_sets) != k:
+        return False, "zero_sets must be a tuple of one entry per chain-side rank"
     for i, zeros in enumerate(nf.zero_sets, 1):
         if not _in_order(zeros, rank_elements(tau, i)):
             return False, f"zero set of rank {i} is not a tuple of its rank's elements in order"
     if nf.eq_sets is None:
         return True, None
-    if len(nf.eq_sets) != k + 1:
-        return False, "eq_sets must have one entry per rank through the cut"
+    if not isinstance(nf.eq_sets, tuple) or len(nf.eq_sets) != k + 1:
+        return False, "eq_sets must be None or a tuple of one entry per rank through the cut"
     all_zeroed = True
     for i in range(1, k + 1):
         free = tuple([e for e in rank_elements(tau, i) if e not in nf.zero_sets[i - 1]])

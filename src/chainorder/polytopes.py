@@ -26,25 +26,30 @@ LATTICE_MAX_STEPS = 10**6
 
 @dataclass(frozen=True)
 class HRep:
-    """System ``coeffs . x <= rhs`` (ineqs) and ``coeffs . x = rhs`` (eqs)."""
+    """System ``coeffs . x <= rhs`` of int rows, with no equations: every
+    polytope here is full-dimensional (Stanley, "Two poset polytopes", 1986)."""
 
     var_names: tuple
     ineqs: tuple[Row, ...]
-    eqs: tuple[Row, ...] = ()
 
     def __post_init__(self):
         n = len(self.var_names)
-        for coeffs, _ in self.ineqs + self.eqs:
+        for coeffs, rhs in self.ineqs:
             if len(coeffs) != n:
                 raise ValueError("row length does not match variable count")
-        if len(set(self.ineqs)) != len(self.ineqs) or len(set(self.eqs)) != len(self.eqs):
+            if type(rhs) is not int or not set(map(type, coeffs)) <= {int}:
+                raise ValueError(f"row {coeffs} <= {rhs} has an entry that is not an int")
+        if len(set(self.ineqs)) != len(self.ineqs):
             raise ValueError("duplicate rows")
         object.__setattr__(self, "ineqs", tuple(sorted(self.ineqs)))
-        object.__setattr__(self, "eqs", tuple(sorted(self.eqs)))
 
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
+
+    @property
+    def eqs(self) -> tuple:  # always empty: perfbench reads it until ROADMAP item 1
+        return ()
 
 
 @dataclass(frozen=True)
@@ -180,12 +185,10 @@ def chain_order_hrep(tau, k: int) -> HRep:
 
 
 def _row_bounds(h: HRep) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The rows as inequalities, equations also negated after all the
-    original rows, each with the most its partial sum over coordinates < i may
+    """The rows, each with the most its partial sum over coordinates < i may
     be for every depth i of a 0/1 point: rhs less the least the rest can add."""
-    flipped = tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in h.eqs)
     rows = []
-    for coeffs, rhs in h.ineqs + h.eqs + flipped:
+    for coeffs, rhs in h.ineqs:
         most = [rhs] * (len(coeffs) + 1)
         for i in reversed(range(len(coeffs))):
             most[i] = most[i + 1] - min(coeffs[i], 0)
@@ -217,7 +220,7 @@ def zero_one_vertices(h: HRep) -> VRep:
 
     def extend(i: int, point: tuple[int, ...]) -> None:
         if i == n:
-            tight = [c for (c, r), s in zip(h.ineqs + h.eqs, sums) if s == r]
+            tight = [c for (c, r), s in zip(h.ineqs, sums) if s == r]
             if len(tight) >= n and int_matrix_rank(tight) == n:
                 found.append(point)
             return
@@ -249,26 +252,22 @@ def vertex_enum_exact(h: HRep):
 
     Independent of any 0/1 structure (Motzkin et al.; Fukuda and Prodon,
     "Double description method revisited", 1996).  The system is homogenised
-    to the cone ``{(t, x) : b t - A x >= 0, d t - E x = 0, t >= 0}``, which
-    starts as all of Z^(n+1), held as lineality generators, and is cut by one
-    row at a time.  A row that is nonzero on the lineality space uses up one
-    generator.  Otherwise each ray on its positive side is combined with each
-    adjacent ray on its negative side; adjacency is the combinatorial test on
-    zero sets, int bitmasks over the rows processed so far.  Rays stay
-    integral and gcd-reduced, so the cost grows with the rays held, not with
-    C(m, n).  The vertices are the rays with t > 0, divided by t; an empty or
-    non-pointed polyhedron has none.  Entries are ints where integral,
-    Fractions otherwise.
+    to the cone ``{(t, x) : b t - A x >= 0, t >= 0}``, which starts as all of
+    Z^(n+1), held as lineality generators, and is cut by one row at a time.
+    A row that is nonzero on the lineality space uses up one generator, kept
+    as a ray on the row's positive side.  Otherwise each ray on its positive
+    side is combined with each adjacent ray on its negative side; adjacency
+    is the combinatorial test on zero sets, int bitmasks over the rows
+    processed so far.  Rays stay integral and gcd-reduced, so the cost grows
+    with the rays held, not with C(m, n).  The vertices are the rays with
+    t > 0, divided by t; an empty or non-pointed polyhedron has none.
+    Entries are ints where integral, Fractions otherwise.
     """
     n = h.n_vars
-    if len(h.eqs) > n:
-        raise ValueError("more equations than variables")
-    rows = [((rhs, *(-c for c in coeffs)), True) for coeffs, rhs in h.eqs]
-    rows.append((_unit(n + 1, 0), False))
-    rows.extend(((rhs, *(-c for c in coeffs)), False) for coeffs, rhs in h.ineqs)
+    rows = [_unit(n + 1, 0), *((rhs, *(-c for c in coeffs)) for coeffs, rhs in h.ineqs)]
     lineality = [_unit(n + 1, i) for i in range(n + 1)]
     rays: list[tuple[tuple[int, ...], int]] = []  # (ray, zero set as a row bitmask)
-    for done, (row, is_eq) in enumerate(rows):
+    for done, row in enumerate(rows):
         bit = 1 << done
         support = [(i, a) for i, a in enumerate(row) if a]
         vals = [sum([a * l[i] for i, a in support]) for l in lineality]
@@ -282,13 +281,12 @@ def vertex_enum_exact(h: HRep):
                 l0, a0 = tuple(-y for y in l0), -a0
             lineality = [_primitive([a0 * y - v * y0 for y, y0 in zip(l, l0)]) for l, v in zip(lineality, vals)]
             rays = [(_primitive([a0 * y - v * y0 for y, y0 in zip(r, l0)]), z | bit) for r, z, v in signed]
-            if not is_eq:
-                rays.append((l0, bit - 1))  # a former generator is tight on every earlier row
+            rays.append((l0, bit - 1))  # a former generator is tight on every earlier row
             _rays_held(len(rays), done, len(rows))
             continue
         pos = [s for s in signed if s[2] > 0]
         neg = [s for s in signed if s[2] < 0]
-        rays = [(r, z | bit) for r, z, v in signed if v == 0] + ([] if is_eq else [(r, z) for r, z, _ in pos])
+        rays = [(r, z | bit) for r, z, v in signed if v == 0] + [(r, z) for r, z, _ in pos]
         masks = [z for _, z, _ in signed]
         need = n - 1 - len(lineality)  # rank of the processed rows, less 2
         for rp, zp, vp in pos:
@@ -307,15 +305,14 @@ def lattice_point_count(h: HRep, t: int) -> int:
     """Number of integer points of the t-th dilate, counted in {0..t}^n.
 
     Valid for polytopes inside the unit cube, which covers every family here.
-    A dynamic programme over the coordinates in order.  The rows (equations
-    also negated) fall into classes by their coefficients on the coordinates
-    still to fix; of the rows in a class, only the one with the least budget
-    (t * rhs less its partial sum) can bind, so a state keeps that least
-    budget per class, and counts the prefixes that reach it.  Fixing a
-    coordinate drops it from every class, which merges the classes that then
-    agree, and cuts a prefix once a budget falls below the least the
-    coordinates still to fix can add; a class with no coordinates left is
-    checked and dropped.
+    A dynamic programme over the coordinates in order.  The rows fall into
+    classes by their coefficients on the coordinates still to fix; of the
+    rows in a class, only the one with the least budget (t * rhs less its
+    partial sum) can bind, so a state keeps that least budget per class, and
+    counts the prefixes that reach it.  Fixing a coordinate drops it from
+    every class, which merges the classes that then agree, and cuts a prefix
+    once a budget falls below the least the coordinates still to fix can
+    add; a class with no coordinates left is checked and dropped.
 
     The work of each coordinate, its states times the t + 1 values it
     takes, is bounded by ``LATTICE_MAX_STEPS`` before the coordinate is
@@ -324,9 +321,8 @@ def lattice_point_count(h: HRep, t: int) -> int:
     n = h.n_vars
     if t < 1:
         raise ValueError("dilation factor must be positive")
-    flipped = tuple((tuple(-c for c in coeffs), -rhs) for coeffs, rhs in h.eqs)
     least: dict[tuple[int, ...], int] = {}  # class -> least budget
-    for coeffs, rhs in h.ineqs + h.eqs + flipped:
+    for coeffs, rhs in h.ineqs:
         least[coeffs] = min(least.get(coeffs, t * rhs), t * rhs)
 
     def floor(rest: tuple[int, ...]) -> int:  # the least the coordinates in rest can add

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import compositions_upto
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +41,32 @@ def test_dd_order_json(capsys):
     assert len(data["vertices"]) == 7
     assert len(data["ineqs"]) == 8
     assert data["eqs"] == []
+
+
+def test_dd_json_digest(tmp_path, capsys):
+    # chain-order at every cut, order and chain of every composition of n <= 5,
+    # and both ends of one poset file that is not graded, pinned byte for byte
+    poset_path = tmp_path / "p.json"
+    poset_path.write_text(
+        '{"elements": ["a", "b", "c", "d", "e"], "covers": [["a", "c"], ["b", "c"], ["b", "d"], ["c", "e"]]}'
+    )
+    runs = [
+        ["--tau", ",".join(map(str, tau)), *extra]
+        for tau in compositions_upto(5)
+        for extra in [
+            *(["--polytope", "chain-order", "--k", str(k)] for k in range(len(tau) + 1)),
+            ["--polytope", "order"],
+            ["--polytope", "chain"],
+        ]
+    ]
+    runs += [["--poset", str(poset_path), "--polytope", polytope] for polytope in ("order", "chain")]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code, out, _ = run_main(capsys, "dd", *argv)
+        assert code == 0 and json.loads(out)["eqs"] == [], argv
+        digest.update(out.encode())
+    assert len(runs) == 175
+    assert digest.hexdigest() == "0bcada104d63db3ef49517fbc3351d4d6fa1176b9277009f8c57e22dd8a7f518"
 
 
 def test_dd_chain_order(capsys):

@@ -80,13 +80,10 @@ def test_listed_points_that_are_not_vertices_are_caught():
     for faces in (count_faces, enumerate_faces):
         with pytest.raises(InconsistentInputError, match="^3 of 4 vertices are faces$"):
             faces(inc)
-    # a point that violates a row, or an equation, is refused by incidence_matrix
+    # a point that violates a row is refused by incidence_matrix
     outside = VRep(((0, 0), (Fraction(3, 4), Fraction(1, 2))))
     with pytest.raises(InconsistentInputError, match=r"violates row \(1, 1\) <= 1$"):
         incidence_matrix(outside, h)
-    on_line = HRep(h.var_names, h.ineqs, (((1, -1), 0),))
-    with pytest.raises(InconsistentInputError, match=r"^vertex \(0, 1\) violates equation \(1, -1\) = 0$"):
-        incidence_matrix(v, on_line)
 
 
 def test_cube_f_vector():

@@ -254,19 +254,36 @@ _MUST_PARTITION = "pi does not partition the order side: "
             "pi is not a face partition", id="not-face-partition",
         ),
         pytest.param(
-            (2, 2), 1, FaceNormalForm(_PI, (), _EQ), "zero_sets must have one entry per chain-side rank", id="zeros-length"
+            (2, 2), 1, FaceNormalForm(_PI[:2] + (5,), _ZEROS, _EQ),
+            _MUST_PARTITION + "'int' object is not iterable", id="int-block",
         ),
+        *[
+            pytest.param(
+                (2, 2), 1, FaceNormalForm(_PI, zero_sets, _EQ),
+                "zero_sets must be a tuple of one entry per chain-side rank", id=f"zeros-{name}",
+            )
+            for name, zero_sets in [("length", ()), ("none", None), ("list", list(_ZEROS))]
+        ],
         *[
             pytest.param(
                 (2, 2), 1, FaceNormalForm(_PI, (zeros,), None),
                 "zero set of rank 1 is not a tuple of its rank's elements in order", id=f"zeros-{name}",
             )
-            for name, zeros in [("outside", ((2, 1),)), ("reversed", ((1, 2), (1, 1))), ("repeat", ((1, 1), (1, 1)))]
+            for name, zeros in [
+                ("outside", ((2, 1),)),
+                ("reversed", ((1, 2), (1, 1))),
+                ("repeat", ((1, 1), (1, 1))),
+                ("entry-none", None),
+                ("entry-list", [(1, 1)]),
+            ]
         ],
-        pytest.param(
-            (2, 2), 1, FaceNormalForm(_PI, _ZEROS, _EQ[:1]),
-            "eq_sets must have one entry per rank through the cut", id="eq-length",
-        ),
+        *[
+            pytest.param(
+                (2, 2), 1, FaceNormalForm(_PI, _ZEROS, eq_sets),
+                "eq_sets must be None or a tuple of one entry per rank through the cut", id=f"eq-{name}",
+            )
+            for name, eq_sets in [("length", _EQ[:1]), ("list", list(_EQ))]
+        ],
         *[
             pytest.param(
                 (2, 2), 1, FaceNormalForm(_PI, (zeros,), (eq, ((2, 1),))),
@@ -276,6 +293,7 @@ _MUST_PARTITION = "pi does not partition the order side: "
                 ("zeroed", ((1, 1),), ((1, 1),)),
                 ("reversed", (), ((1, 2), (1, 1))),
                 ("repeat", ((1, 1),), ((1, 2), (1, 2))),
+                ("entry-none", ((1, 1),), None),
             ]
         ],
         pytest.param(
@@ -296,6 +314,7 @@ _MUST_PARTITION = "pi does not partition the order side: "
                 ("reversed", _PI, ((2, 2), (2, 1))),
                 ("repeat", _PI, ((2, 1), (2, 1))),
                 ("in-block", (((2, 1), (3, 1)), ((2, 2),)), ((2, 1),)),
+                ("none", _PI, None),
             ]
         ],
         pytest.param(
@@ -592,6 +611,16 @@ def test_audit_catches_non_canonical_image(monkeypatch):
     assert not rep.ok
     assert rep.failures and all(f.startswith("invalid image of") for f in rep.failures)
     assert all("is not a tuple of its rank's elements in order" in f for f in rep.failures)
+
+
+def test_audit_catches_unhashable_image(monkeypatch):
+    # the same face with its zero sets as a list: not the canonical encoding,
+    # and not hashable, so the audit must reject it before it checks for repeats
+    _patch_psi(monkeypatch, lambda nf, tau, k, img: FaceNormalForm(img.pi, list(img.zero_sets), img.eq_sets))
+    rep = verify_injection((2, 2, 2), 1)
+    assert not rep.ok
+    assert rep.failures and all(f.startswith("invalid image of") for f in rep.failures)
+    assert all(f.endswith("zero_sets must be a tuple of one entry per chain-side rank") for f in rep.failures)
 
 
 def test_audit_catches_codimension_change(monkeypatch):

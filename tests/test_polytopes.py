@@ -29,13 +29,7 @@ from chainorder.posets import Poset, make_maximal_ranked
 
 def satisfies(point, h: HRep) -> bool:
     """Exact membership test."""
-    for coeffs, rhs in h.ineqs:
-        if sum(c * x for c, x in zip(coeffs, point)) > rhs:
-            return False
-    for coeffs, rhs in h.eqs:
-        if sum(c * x for c, x in zip(coeffs, point)) != rhs:
-            return False
-    return True
+    return all(sum(c * x for c, x in zip(coeffs, point)) <= rhs for coeffs, rhs in h.ineqs)
 
 
 def verify_double_description(v: VRep, h: HRep) -> None:
@@ -340,6 +334,19 @@ def test_hrep_rejects_duplicate_rows():
         HRep(("x",), (((1,), 1), ((1,), 1)))
 
 
+@pytest.mark.parametrize(
+    "row", [((0.5, 0), 1), ((Fraction(1, 2), 0), 1), ((1, 0), 1.0), ((True, 0), 1), ((1, 0), False)]
+)
+def test_hrep_rejects_entries_that_are_not_ints(row):
+    with pytest.raises(ValueError, match="has an entry that is not an int$"):
+        HRep(("x", "y"), (((-1, 0), 0), row))
+
+
+def test_hrep_takes_no_equations():
+    with pytest.raises(TypeError):
+        HRep(("x",), (), (((1,), 0),))
+
+
 # The three row builders that `_chain_order_rows` replaced, kept as references.
 
 
@@ -462,8 +469,6 @@ def _brute_force_vertices(h: HRep):
     integral, () when empty or not pointed.
     """
     n = h.n_vars
-    if len(h.eqs) > n:
-        raise ValueError("more equations than variables")
 
     def reduce_row(row, pivots):
         for pcol, prow in pivots:
@@ -477,16 +482,6 @@ def _brute_force_vertices(h: HRep):
 
     def pivot_col(row):
         return next((c for c in range(n) if row[c]), None)
-
-    base = []
-    for coeffs, rhs in h.eqs:
-        row = reduce_row(list(coeffs) + [rhs], base)
-        if row is None:
-            continue
-        col = pivot_col(row)
-        if col is None:
-            return ()  # 0 = nonzero
-        base.append((col, row))
 
     aug = [list(c) + [r] for c, r in h.ineqs]
     seen, out = set(), []
@@ -517,7 +512,7 @@ def _brute_force_vertices(h: HRep):
             walk(i + 1, pivots, remaining - 1)
             pivots.pop()
 
-    walk(0, base, n - len(base))
+    walk(0, [], n)
     return tuple(sorted(out, key=lambda v: tuple(map(Fraction, v))))
 
 
@@ -528,14 +523,20 @@ def test_vertex_enum_exact_matches_brute_force_on_compositions():
             assert vertex_enum_exact(h) == _brute_force_vertices(h), (tau, k)
 
 
+def _both_sides(rows) -> set:
+    """Each row and its negation: an equation as a pair of opposite inequalities."""
+    return {r for coeffs, rhs in rows for r in ((coeffs, rhs), (tuple(-c for c in coeffs), -rhs))}
+
+
 @st.composite
 def small_hreps(draw):
-    """Up to 7 inequalities and 0-2 equations in n <= 4 variables, small coefficients."""
+    """Up to 7 inequalities and 0-2 equations, each as two opposite
+    inequalities, in n <= 4 variables, small coefficients."""
     n = draw(st.integers(1, 4))
     row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-3, 3))
-    ineqs = draw(st.lists(row, max_size=7, unique=True))
-    eqs = draw(st.lists(row, max_size=min(2, n), unique=True))
-    return HRep(tuple(range(n)), tuple(ineqs), tuple(eqs))
+    ineqs = set(draw(st.lists(row, max_size=7)))
+    ineqs |= _both_sides(draw(st.lists(row, max_size=min(2, n))))
+    return HRep(tuple(range(n)), tuple(ineqs))
 
 
 _SQUARE = (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
@@ -547,10 +548,13 @@ _SQUARE = (((-1, 0), 0), ((1, 0), 1), ((0, -1), 0), ((0, 1), 1))
 @example(HRep(("x", "y"), (((-1, 0), 0), ((0, -1), 0), ((1, 2), 2), ((2, 1), 2))))  # vertex (2/3, 2/3)
 @example(HRep(("x", "y"), (((-1, 0), 0), ((0, -1), 0), ((-1, 1), 1))))  # unbounded, pointed
 @example(HRep(("x", "y"), (((1, 0), 1), ((-1, 0), 0))))  # a strip: not pointed
-@example(HRep(("x", "y"), _SQUARE, (((1, 1), 3),)))  # empty by an equation
+@example(HRep(("x", "y"), _SQUARE + tuple(_both_sides([((1, 1), 3)]))))  # empty by an equation
 @example(HRep(("x", "y"), (((1, 1), -1), ((-1, 0), 0), ((0, -1), 0))))  # empty by inequalities
 @example(  # two equations: the segment from (0, 0, 1) to (1/2, 1/2, 0)
-    HRep(("x", "y", "z"), (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0)), (((1, 1, 1), 1), ((1, -1, 0), 0)))
+    HRep(
+        ("x", "y", "z"),
+        (((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), *_both_sides([((1, 1, 1), 1), ((1, -1, 0), 0)])),
+    )
 )
 def test_vertex_enum_exact_matches_brute_force_on_random_hreps(h):
     assert vertex_enum_exact(h) == _brute_force_vertices(h)
@@ -633,11 +637,6 @@ def test_vertex_enum_exact_ray_budget(monkeypatch):
         vertex_enum_exact(h)
 
 
-def test_vertex_enum_exact_rejects_more_equations_than_variables():
-    with pytest.raises(ValueError):
-        vertex_enum_exact(HRep(("x",), (), (((1,), 0), ((2,), 1))))
-
-
 def _brute_force_zero_one_vertices(h: HRep) -> VRep:
     """Reference for `zero_one_vertices`: every 0/1 point that satisfies the
     system, kept when its tight rows have full rank."""
@@ -646,7 +645,6 @@ def _brute_force_zero_one_vertices(h: HRep) -> VRep:
     for point in product((0, 1), repeat=n):
         if satisfies(point, h):
             tight = [c for c, r in h.ineqs if sum(a * x for a, x in zip(c, point)) == r]
-            tight.extend(c for c, _ in h.eqs)
             if len(tight) >= n and int_matrix_rank(tight) == n:
                 found.append(point)
     return VRep(tuple(found))
@@ -654,21 +652,22 @@ def _brute_force_zero_one_vertices(h: HRep) -> VRep:
 
 def _brute_force_lattice_count(h: HRep, t: int) -> int:
     """Reference for `lattice_point_count`: the points of {0..t}^n in the t-th dilate."""
-    dilate = HRep(h.var_names, tuple((c, t * r) for c, r in h.ineqs), tuple((c, t * r) for c, r in h.eqs))
+    dilate = HRep(h.var_names, tuple((c, t * r) for c, r in h.ineqs))
     return sum(satisfies(point, dilate) for point in product(range(t + 1), repeat=h.n_vars))
 
 
 @st.composite
 def cube_hreps(draw):
-    """Up to 8 inequalities and 0-2 equations in n <= 6 variables, coefficients
-    of either sign; rows may be all zero, and the unit-cube rows may be added."""
+    """Up to 8 inequalities and 0-2 equations, each as two opposite
+    inequalities, in n <= 6 variables, coefficients of either sign; rows may
+    be all zero, and the unit-cube rows may be added."""
     n = draw(st.integers(0, 6))
     row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-2, 3))
     ineqs = set(draw(st.lists(row, max_size=8)))
     if draw(st.booleans()):
         ineqs |= {(polytopes._unit(n, i, s), (s + 1) // 2) for i in range(n) for s in (-1, 1)}
-    eqs = draw(st.lists(row, max_size=2, unique=True))
-    return HRep(tuple(range(n)), tuple(ineqs), tuple(eqs))
+    ineqs |= _both_sides(draw(st.lists(row, max_size=2)))
+    return HRep(tuple(range(n)), tuple(ineqs))
 
 
 @settings(max_examples=300, deadline=None)
@@ -676,9 +675,9 @@ def cube_hreps(draw):
 @example(HRep((), ()), 1)  # no variables: the one point ()
 @example(HRep((), ((((), -1),))), 2)  # no variables, an all-zero row that fails
 @example(HRep(("x", "y"), ()), 3)  # no rows
-@example(HRep(("x", "y"), _SQUARE, (((1, 1), 3),)), 2)  # an infeasible equation
-@example(HRep(("x", "y"), _SQUARE, (((0, 0), 1),)), 1)  # an infeasible all-zero equation
-@example(HRep(("x", "y"), _SQUARE, (((2, 0), 1),)), 2)  # no 0/1 point, but (1, y) in the 2nd dilate
+@example(HRep(("x", "y"), _SQUARE + tuple(_both_sides([((1, 1), 3)]))), 2)  # an infeasible equation
+@example(HRep(("x", "y"), _SQUARE + tuple(_both_sides([((0, 0), 1)]))), 1)  # an infeasible all-zero equation
+@example(HRep(("x", "y"), _SQUARE + tuple(_both_sides([((2, 0), 1)]))), 2)  # no 0/1 point, but (1, y) in the 2nd dilate
 def test_zero_one_vertices_and_lattice_count_match_brute_force(h, t):
     assert zero_one_vertices(h) == _brute_force_zero_one_vertices(h)
     assert lattice_point_count(h, t) == _brute_force_lattice_count(h, t)
