@@ -7,11 +7,15 @@ so (Stanley, "Two poset polytopes", 1986): C(P_tau) is the ranks' cubes
 glued at the origin, O(P_tau) consecutive ranks' cubes glued in a path, and
 a pyramid is a segment glued at a vertex of its base.  The split reads
 incidences only, and is kept only if the facets are exactly those of the
-glue.  Pieces that do not split are walked by the face iterator of Kliem and
-Stump (arXiv:1905.01945): a depth-first walk over coatoms that visits every
-nonempty face once using only AND and subset tests on vertex bitmasks, in
-O(dim * facets) memory.  All 56 polytopes of the n = 10 table split, and the
-walks visit 14,736 of their 821,320 faces.
+glue.  A piece that does not glue but is a prism over one of its facets g
+splits off a segment: each face F of g gives the faces F x 0, F x 1 and
+F x I.  That split too reads incidences only, and is kept only if the
+facets are exactly those of the prism.  Pieces that split neither way are
+walked by the face iterator of Kliem and Stump (arXiv:1905.01945): a
+depth-first walk over coatoms that visits every nonempty face once using
+only AND and subset tests on vertex bitmasks, in O(dim * facets) memory.  On
+the n = 10 table every piece that does not glue is a cube: 560 segment
+splits take them down to 258 points, and no face of the 821,320 is walked.
 
 ``enumerate_faces`` builds the whole lattice from the same facet list, top
 down one level at a time: the lower covers of a face are the
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from .errors import BudgetError, InconsistentInputError
 from .polytopes import HRep, VRep
@@ -51,35 +55,40 @@ class IncidenceMatrix:
     facet_vertices: tuple[int, ...]  # per facet row: bitmask of tight vertices
 
 
-def _value_masks(vec) -> list[tuple]:
-    """(value, mask of the coordinates holding it) per nonzero value of vec."""
-    masks: dict = {}
-    for i, x in enumerate(vec):
-        if x:
-            masks[x] = masks.get(x, 0) | 1 << i
-    return list(masks.items())
-
-
 def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
-    """Exact tightness bits; a vertex violating a row is a hard error.  Rows
-    need not be facets: `_facets` keeps each maximal tight set once.  With
-    the vertex's nonzero coordinates grouped by value into masks V_x and the
-    row's by coefficient into R_c, a dot product is the sum of
-    x * c * |V_x & R_c|, by popcount."""
+    """Exact tightness bits; a vertex violating a row is a hard error, named
+    for the first such vertex and the first row it violates.  Rows need not
+    be facets: `_facets` keeps each maximal tight set once.  Each coordinate
+    keeps one mask of the vertices per nonzero value, and each row folds over
+    its support from {0: every vertex} to {partial sum: mask of the vertices
+    with that sum}, so the whole row costs a few mask operations per
+    coordinate, not one dot product per vertex."""
     nv = len(v.vertices)
-    fmasks = [0] * len(h.ineqs)
-    rows = [(coeffs, _value_masks(coeffs), rhs) for coeffs, rhs in h.ineqs]
-    for vi, vert in enumerate(v.vertices):
-        groups = _value_masks(vert)
-        for fi, (coeffs, terms, rhs) in enumerate(rows):
-            s = 0
-            for x, vm in groups:
-                for c, rm in terms:
-                    s += x * c * (vm & rm).bit_count()
-            if s > rhs:
-                raise InconsistentInputError(f"vertex {vert} violates row {coeffs} <= {rhs}")
-            if s == rhs:
-                fmasks[fi] |= 1 << vi
+    columns = []  # per coordinate: (value, mask of the vertices holding it) per nonzero value
+    for col in zip_longest(*v.vertices, fillvalue=0):
+        values = set(col)
+        values.discard(0)
+        columns.append([(x, int("".join(["1" if y == x else "0" for y in reversed(col)]), 2)) for x in values])
+    fmasks, over = [], []
+    for coeffs, rhs in h.ineqs:
+        sums = {0: (1 << nv) - 1}
+        for c, column in zip(coeffs, columns):
+            if c and column:
+                nxt: dict = {}
+                for s, m in sums.items():
+                    for x, vm in column:
+                        if hit := m & vm:
+                            nxt[s + c * x] = nxt.get(s + c * x, 0) | hit
+                            m ^= hit
+                    if m:
+                        nxt[s] = nxt.get(s, 0) | m
+                sums = nxt
+        fmasks.append(sums.get(rhs, 0))
+        over.append(sum(m for s, m in sums.items() if s > rhs))  # the masks are disjoint
+    if bad := reduce(int.__or__, over, 0):
+        vi = (bad & -bad).bit_length() - 1
+        coeffs, rhs = next(row for row, m in zip(h.ineqs, over) if m >> vi & 1)
+        raise InconsistentInputError(f"vertex {v.vertices[vi]} violates row {coeffs} <= {rhs}")
     return IncidenceMatrix(nv, len(fmasks), tuple(fmasks))
 
 
@@ -154,7 +163,17 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
     another vertex, so it carries the glue vertices above it as marks, and
     its faces are counted per pattern of marks held.
 
-    A piece that does not split is walked.  Its coatoms are its facets.
+    The segment split.  A piece that does not glue is a prism over its facet
+    g when the complement h = top ^ g is a facet too and the vertices of g
+    and of h have distinct patterns over the other facets, the same on both
+    sides (see ``_prism_base``).  Each other facet is then f & g with the
+    partners of its vertices, so the incidences are those of g x I, g's
+    facets being the restrictions f & g.  The marks of h go to their
+    partners in g, and each face F of g, counted by pattern, gives F x 0
+    and F x 1 at its rank and F x I one rank up.  On the n = 10 table every
+    piece that does not glue is a cube, and so splits down to points.
+
+    A piece that splits neither way is walked.  Its coatoms are its facets.
     Popping a coatom H of the current face visits H; the coatoms of H are the
     inclusion-maximal nonempty masks H & G over the coatoms G still in the
     list, less those contained in an already visited face, whose subfaces
@@ -162,9 +181,10 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
     dim - 1 - d.  The walk tallies marked faces only when there are marks.
 
     ``max_faces`` bounds the nonempty faces of the polytope, itself included,
-    as in ``enumerate_faces``.  A piece, being a face, is walked under the
-    same bound, and one that runs out reports the faces found so far; the
-    exact total is checked once at the end.  Incidences that are not those of
+    as in ``enumerate_faces``.  A piece or a prism's base, being a face, is
+    walked under the same bound, and one that runs out reports the faces
+    found so far; the exact total, known from the parts, is checked once at
+    the end.  Incidences that are not those of
     a polytope raise: vertices of a piece at different depths, a face of
     several vertices at or below the vertex depth, or a vertex of a piece
     that is not a face of its own.
@@ -182,7 +202,10 @@ def _glued(top: int, facets: list[int], marks: int, max_faces: int | None) -> di
     rank (dim + 1).  All the lists have length dim + 2."""
     glue = _glue_vertex(top, facets)
     if glue is None:
-        return _walk(top, facets, marks, max_faces)
+        prism = _prism_base(top, facets)
+        if prism is None:
+            return _walk(top, facets, marks, max_faces)
+        return _prism_table(*prism, marks, max_faces)
     q, pieces = glue
     parts = [_glued(v, fs, marks & v | q, max_faces) for v, fs in pieces]
     # faces missing q, by pattern and dim + 1, and faces holding q, by pattern less q and dim
@@ -265,6 +288,66 @@ def _pieces(top: int, facets: list[int], q: int) -> list[tuple[int, list[int]]] 
         pieces.append((v, piece_facets))
     # the facets missing q are the unions of one such facet per piece
     return pieces if product == n_missing else None
+
+
+def _prism_base(top: int, facets: list[int]) -> tuple[int, list[int], list[tuple[int, int]]] | None:
+    """A facet g with the polytope a prism over it, g's facets, and the pairs
+    (vertex of g, vertex of h) with h = top ^ g; or None.
+
+    The complement h must be a facet, and each vertex of g must have a
+    partner in h with the same pattern over the other facets, the patterns
+    distinct on each side.  Then every other facet f is f & g with the
+    partners of its vertices, so it meets both g and h, and the restrictions
+    f & g are as distinct and maximal as the facets: they are g's facets."""
+    present = set(facets)
+    for g in facets:
+        h = top ^ g
+        if h in present:
+            others = [f for f in facets if f != g and f != h]
+            pairs = _partners(g, h, others)
+            if pairs is not None:
+                return g, [f & g for f in others], pairs
+    return None
+
+
+def _prism_table(
+    g: int, base_facets: list[int], pairs: list[tuple[int, int]], marks: int, max_faces: int | None
+) -> dict[int, list[int]]:
+    """The table of ``_glued`` for the prism over its facet g: the empty
+    face, and for each face F of g, F x 0 and F x 1 at its rank and F x I
+    one rank up.  The marks of h count as their partners in g."""
+    to_h = {a: b for a, b in pairs if b & marks}
+    own = marks & g
+    base = _glued(g, base_facets, own | sum(to_h), max_faces)
+    n = len(base[0]) + 1
+    table = {0: [1] + [0] * (n - 1)}
+    for p, c in base.items():
+        p0 = p & own
+        p1 = sum(b for a, b in to_h.items() if p & a)
+        for pattern, shift in ((p0, 0), (p1, 0), (p0 | p1, 1)):
+            row = table.setdefault(pattern, [0] * n)
+            for r in range(1, len(c)):
+                row[r + shift] += c[r]
+    return table
+
+
+def _partners(g: int, h: int, others: list[int]) -> list[tuple[int, int]] | None:
+    """The pairs of one vertex of g and one of h with the same pattern over
+    ``others``, if the patterns are distinct on each side and the same on
+    both; else None.  The pair (g, h) is refined by each facet in turn, and
+    every part must keep both sides empty or both nonempty."""
+    pairs = [(g, h)]
+    for f in others:
+        split = []
+        for a, b in pairs:
+            x, y = a & f, b & f
+            for x, y in ((x, y), (a ^ x, b ^ y)):
+                if bool(x) != bool(y):
+                    return None
+                if x:
+                    split.append((x, y))
+        pairs = split
+    return pairs if len(pairs) == g.bit_count() == h.bit_count() else None
 
 
 def _walk(top: int, facets: list[int], marks: int, max_faces: int | None) -> dict[int, list[int]]:

@@ -182,6 +182,8 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
     except (ValueError, TypeError) as exc:
         return False, f"pi does not partition the order side: {exc}"
     if nf.pi != _canonical_partition(nf.pi):
+        if not isinstance(nf.pi, tuple) or not all(isinstance(b, tuple) for b in nf.pi):
+            return False, "pi must be a tuple of blocks, each a tuple"
         return False, "pi is not sorted blockwise and within its blocks"
     if not check_partition_masks(ep, masks).valid:
         return False, "pi is not a face partition"

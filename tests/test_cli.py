@@ -589,6 +589,24 @@ def test_table_n13_both_pipelines_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "a8df618b68a82e6319247e092335991fe208e1c66f1d1d4533b59b7473f9ea67"
 
 
+def test_table_n14_both_pipelines_digest(capsys):
+    # all 230 rows of n = 14; the digest is that of the normal-form pipeline alone
+    code, out, _ = run_main(capsys, "table", "--n", "14", "--method", "both")
+    assert code == 0
+    assert out.count("\n") == 230
+    assert hashlib.sha256(out.encode()).hexdigest() == "bf36278b209abcf61bf518d663e5c23f99daf988a95c661e996f7288a31ebe85"
+
+
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="opt-in; set CHAINORDER_SLOW=1")
+def test_table_n15_both_pipelines_digest(capsys):
+    # all 310 rows of n = 15; tau = 4,4,4,3 at its full cut has 5,782,687
+    # faces, past the default face budget
+    code, out, _ = run_main(capsys, "table", "--n", "15", "--method", "both", "--budget-faces", "10000000")
+    assert code == 0
+    assert out.count("\n") == 310
+    assert hashlib.sha256(out.encode()).hexdigest() == "89b944c33108efcf75472cd6cdf4fa7ca5acde167c8409872d6f5c48055376d2"
+
+
 def test_fvector_normalform_through_main(capsys):
     assert run_main(capsys, "fvector", "--tau", "1,1", "--k", "1", "--method", "normalform")[0] == 0
 

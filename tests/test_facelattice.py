@@ -14,6 +14,7 @@ from chainorder.facelattice import (
     _facets,
     _glue_vertex,
     _pieces,
+    _prism_base,
     count_faces,
     enumerate_faces,
     f_vector,
@@ -191,13 +192,22 @@ def _pyramid(inc, j=1):
     return inc
 
 
+def _prism(inc, j=1):
+    """The j-fold prism: j times, a copy of every vertex, each facet holding
+    both copies of its vertices, and two more facets, the two copies."""
+    for _ in range(j):
+        n = inc.n_vertices
+        base = (1 << n) - 1
+        inc = _incidence(2 * n, [m | m << n for m in inc.facet_vertices] + [base, base << n])
+    return inc
+
+
 def test_non_polytopal_incidences_raise():
     # an interior point in the vertex list breaks gradedness, in the base of a
-    # pyramid too
+    # pyramid or a prism too
     h = HRep(("x", "y"), (((-1, 0), 0), ((1, 0), 2), ((0, -1), 0), ((0, 1), 2)))
-    v = VRep(((0, 0), (0, 2), (2, 0), (2, 2), (1, 1)))
-    for j in range(3):
-        inc = _pyramid(incidence_matrix(v, h), j)
+    square = incidence_matrix(VRep(((0, 0), (0, 2), (2, 0), (2, 2), (1, 1))), h)
+    for inc in [_pyramid(square, j) for j in range(3)] + [_prism(square, j) for j in (1, 2)]:
         with pytest.raises(InconsistentInputError):
             enumerate_faces(inc)
         with pytest.raises(InconsistentInputError):
@@ -215,6 +225,9 @@ def test_two_disjoint_facets_reach_no_vertex():
             count_faces(_pyramid(inc, j))
         with pytest.raises(InconsistentInputError):
             enumerate_faces(_pyramid(inc, j))
+        for faces in (enumerate_faces, count_faces):
+            with pytest.raises(InconsistentInputError):
+                faces(_prism(inc, j))
 
 
 def _simplex(d):
@@ -300,10 +313,28 @@ def _cross_polytope(d):
     return _incidence(2 * d, [sum(1 << 2 * i + (s >> i & 1) for i in range(d)) for s in range(2**d)])
 
 
+def _antiprism(k):
+    """The antiprism over a k-gon: vertex k + i lies between vertices i and
+    i + 1 of the other k-gon.  For k = 3 it is the octahedron."""
+    top = sum(1 << i for i in range(k))
+    triangles = [1 << i | 1 << (i + 1) % k | 1 << k + i for i in range(k)]
+    triangles += [1 << k + i | 1 << k + (i + 1) % k | 1 << (i + 1) % k for i in range(k)]
+    return _incidence(2 * k, [top, top << k, *triangles])
+
+
+def _walked(inc):
+    """Whether count_faces walks the polytope: it neither glues nor is a prism."""
+    return not _splits(inc) and _prism_base((1 << inc.n_vertices) - 1, _facets(inc)) is None
+
+
 def test_polytopes_that_do_not_split_are_walked():
-    cube = incidence_matrix(*order_polytope_dd(antichain(3)))
-    for inc, fv in ((cube, (8, 12, 6)), (_cross_polytope(3), (6, 12, 8)), (_cross_polytope(4), (8, 24, 32, 16))):
-        assert not _splits(inc)
+    # the two k-gons of an antiprism are complementary facets, and so are
+    # opposite facets of a cross-polytope, but the vertex patterns over the
+    # other facets differ on the two sides
+    cases = [(_cross_polytope(3), (6, 12, 8)), (_cross_polytope(4), (8, 24, 32, 16))]
+    cases += [(_antiprism(k), (2 * k, 4 * k, 2 * k + 2)) for k in (4, 5)]
+    for inc, fv in cases:
+        assert _walked(inc)
         assert count_faces(inc) == f_vector(enumerate_faces(inc)) == fv
     # one facet missing the glue vertex taken away: the facets through it, and
     # so its components, are those of the two squares, but the facets missing
@@ -339,6 +370,57 @@ def test_count_faces_on_glued_random_polytopes(inc):
     assert count_faces(inc) == f_vector(enumerate_faces(inc))
 
 
+def test_count_faces_on_prisms():
+    # the d-cube is a prism over the (d - 1)-cube, down to a point
+    cube = _incidence(1, [])
+    for d in range(1, 8):
+        cube = _prism(cube)
+        assert _prism_base((1 << cube.n_vertices) - 1, _facets(cube)) is not None
+        assert count_faces(cube) == tuple(math.comb(d, i) * 2 ** (d - i) for i in range(d)), d
+    for inc, fv in ((_prism(_simplex(2)), (6, 9, 5)), (_prism(_cross_polytope(3)), (12, 30, 28, 10))):
+        assert not _splits(inc) and not _walked(inc)
+        assert count_faces(inc) == f_vector(enumerate_faces(inc)) == fv
+    # the 3-cube with one side facet bent, {0, 1, 4, 5} to {0, 1, 4, 6}: the
+    # squares 0-3 and 4-7 are still complementary facets, but the patterns of
+    # their vertices over the other facets no longer match; such incidences
+    # are walked, and raise
+    square = _prism(_prism(_incidence(1, [])))
+    bent = _incidence(8, [0b01010011 if m == 0b00110011 else m for m in _facets(_prism(square))])
+    assert _walked(bent)
+    for faces in (enumerate_faces, count_faces):
+        with pytest.raises(InconsistentInputError):
+            faces(bent)
+
+
+@st.composite
+def random_prisms(draw):
+    """The prism, or the 2-fold prism, over the polytope of a random poset of
+    1-3 elements, order or chain; and the same with one or two more such
+    polytopes glued at its vertices, so that the prism piece carries marks."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def random_polytope():
+        dd = draw(st.sampled_from([order_polytope_dd, chain_polytope_dd]))
+        return incidence_matrix(*dd(random_poset(rng, draw(st.integers(1, 3)))))
+
+    prism = _prism(random_polytope(), draw(st.integers(1, 2)))
+    glued = prism
+    for _ in range(draw(st.integers(0, 2))):
+        other = random_polytope()
+        at, other_at = draw(st.integers(0, prism.n_vertices - 1)), draw(st.integers(0, other.n_vertices - 1))
+        glued = _glue(glued, at, other, other_at)
+    return prism, glued
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_prisms())
+def test_count_faces_on_random_prisms(prisms):
+    prism, glued = prisms
+    assert not _walked(prism)
+    for inc in (prism, glued):
+        assert count_faces(inc) == f_vector(enumerate_faces(inc))
+
+
 def test_count_faces_rejects_several_points_without_facets():
     with pytest.raises(InconsistentInputError):
         count_faces(incidence_matrix(VRep(((0,), (1,))), HRep(("x",), ())))
@@ -356,10 +438,13 @@ def test_face_budget():
                     faces(inc, max_faces=limit)
     # a walk that runs out says how many faces it has found; a split
     # polytope whose pieces fit says how many it has
-    with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 11 nonempty faces$"):
-        count_faces(cube, max_faces=10)
-    with pytest.raises(BudgetError, match=r"^face budget 20 exceeded: the polytope has at least 22 nonempty faces$"):
-        count_faces(_pyramid(cube), max_faces=20)  # the cube, a piece, runs out
+    cross = _cross_polytope(4)
+    with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 17 nonempty faces$"):
+        count_faces(cross, max_faces=10)
+    with pytest.raises(BudgetError, match=r"^face budget 20 exceeded: the polytope has at least 21 nonempty faces$"):
+        count_faces(_pyramid(cross), max_faces=20)  # the cross-polytope, a piece, runs out
+    with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has 27 nonempty faces$"):
+        count_faces(cube, max_faces=10)  # a prism over a prism over a segment
     with pytest.raises(BudgetError, match=r"^face budget 40 exceeded: the polytope has 55 nonempty faces$"):
         count_faces(_pyramid(cube), max_faces=40)
     with pytest.raises(BudgetError, match=rf"^face budget 5000000 exceeded: the polytope has {2**41 - 1} nonempty faces$"):

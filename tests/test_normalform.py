@@ -253,6 +253,13 @@ _MUST_PARTITION = "pi does not partition the order side: "
             (2, 2), 1, FaceNormalForm((((2, 1), (2, 2)), ((3, 1),)), _ZEROS, _EQ),
             "pi is not a face partition", id="not-face-partition",
         ),
+        *[
+            pytest.param(
+                (2, 2), 1, FaceNormalForm(pi, _ZEROS, _EQ),
+                "pi must be a tuple of blocks, each a tuple", id=f"pi-{name}",
+            )
+            for name, pi in [("list", list(_PI)), ("block-list", (list(_PI[0]), *_PI[1:]))]
+        ],
         pytest.param(
             (2, 2), 1, FaceNormalForm(_PI[:2] + (5,), _ZEROS, _EQ),
             _MUST_PARTITION + "'int' object is not iterable", id="int-block",
