@@ -15,9 +15,9 @@ import json
 import sys
 
 from .errors import BudgetError
-from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
+from .facelattice import MAX_FACES, count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, verify_injection, verify_monotone
-from .polytopes import chain_order_dd
+from .polytopes import MAX_POINTS, chain_order_dd
 from .polytopes import chain_order_hrep, zero_one_vertices  # unused: perfbench targets (ROADMAP item 1)
 from .posets import (
     Poset,
@@ -27,9 +27,6 @@ from .posets import (
     poset_from_json,
     poset_to_json,
 )
-
-DEFAULT_FACE_BUDGET = 5_000_000
-DEFAULT_POINT_BUDGET = 1 << 22
 
 
 class ConfigError(ValueError):
@@ -331,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--polytope", choices=["order", "chain", "chain-order"], default="order")
     d.add_argument("--k", type=int, default=None)
     d.add_argument("--poset", dest="poset_file", type=str, default=None)
-    d.add_argument("--budget-points", type=int, default=DEFAULT_POINT_BUDGET)
+    d.add_argument("--budget-points", type=int, default=MAX_POINTS)
 
     f = sub.add_parser("fvector", help="f-vector by one or both pipelines")
     common(f)
@@ -341,8 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--method", choices=["geometric", "normalform", "both"], default="both")
     f.add_argument("--format", choices=["csv", "json"], default="csv")
     f.add_argument("--export-lattice", dest="export_lattice", type=str, default=None)
-    f.add_argument("--budget-faces", type=int, default=DEFAULT_FACE_BUDGET)
-    f.add_argument("--budget-points", type=int, default=DEFAULT_POINT_BUDGET)
+    f.add_argument("--budget-faces", type=int, default=MAX_FACES)
+    f.add_argument("--budget-points", type=int, default=MAX_POINTS)
 
     v = sub.add_parser("verify", help="machine-check the injection or monotonicity")
     v.add_argument("what", choices=["injectivity", "monotone"])
@@ -355,8 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--method", choices=["geometric", "normalform", "both"], default="both")
     t.add_argument("--format", choices=["csv", "json"], default="csv")
     t.add_argument("--output", type=str, default=None)
-    t.add_argument("--budget-faces", type=int, default=DEFAULT_FACE_BUDGET)
-    t.add_argument("--budget-points", type=int, default=DEFAULT_POINT_BUDGET)
+    t.add_argument("--budget-faces", type=int, default=MAX_FACES)
+    t.add_argument("--budget-points", type=int, default=MAX_POINTS)
     t.set_defaults(export_lattice=None)  # the table never exports a lattice
     return parser
 

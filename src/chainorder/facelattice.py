@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, zip_longest
+from itertools import combinations
 
 from .errors import BudgetError, InconsistentInputError
 from .polytopes import HRep, VRep
@@ -45,6 +45,8 @@ __all__ = [
     "f_vector",
 ]
 
+MAX_FACES = 5_000_000  # the default face budget, shared with the CLI
+
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
@@ -56,16 +58,19 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
-    """Exact tightness bits; a vertex violating a row is a hard error, named
-    for the first such vertex and the first row it violates.  Rows need not
-    be facets: `_facets` keeps each maximal tight set once.  Each coordinate
-    keeps one mask of the vertices per nonzero value, and each row folds over
-    its support from {0: every vertex} to {partial sum: mask of the vertices
-    with that sum}, so the whole row costs a few mask operations per
-    coordinate, not one dot product per vertex."""
+    """Exact tightness bits; a vertex of the wrong length or violating a row
+    is a hard error, named for the first such vertex and the first row it
+    violates.  Rows need not be facets: `_facets` keeps each maximal tight
+    set once.  Each coordinate keeps one mask of the vertices per nonzero
+    value, and each row folds over its support from {0: every vertex} to
+    {partial sum: mask of the vertices with that sum}, so the whole row costs
+    a few mask operations per coordinate, not one dot product per vertex."""
     nv = len(v.vertices)
+    for x in v.vertices:
+        if len(x) != h.n_vars:
+            raise InconsistentInputError(f"vertex {x} has length {len(x)}, but the rows have {h.n_vars} variables")
     columns = []  # per coordinate: (value, mask of the vertices holding it) per nonzero value
-    for col in zip_longest(*v.vertices, fillvalue=0):
+    for col in zip(*v.vertices):
         values = set(col)
         values.discard(0)
         columns.append([(x, int("".join(["1" if y == x else "0" for y in reversed(col)]), 2)) for x in values])
@@ -140,7 +145,7 @@ def _facets(inc: IncidenceMatrix) -> list[int]:
     return _maximal(inc.facet_vertices, (1 << inc.n_vertices) - 1)
 
 
-def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int, ...]:
+def count_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> tuple[int, ...]:
     """The f-vector, equal to ``f_vector(enumerate_faces(inc))``, without the lattice.
 
     The glue rule.  Merging the vertex sets that the facets through a vertex
@@ -180,23 +185,23 @@ def count_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> tuple[int
     were counted there.  A face at depth d below the piece has dimension
     dim - 1 - d.  The walk tallies marked faces only when there are marks.
 
-    ``max_faces`` bounds the nonempty faces of the polytope, itself included,
-    as in ``enumerate_faces``.  A piece or a prism's base, being a face, is
-    walked under the same bound, and one that runs out reports the faces
-    found so far; the exact total, known from the parts, is checked once at
-    the end.  Incidences that are not those of
-    a polytope raise: vertices of a piece at different depths, a face of
+    ``max_faces`` (``MAX_FACES`` by default) bounds the nonempty faces of the
+    polytope, itself included, as in ``enumerate_faces``.  A piece or a
+    prism's base, being a face, is walked under the same bound, and one that
+    runs out reports the faces found so far; the exact total, known from the
+    parts, is checked once at the end.  Incidences that are not those of a
+    polytope raise: vertices of a piece at different depths, a face of
     several vertices at or below the vertex depth, or a vertex of a piece
     that is not a face of its own.
     """
     ranks = _glued((1 << inc.n_vertices) - 1, _facets(inc), 0, max_faces)[0]
     total = sum(ranks) - 1  # nonempty faces
-    if max_faces is not None and total > max_faces:
+    if total > max_faces:
         raise BudgetError(f"face budget {max_faces} exceeded: the polytope has {total} nonempty faces")
     return tuple(ranks[1:-1]) or (1,)  # a point is reported as (1,), as in f_vector
 
 
-def _glued(top: int, facets: list[int], marks: int, max_faces: int | None) -> dict[int, list[int]]:
+def _glued(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, list[int]]:
     """The faces of the polytope on the vertices ``top``, the empty face and
     the polytope included: for each pattern ``face & marks``, the faces per
     rank (dim + 1).  All the lists have length dim + 2."""
@@ -311,7 +316,7 @@ def _prism_base(top: int, facets: list[int]) -> tuple[int, list[int], list[tuple
 
 
 def _prism_table(
-    g: int, base_facets: list[int], pairs: list[tuple[int, int]], marks: int, max_faces: int | None
+    g: int, base_facets: list[int], pairs: list[tuple[int, int]], marks: int, max_faces: int
 ) -> dict[int, list[int]]:
     """The table of ``_glued`` for the prism over its facet g: the empty
     face, and for each face F of g, F x 0 and F x 1 at its rank and F x I
@@ -350,7 +355,7 @@ def _partners(g: int, h: int, others: list[int]) -> list[tuple[int, int]] | None
     return pairs if len(pairs) == g.bit_count() == h.bit_count() else None
 
 
-def _walk(top: int, facets: list[int], marks: int, max_faces: int | None) -> dict[int, list[int]]:
+def _walk(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, list[int]]:
     """The table of ``_glued`` by the Kliem-Stump walk over the facets."""
     nv = top.bit_count()
     counts: list[int] = []  # faces per depth
@@ -366,7 +371,7 @@ def _walk(top: int, facets: list[int], marks: int, max_faces: int | None) -> dic
     def walk(coatoms: list[int], depth: int) -> None:
         nonlocal found, n_vertex_faces
         found += len(coatoms)
-        if max_faces is not None and found > max_faces:
+        if found > max_faces:
             raise over_budget()
         if depth == len(counts):
             counts.append(0)
@@ -413,7 +418,7 @@ def _walk(top: int, facets: list[int], marks: int, max_faces: int | None) -> dic
                 del visited[start:]  # subfaces of h, covered once h is visited
             visited.append(h)
 
-    if max_faces is not None and found > max_faces:
+    if found > max_faces:
         raise over_budget()
     if facets or nv != 1:  # a point has no proper face to walk
         walk(facets, 0)
@@ -434,7 +439,7 @@ def _walk(top: int, facets: list[int], marks: int, max_faces: int | None) -> dic
     return table
 
 
-def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceLattice:
+def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLattice:
     """The whole face lattice, built top-down one level at a time from coatoms.
 
     Level 0 is the polytope and level 1 its facets.  The faces at level d + 1
@@ -446,8 +451,9 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceL
     comes last.  Covers are sorted: listing each face's upper covers in id
     order, for the faces in id order, gives them so.
 
-    ``max_faces`` bounds the nonempty faces, the polytope included, and is
-    checked once per level.  Incidences that are not those of a polytope raise
+    ``max_faces`` (``MAX_FACES`` by default) bounds the nonempty faces, the
+    polytope included, and is checked once per level; running out reports
+    the faces found so far.  Incidences that are not those of a polytope raise
     as in ``count_faces``, and so does a face reached at two depths.
     """
     nv = inc.n_vertices
@@ -458,8 +464,8 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int | None = None) -> FaceL
     levels: list[list[int]] = []
     d = 0
     while level:
-        if max_faces is not None and len(depth) > max_faces:
-            raise BudgetError(f"face budget {max_faces} exceeded")
+        if len(depth) > max_faces:
+            raise BudgetError(f"face budget {max_faces} exceeded: the polytope has at least {len(depth)} nonempty faces")
         levels.append(level)
         d += 1
         below: list[int] = []

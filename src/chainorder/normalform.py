@@ -225,17 +225,14 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
     return True, None
 
 
-def codimension(nf: FaceNormalForm, tau, k: int, *, validate: bool = True) -> int:
+def codimension(nf: FaceNormalForm, tau, k: int) -> int:
     """Codimension of the encoded face.
 
     Without tight chains this is the block-merging deficiency plus the number
     of zeros; with tight chains, one more for the chain equation itself plus
-    the size excess of every nonempty eq set.
+    the size excess of every nonempty eq set.  ``nf`` must be a valid normal
+    form for ``tau`` and ``k``, as for `psi_map`; it is not validated here.
     """
-    if validate:
-        ok, reason = is_valid_normal_form(nf, tau, k)
-        if not ok:
-            raise ValueError(f"invalid normal form: {reason}")
     m = sum(tau[k:]) + 1  # the order side plus the adjoined maximum
     codim = (m - len(nf.pi)) + sum(map(len, nf.zero_sets))
     if nf.eq_sets is not None:
@@ -365,7 +362,7 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
     ell = len(tau)
     if k >= ell:
         raise ValueError("the cut can only be raised below the top rank")
-    cod = codimension(nf, tau, k, validate=False)
+    cod = codimension(nf, tau, k)
     if cod < 2:
         raise ValueError("the injection is defined for codimension at least 2")
     # rank arithmetic on (rank, index) ids: ranks k+1 and k+2 lie around the
@@ -439,7 +436,7 @@ def verify_injection(tau, k: int) -> InjectionReport:
     failures: list[str] = []
     seen: dict[FaceNormalForm, FaceNormalForm] = {}
     for nf in enumerate_normal_forms(tau, k):
-        cod = codimension(nf, tau, k, validate=False)
+        cod = codimension(nf, tau, k)
         if cod < 2:
             continue
         src_counts[cod] = src_counts.get(cod, 0) + 1
@@ -448,7 +445,7 @@ def verify_injection(tau, k: int) -> InjectionReport:
         if not ok:
             failures.append(f"invalid image of {nf}: {reason}")
             continue
-        cod2 = codimension(img, tau, k + 1, validate=False)
+        cod2 = codimension(img, tau, k + 1)
         if cod2 != cod:
             preserved = False
             failures.append(f"codimension changed {cod} -> {cod2} on {nf}")

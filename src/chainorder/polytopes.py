@@ -19,6 +19,7 @@ from .posets import maximal_antichains  # unused: a perfbench tracing target unt
 Row = tuple[tuple[int, ...], int]
 
 ZERO_ONE_MAX_VARS = 30
+MAX_POINTS = 1 << 22  # the default point budget, shared with the CLI
 EXACT_ENUM_MAX_RAYS = 10**5
 LATTICE_MAX_STATES = 10**5
 LATTICE_MAX_STEPS = 10**6
@@ -72,7 +73,7 @@ def _unit(n: int, i: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _chain_order_rows(p: Poset, chain_part: int, max_points: int | None = None) -> list[Row]:
+def _chain_order_rows(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -> list[Row]:
     """Facet rows of the polytope whose chain part is the down-set
     ``chain_part`` (a position mask): O(P) when it is empty, C(P) when full.
 
@@ -87,20 +88,19 @@ def _chain_order_rows(p: Poset, chain_part: int, max_points: int | None = None) 
     """
     n = p.n
     inside = [bool(chain_part >> i & 1) for i in range(n)]
-    if max_points is not None:
-        # chains from the bottom, or from v itself outside the chain part, to v;
-        # positions come in an order with everything below v first
-        ways = [1] * n
-        rows = chain_part.bit_count()
-        for v in sorted(range(n), key=lambda i: p.below_masks[i].bit_count()):
-            ups, downs = p.up_covers[v], p.down_covers[v]
-            if inside[v]:
-                ways[v] = sum(ways[u] for u in downs) or 1
-            elif not downs:
-                rows += 1  # the bottom below v
-            rows += ways[v] * (sum(not inside[u] for u in ups) if ups else 1)
-        if rows > max_points:
-            raise BudgetError(f"{rows} facet rows exceed the point budget {max_points}")
+    # chains from the bottom, or from v itself outside the chain part, to v;
+    # positions come in an order with everything below v first
+    ways = [1] * n
+    rows = chain_part.bit_count()
+    for v in sorted(range(n), key=lambda i: p.below_masks[i].bit_count()):
+        ups, downs = p.up_covers[v], p.down_covers[v]
+        if inside[v]:
+            ways[v] = sum(ways[u] for u in downs) or 1
+        elif not downs:
+            rows += 1  # the bottom below v
+        rows += ways[v] * (sum(not inside[u] for u in ups) if ups else 1)
+    if rows > max_points:
+        raise BudgetError(f"{rows} facet rows exceed the point budget {max_points}")
     out = [(_unit(n, i, -1), 0) for i in range(n) if inside[i]]
     top = (n,)  # the adjoined top, as a coordinate after the last
     minima = tuple(i for i in range(n) if not p.down_covers[i])
@@ -120,7 +120,7 @@ def _chain_order_rows(p: Poset, chain_part: int, max_points: int | None = None) 
     return out
 
 
-def chain_order_dd(p: Poset, chain_part: int, max_points: int | None = None) -> tuple[VRep, HRep]:
+def chain_order_dd(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -> tuple[VRep, HRep]:
     """Double description of the polytope whose chain part is the down-set
     ``chain_part`` (a position mask): O(P) when it is empty, C(P) when full.
 
@@ -129,10 +129,10 @@ def chain_order_dd(p: Poset, chain_part: int, max_points: int | None = None) -> 
     up(a) & O inside F for each a in A (Stanley, 1986; Fang, Fourier, Litza
     and Pegel, 2020).  A search over the antichains M of O takes F = up(M),
     then searches the antichains of the elements of C that F admits; each
-    node is one vertex, and none repeats.  ``max_points`` bounds the rows and
-    the vertices as they are found; the search also stops at an antichain of
-    more than ``max_points.bit_length()`` elements, whose subsets alone are
-    more vertices than that.
+    node is one vertex, and none repeats.  ``max_points`` (``MAX_POINTS`` by
+    default) bounds the rows and the vertices as they are found; the search
+    also stops at an antichain of more than ``max_points.bit_length()``
+    elements, whose subsets alone are more vertices than that.
     """
     h = HRep(p.elements, tuple(_chain_order_rows(p, chain_part, max_points)))
     n, above = p.n, p.above_masks
@@ -141,17 +141,17 @@ def chain_order_dd(p: Poset, chain_part: int, max_points: int | None = None) -> 
     exclude = [u | b for u, b in zip(up, p.below_masks)]
     # per element a of C, the elements of O that F must hold to admit it
     needs = [(1 << i, above[i] & order_part) for i in range(n) if chain_part >> i & 1]
-    depth = None if max_points is None else max_points.bit_length()
+    depth = max_points.bit_length()
     vertices = []
     # (vertex mask, candidates below the element taken last, antichain size,
     # over O): the branch with the most candidates comes off the stack first
     stack = [(0, order_part, 0, True)]
     while stack:
         mask, cand, size, outer = stack.pop()
-        if depth is not None and size > depth:
+        if size > depth:
             raise BudgetError(f"at least {1 << size} vertices exceed the point budget {max_points}")
         vertices.append(tuple([mask >> i & 1 for i in range(n)]))
-        if max_points is not None and len(vertices) > max_points:
+        if len(vertices) > max_points:
             raise BudgetError(f"{len(vertices)} vertices exceed the point budget {max_points}")
         searches = [(cand, size, outer)]
         if outer:  # A is empty here: start the search over the chain elements F admits
@@ -175,7 +175,7 @@ def chain_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
 
 def chain_order_hrep(tau, k: int) -> HRep:
     """The rows of `chain_order_dd` on P_tau with the ranks up to the cut k as
-    chain part."""
+    chain part, counted against the default point budget."""
     tau = check_tau(tau)
     ell = len(tau)
     if not 0 <= k <= ell:

@@ -239,13 +239,9 @@ def _block_digraph_acyclic(p: Poset, masks: Sequence[int]) -> bool:
     for m in masks:
         if m & (m - 1):
             up = down = 0
-            rest = m
-            while rest:
-                low = rest & -rest
-                i = low.bit_length() - 1
+            for i in mask_to_tuple(m):
                 up |= p.above_masks[i]
                 down |= p.below_masks[i]
-                rest ^= low
             if up & down & ~m:
                 return False
             merged.append(m)

@@ -310,13 +310,14 @@ def test_table_rejects_n_below_one(capsys):
 
 
 def test_fvector_budget_faces_boundary(tmp_path, capsys):
-    # tau = 3 is an antichain: its order polytope is the 3-cube, 27 nonempty faces
-    for extra in ([], ["--export-lattice", str(tmp_path / "cube.json")]):
+    # tau = 3 is an antichain: its order polytope is the 3-cube, 27 nonempty faces;
+    # the count knows them all, the lattice the faces down to the vertices
+    for extra, found in (([], "27"), (["--export-lattice", str(tmp_path / "cube.json")], "at least 27")):
         argv = ["fvector", "--tau", "3", "--k", "0", "--method", "geometric", *extra]
         assert run_main(capsys, *argv, "--budget-faces", "27")[:2] == (0, "3,0,order,8,12,6\n")
         code, out, err = run_main(capsys, *argv, "--budget-faces", "26")
         assert (code, out) == (2, "")
-        assert "budget" in err
+        assert err == f"budget exceeded: face budget 26 exceeded: the polytope has {found} nonempty faces\n"
 
 
 def test_chain_poset_order_polytope_is_a_simplex(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import math
 import os
 import random
+import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from conftest import affine_rank, compositions_upto, random_poset
@@ -24,12 +26,13 @@ from chainorder.normalform import f_vector_normal_form
 from chainorder.polytopes import (
     HRep,
     VRep,
+    chain_order_dd,
     chain_order_hrep,
     chain_polytope_dd,
     order_polytope_dd,
     zero_one_vertices,
 )
-from chainorder.posets import Poset, make_maximal_ranked
+from chainorder.posets import Poset, make_maximal_ranked, mask_to_tuple
 
 
 def antichain(n):
@@ -70,6 +73,22 @@ def test_incidence_rejects_outside_vertex():
     _, h = square_dd()
     with pytest.raises(InconsistentInputError):
         incidence_matrix(VRep(((2, 0),)), h)
+
+
+@pytest.mark.parametrize(
+    "vertices, first",
+    [
+        pytest.param(((0, 0, 7), (1, 0, 7), (0, 1, 7), (1, 1, 7)), (0, 0, 7), id="long"),
+        pytest.param(((0,), (1, 0), (0, 1), (1, 1)), (0,), id="short"),
+    ],
+)
+def test_incidence_rejects_vertices_of_the_wrong_length(vertices, first):
+    # extra coordinates used to be dropped and missing ones read as 0, which
+    # gave the square's incidences
+    _, h = square_dd()
+    message = f"vertex {first} has length {len(first)}, but the rows have 2 variables"
+    with pytest.raises(InconsistentInputError, match=f"^{re.escape(message)}$"):
+        incidence_matrix(VRep(vertices), h)
 
 
 def test_listed_points_that_are_not_vertices_are_caught():
@@ -445,6 +464,9 @@ def test_face_budget():
         count_faces(_pyramid(cross), max_faces=20)  # the cross-polytope, a piece, runs out
     with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has 27 nonempty faces$"):
         count_faces(cube, max_faces=10)  # a prism over a prism over a segment
+    # the lattice is checked once per level, so it reports the 1 + 6 + 12 faces above the vertices
+    with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 19 nonempty faces$"):
+        enumerate_faces(cube, max_faces=10)
     with pytest.raises(BudgetError, match=r"^face budget 40 exceeded: the polytope has 55 nonempty faces$"):
         count_faces(_pyramid(cube), max_faces=40)
     with pytest.raises(BudgetError, match=rf"^face budget 5000000 exceeded: the polytope has {2**41 - 1} nonempty faces$"):
@@ -475,6 +497,37 @@ def test_count_faces_matches_lattice_on_random_posets():
         for dd in (order_polytope_dd, chain_polytope_dd):
             inc = incidence_matrix(*dd(p))
             assert count_faces(inc) == f_vector(enumerate_faces(inc)), (p.elements, p.covers, dd)
+
+
+def test_budgets_are_exact_on_random_posets():
+    # every down-set chain-order polytope of seeded random posets: each budget
+    # passes at the exact count and raises at one less, saying what it found
+    rng = random.Random(20261019)
+    polytopes = walked = 0
+    for _ in range(20):
+        p = random_poset(rng, rng.randint(1, 7), rng.choice((0.2, 0.4)))
+        closed = [p.below_masks[i] | 1 << i for i in range(p.n)]
+        down_sets = {reduce(int.__or__, [closed[i] for i in mask_to_tuple(s)], 0) for s in range(1 << p.n)}
+        for chain_part in sorted(down_sets):
+            v, h = chain_order_dd(p, chain_part)
+            points = max(len(h.ineqs), v.n)
+            assert chain_order_dd(p, chain_part, max_points=points) == (v, h)
+            spent = "facet rows" if len(h.ineqs) == points else "vertices"  # the rows are counted first
+            with pytest.raises(BudgetError, match=f"^{points} {spent} exceed the point budget {points - 1}$"):
+                chain_order_dd(p, chain_part, max_points=points - 1)
+            inc = incidence_matrix(v, h)
+            lattice = enumerate_faces(inc)
+            n = lattice.n_faces - 1  # nonempty faces
+            assert enumerate_faces(inc, max_faces=n) == lattice
+            assert count_faces(inc, max_faces=n) == f_vector(lattice)
+            # a walk runs out on its last face; a split polytope's parts all fit
+            found = {count_faces: "at least " if _walked(inc) else "", enumerate_faces: "at least "}
+            for faces, bound in found.items():
+                with pytest.raises(BudgetError, match=f"^face budget {n - 1} exceeded: the polytope has {bound}{n} "):
+                    faces(inc, max_faces=n - 1)
+            polytopes += 1
+            walked += _walked(inc)
+    assert (polytopes, walked) == (240, 60)
 
 
 def _brute_force_lattice(v, inc):

@@ -39,7 +39,7 @@ def f_vector_from_enumeration(tau, k):
     n = sum(tau)
     counts = [0] * n
     for nf in enumerate_normal_forms(tau, k):
-        c = codimension(nf, tau, k, validate=False)
+        c = codimension(nf, tau, k)
         if c == 0:
             continue
         counts[n - c] += 1
@@ -171,10 +171,8 @@ def test_codimension_rejects_invalid_form():
     tau, k = (2, 1), 0
     pi = tuple(sorted([((1, 1), (2, 1)), ((1, 2),), ((3, 1),)]))
     nf = FaceNormalForm(pi, (), ((),))  # chains end blockwise but the rank is not fully glued
-    ok, reason = is_valid_normal_form(nf, tau, k)
+    ok, reason = is_valid_normal_form(nf, tau, k)  # codimension trusts its input; the validator rejects
     assert not ok and "glued" in reason
-    with pytest.raises(ValueError):
-        codimension(nf, tau, k)
 
 
 def test_blockwise_chain_end_needs_full_rank():
@@ -364,8 +362,16 @@ def test_uniqueness_against_geometry():
                 assert key, (tau, k, nf)
                 assert key not in seen, (tau, k, nf, seen[key])
                 seen[key] = nf
-                assert geo.get(key) == codimension(nf, tau, k, validate=False), (tau, k, nf)
+                assert geo.get(key) == codimension(nf, tau, k), (tau, k, nf)
             assert set(seen) == set(geo), (tau, k)
+
+
+def _valid_codimension(nf, tau, k):
+    """codimension trusts its input: the hand-built forms and the images are
+    validated here first."""
+    ok, reason = is_valid_normal_form(nf, tau, k)
+    assert ok, reason
+    return codimension(nf, tau, k)
 
 
 def test_psi_vertex_example():
@@ -373,7 +379,7 @@ def test_psi_vertex_example():
     tau, k = (1, 1), 0
     pi = tuple(sorted([((1, 1),), ((2, 1), (3, 1))]))
     nf = FaceNormalForm(pi, (), (((1, 1),),))
-    assert codimension(nf, tau, k) == 2
+    assert _valid_codimension(nf, tau, k) == 2
     img = psi_map(nf, tau, k)
     ok, reason = is_valid_normal_form(img, tau, k + 1)
     assert ok, reason
@@ -390,11 +396,11 @@ def test_psi_generic_all_singletons():
     tau, k = (2, 1), 0
     pi = tuple(sorted([((1, 1),), ((1, 2),), ((2, 1),), ((3, 1),)]))
     nf = FaceNormalForm(pi, (), (((1, 1), (1, 2)),))
-    assert codimension(nf, tau, k) == 2
+    assert _valid_codimension(nf, tau, k) == 2
     img = psi_map(nf, tau, k)
     assert img.zero_sets == ((),)
     assert img.eq_sets == (((1, 1), (1, 2)), ((2, 1),))
-    assert codimension(img, tau, k + 1) == 2
+    assert _valid_codimension(img, tau, k + 1) == 2
 
 
 def test_psi_degenerate_height_one_reencodes_block_as_chains():
@@ -402,7 +408,7 @@ def test_psi_degenerate_height_one_reencodes_block_as_chains():
     block = ((1, 1), (1, 2), (2, 2))
     pi = tuple(sorted([block, ((2, 1),), ((3, 1),)]))
     nf = FaceNormalForm(pi, (), None)
-    assert codimension(nf, tau, k) == 2
+    assert _valid_codimension(nf, tau, k) == 2
     img = psi_map(nf, tau, k)
     # top part (2,2) is not the least-index singleton after the cut, so the
     # block is re-expressed as tight chains
@@ -421,14 +427,14 @@ def test_psi_degenerate_height_one_standard():
     img = psi_map(nf, tau, k)
     assert img.eq_sets is None
     assert img.zero_sets == (((1, 1), (1, 2)),)
-    assert codimension(img, tau, k + 1) == codimension(nf, tau, k) == 2
+    assert _valid_codimension(img, tau, k + 1) == _valid_codimension(nf, tau, k) == 2
 
 
 def test_psi_requires_codimension_two():
     tau, k = (1, 1), 0
     pi = tuple(sorted([((1, 1),), ((2, 1), (3, 1))]))
     nf = FaceNormalForm(pi, (), None)  # a facet
-    assert codimension(nf, tau, k) == 1
+    assert _valid_codimension(nf, tau, k) == 1
     with pytest.raises(ValueError):
         psi_map(nf, tau, k)
     with pytest.raises(ValueError):
@@ -451,7 +457,7 @@ def _reference_psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
     ell = len(tau)
     if k >= ell:
         raise ValueError("the cut can only be raised below the top rank")
-    cod = codimension(nf, tau, k, validate=False)
+    cod = codimension(nf, tau, k)
     if cod < 2:
         raise ValueError("the injection is defined for codimension at least 2")
     tmax = top_element(tau)
@@ -504,7 +510,7 @@ def test_psi_matches_reference_on_small_compositions():
     for tau in compositions_upto(6):
         for k in range(len(tau)):
             for nf in enumerate_normal_forms(tau, k):
-                if codimension(nf, tau, k, validate=False) >= 2:
+                if codimension(nf, tau, k) >= 2:
                     assert psi_map(nf, tau, k) == _reference_psi_map(nf, tau, k), (tau, k, nf)
                     audited += 1
     assert audited == 31_963
@@ -522,12 +528,11 @@ def _enumerable_tau_and_cut(draw):
 @given(_enumerable_tau_and_cut())
 def test_psi_is_injective_and_keeps_codimension(tau_k):
     tau, k = tau_k
-    forms = [nf for nf in enumerate_normal_forms(tau, k) if codimension(nf, tau, k, validate=False) >= 2]
+    forms = [nf for nf in enumerate_normal_forms(tau, k) if codimension(nf, tau, k) >= 2]
     images = [psi_map(nf, tau, k) for nf in forms]
     assert len(set(images)) == len(images)
-    # codimension validates each image first
-    assert [codimension(img, tau, k + 1) for img in images] == [
-        codimension(nf, tau, k, validate=False) for nf in forms
+    assert [_valid_codimension(img, tau, k + 1) for img in images] == [
+        codimension(nf, tau, k) for nf in forms
     ]
 
 
