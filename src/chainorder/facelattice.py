@@ -452,9 +452,9 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
     order, for the faces in id order, gives them so.
 
     ``max_faces`` (``MAX_FACES`` by default) bounds the nonempty faces, the
-    polytope included, and is checked once per level; running out reports
-    the faces found so far.  Incidences that are not those of a polytope raise
-    as in ``count_faces``, and so does a face reached at two depths.
+    polytope included, and is checked as each face is recorded: running out
+    reports the budget + 1 faces found.  Incidences that are not those of a
+    polytope raise as in ``count_faces``, and so does a face at two depths.
     """
     nv = inc.n_vertices
     facets = _facets(inc)
@@ -463,9 +463,13 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
     lower: dict[int, list[int]] = {}  # face mask -> masks of its lower covers
     levels: list[list[int]] = []
     d = 0
+
+    def over_budget() -> BudgetError:
+        return BudgetError(f"face budget {max_faces} exceeded: the polytope has at least {len(depth)} nonempty faces")
+
+    if len(depth) > max_faces:
+        raise over_budget()
     while level:
-        if len(depth) > max_faces:
-            raise BudgetError(f"face budget {max_faces} exceeded: the polytope has at least {len(depth)} nonempty faces")
         levels.append(level)
         d += 1
         below: list[int] = []
@@ -482,6 +486,8 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
                     if c not in depth:
                         depth[c] = d
                         below.append(c)
+                        if len(depth) > max_faces:
+                            raise over_budget()
                     elif depth[c] != d:
                         raise InconsistentInputError("a face at two depths; inconsistent incidences")
             lower[f] = kept

@@ -146,17 +146,13 @@ def _extended_order_poset(tau: tuple[int, ...], k: int) -> tuple[Poset, dict]:
 
 
 def _glued_block(pi, r: int) -> Block | None:
-    """The unique non-singleton block meeting rank r, if any.
-
-    The blocks of a face partition span whole rank intervals, so a block meets
-    rank r when r lies between its least and greatest rank.
+    """The non-singleton block whose ranks, from ``b[0][0]`` to ``b[-1][0]``
+    in a canonical partition, span rank r, if any.  Every caller asks about
+    rank k + 1 of a valid partition at cut k, which at most one such block
+    meets: each element of rank k + 1 lies below all elements above it, so
+    each of two such blocks would lie below the other.
     """
-    hits = [b for b in pi if len(b) > 1 and min(b)[0] <= r <= max(b)[0]]
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise ValueError("two glued blocks meet one rank; partition is not a face partition")
-    return hits[0]
+    return next((b for b in pi if len(b) > 1 and b[0][0] <= r <= b[-1][0]), None)
 
 
 def _in_order(s, allowed) -> bool:
@@ -185,8 +181,8 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
         if not isinstance(nf.pi, tuple) or not all(isinstance(b, tuple) for b in nf.pi):
             return False, "pi must be a tuple of blocks, each a tuple"
         return False, "pi is not sorted blockwise and within its blocks"
-    if not check_partition_masks(ep, masks).valid:
-        return False, "pi is not a face partition"
+    if not (check := check_partition_masks(ep, masks)).valid:
+        return False, f"pi is not a face partition: {check.reason}"
     if not isinstance(nf.zero_sets, tuple) or len(nf.zero_sets) != k:
         return False, "zero_sets must be a tuple of one entry per chain-side rank"
     for i, zeros in enumerate(nf.zero_sets, 1):
@@ -354,50 +350,35 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
 
     Blocks contained in the two ranks around the cut are dropped, all other
     blocks lose their rank-(k+1) part, and the freed data is re-expressed as
-    zeros and chain ends one level higher.  Defined for codimension >= 2.
-    ``nf`` must be a valid normal form for ``tau`` and ``k``, such as those
-    from ``enumerate_normal_forms``; neither is validated again here.
+    zeros and chain ends one level higher.  ``nf`` must be a valid normal
+    form of codimension >= 2 at a cut k < len(tau), as `verify_injection`
+    passes; none of this is checked here, but a cut at the top rank raises.
     """
     tau = tuple(tau)
-    ell = len(tau)
-    if k >= ell:
+    if k >= len(tau):
         raise ValueError("the cut can only be raised below the top rank")
-    cod = codimension(nf, tau, k)
-    if cod < 2:
-        raise ValueError("the injection is defined for codimension at least 2")
-    # rank arithmetic on (rank, index) ids: ranks k+1 and k+2 lie around the
-    # cut, and rank k+2 may be the adjoined maximum's
-    kept = [tuple(e for e in b if e[0] != k + 1) for b in nf.pi if max(b)[0] > k + 2]
+    # rank arithmetic on sorted (rank, index) ids: ranks k+1 and k+2 lie
+    # around the cut, and rank k+2 may be the adjoined maximum's
+    kept = [tuple(e for e in b if e[0] != k + 1) for b in nf.pi if b[-1][0] > k + 2]
     used = {e for b in kept for e in b}
     pi2 = _canonical_partition(kept + [(e,) for e in order_ground(tau, k + 1) if e not in used])
 
-    glued = _glued_block(nf.pi, k + 1)
-    a_part = tuple(sorted(e for e in glued if e[0] == k + 1)) if glued else ()
-    b_part = tuple(sorted(e for e in glued if e[0] == k + 2)) if glued else ()
-    height1 = glued is not None and max(glued)[0] == k + 2
-    sigma = sorted(b[0] for b in nf.pi if len(b) == 1 and b[0][0] == k + 2)
+    glued = _glued_block(nf.pi, k + 1) or ()  # its parts are () when nothing is glued
+    a_part = tuple([e for e in glued if e[0] == k + 1])
+    b_part = tuple([e for e in glued if e[0] == k + 2])
+    height1 = bool(glued) and glued[-1][0] == k + 2
+    sigma = tuple([b[0] for b in nf.pi if len(b) == 1 and b[0][0] == k + 2])
 
     if nf.eq_sets is not None:
-        if glued is None:
-            # every rank-(k+1) element is isolated: extend the chains upward
-            tops2 = (sigma[0],) if sigma else ()
-            return FaceNormalForm(pi2, nf.zero_sets + ((),), nf.eq_sets + (tops2,))
-        tops2 = b_part if height1 else ()
-        return FaceNormalForm(pi2, nf.zero_sets + (a_part,), nf.eq_sets + (tops2,))
-
-    if glued is None:
-        return FaceNormalForm(pi2, nf.zero_sets + ((),), None)
-    if not height1:
-        return FaceNormalForm(pi2, nf.zero_sets + (a_part,), None)
-    # height-one glued block: its top part lands in singletons after the cut
-    if b_part == (min(sigma + list(b_part)),):
+        # chains end on a height-one block's top, in a taller one, or on the least singleton
+        ends = (b_part if height1 else ()) if glued else sigma[:1]
+        return FaceNormalForm(pi2, nf.zero_sets + (a_part,), nf.eq_sets + (ends,))
+    # a height-one block's top part lands in singletons after the cut
+    if not height1 or b_part == (min(b_part + sigma),):
         return FaceNormalForm(pi2, nf.zero_sets + (a_part,), None)
     # re-encode the block as a bundle of tight chains through least-index picks
-    eq_new = []
-    for i, zeros in enumerate(nf.zero_sets, 1):
-        eq_new.append(next(((e,) for e in rank_elements(tau, i) if e not in zeros), ()))
-    eq2 = tuple(eq_new) + (a_part, b_part)
-    return FaceNormalForm(pi2, nf.zero_sets + ((),), eq2)
+    picks = [next(((e,) for e in rank_elements(tau, i) if e not in zeros), ()) for i, zeros in enumerate(nf.zero_sets, 1)]
+    return FaceNormalForm(pi2, nf.zero_sets + ((),), (*picks, a_part, b_part))
 
 
 @dataclass

@@ -464,8 +464,8 @@ def test_face_budget():
         count_faces(_pyramid(cross), max_faces=20)  # the cross-polytope, a piece, runs out
     with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has 27 nonempty faces$"):
         count_faces(cube, max_faces=10)  # a prism over a prism over a segment
-    # the lattice is checked once per level, so it reports the 1 + 6 + 12 faces above the vertices
-    with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 19 nonempty faces$"):
+    # the lattice is checked as each face is recorded, so it stops at the cube, its 6 facets and 4 edges
+    with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 11 nonempty faces$"):
         enumerate_faces(cube, max_faces=10)
     with pytest.raises(BudgetError, match=r"^face budget 40 exceeded: the polytope has 55 nonempty faces$"):
         count_faces(_pyramid(cube), max_faces=40)

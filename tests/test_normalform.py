@@ -167,11 +167,11 @@ def test_boundary_cuts_reproduce_order_and_chain_polytopes():
     assert f_vector_normal_form(tau, 2) == f_vector(enumerate_faces(incidence_matrix(vc, hc)))
 
 
-def test_codimension_rejects_invalid_form():
+def test_validator_rejects_unglued_blockwise_chain_end():
     tau, k = (2, 1), 0
     pi = tuple(sorted([((1, 1), (2, 1)), ((1, 2),), ((3, 1),)]))
     nf = FaceNormalForm(pi, (), ((),))  # chains end blockwise but the rank is not fully glued
-    ok, reason = is_valid_normal_form(nf, tau, k)  # codimension trusts its input; the validator rejects
+    ok, reason = is_valid_normal_form(nf, tau, k)
     assert not ok and "glued" in reason
 
 
@@ -249,7 +249,7 @@ _MUST_PARTITION = "pi does not partition the order side: "
         ),
         pytest.param(
             (2, 2), 1, FaceNormalForm((((2, 1), (2, 2)), ((3, 1),)), _ZEROS, _EQ),
-            "pi is not a face partition", id="not-face-partition",
+            "pi is not a face partition: block not connected", id="not-face-partition",
         ),
         *[
             pytest.param(
@@ -430,14 +430,11 @@ def test_psi_degenerate_height_one_standard():
     assert _valid_codimension(img, tau, k + 1) == _valid_codimension(nf, tau, k) == 2
 
 
-def test_psi_requires_codimension_two():
-    tau, k = (1, 1), 0
-    pi = tuple(sorted([((1, 1),), ((2, 1), (3, 1))]))
-    nf = FaceNormalForm(pi, (), None)  # a facet
-    assert _valid_codimension(nf, tau, k) == 1
-    with pytest.raises(ValueError):
-        psi_map(nf, tau, k)
-    with pytest.raises(ValueError):
+def test_psi_requires_a_cut_below_the_top():
+    tau = (1, 1)
+    nf = FaceNormalForm((((3, 1),),), ((), ()), None)  # the whole chain polytope, at the top cut
+    assert is_valid_normal_form(nf, tau, len(tau)) == (True, None)
+    with pytest.raises(ValueError, match="below the top rank"):
         psi_map(nf, tau, len(tau))
 
 
@@ -581,6 +578,23 @@ def _patch_psi(monkeypatch, broken):
     monkeypatch.setattr(normalform, "psi_map", lambda nf, tau, k: broken(nf, tau, k, real(nf, tau, k)))
 
 
+@pytest.mark.parametrize("tau", [(2, 2), (2, 1, 2), (1, 2, 1, 1)])
+def test_audit_hands_psi_only_codimension_two_or_more(monkeypatch, tau):
+    # psi trusts its input, so the audit must filter the forms it passes
+    inputs = []
+
+    def record(nf, tau, k, img):
+        inputs.append(codimension(nf, tau, k))
+        return img
+
+    _patch_psi(monkeypatch, record)
+    for k in range(len(tau)):
+        inputs.clear()
+        rep = verify_injection(tau, k)
+        assert rep.ok
+        assert min(inputs) >= 2 and len(inputs) == sum(rep.per_codim_counts_src.values())
+
+
 def test_audit_catches_invalid_image(monkeypatch):
     # the order side at cut 1 of (2, 2), with its two incomparable elements in
     # one block: a partition, but the block is not connected
@@ -589,7 +603,7 @@ def test_audit_catches_invalid_image(monkeypatch):
     rep = verify_injection((2, 2), 0)
     assert not rep.ok
     assert rep.failures and all(f.startswith("invalid image of") for f in rep.failures)
-    assert all(f.endswith("pi is not a face partition") for f in rep.failures)
+    assert all(f.endswith("pi is not a face partition: block not connected") for f in rep.failures)
 
 
 def test_audit_catches_collision(monkeypatch):
