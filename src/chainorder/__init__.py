@@ -3,7 +3,7 @@ chain-order polytopes of finite posets, with two independent pipelines:
 geometric (face iteration over vertex-facet incidences) and combinatorial
 (face normal forms of maximal ranked posets)."""
 
-from .errors import BudgetError, InconsistentInputError
+from .errors import BudgetError, ConfigError, InconsistentInputError
 from .facelattice import FaceLattice, IncidenceMatrix, count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import (
     FaceNormalForm,

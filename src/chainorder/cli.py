@@ -14,23 +14,20 @@ import io
 import json
 import sys
 
-from .errors import BudgetError
+from .errors import BudgetError, ConfigError
 from .facelattice import MAX_FACES, count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, verify_injection, verify_monotone
 from .polytopes import MAX_POINTS, chain_order_dd
 from .polytopes import chain_order_hrep, zero_one_vertices  # unused: perfbench targets (ROADMAP item 1)
 from .posets import (
     Poset,
+    check_cut,
     check_tau,
     element_name,
     make_maximal_ranked,
     poset_from_json,
     poset_to_json,
 )
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_tau(text: str | None) -> tuple[int, ...] | None:
@@ -75,6 +72,7 @@ def _dd_for(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
     of P_tau, or the order or chain polytope of the poset; --budget-points
     bounds its rows and its vertices."""
     if poset is None:
+        tau = check_cut(tau, k)
         poset, chain_part = make_maximal_ranked(tau), (1 << sum(tau[:k])) - 1
     else:
         chain_part = (1 << poset.n) - 1 if args.polytope == "chain" else 0
@@ -222,8 +220,6 @@ def _verify_command(args: argparse.Namespace) -> int:
     payload: dict = {"tau": list(tau)}
     ok = True
     if args.what == "injectivity":
-        if args.k is not None and args.k >= len(tau):
-            raise ConfigError(f"injectivity needs a cut k < {len(tau)} for tau={_tau_label(tau)}, got k={args.k}")
         ks = [args.k] if args.k is not None else list(range(len(tau)))
         reports = []
         for k in ks:
@@ -366,9 +362,6 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
         if hasattr(args, "tau"):  # every command but table
             args.tau = _parse_tau(args.tau)
-            k = getattr(args, "k", None)  # gen has no --k
-            if args.tau is not None and k is not None and not 0 <= k <= len(args.tau):
-                raise ConfigError(f"k={k} out of range for tau={args.tau}")
         return run(args)
     except (ConfigError, OSError) as exc:  # OSError: unreadable or unwritable files
         sys.stderr.write(f"error: {exc}\n")

@@ -15,7 +15,9 @@ The eq data is either absent (no chain row is tight) or present, and presence
 with all-empty sets is meaningful: it occurs when every chain-side rank is
 fully zeroed and the tight chains end in the unique glued block above the cut.
 Enumeration, codimension, fast f-vector counting, and a codimension-preserving
-injection from cut k to cut k+1 all live here.
+injection from cut k to cut k+1 all live here.  Each entry point taking (tau, k)
+checks the cut on entry by `check_cut`, which raises `ConfigError`;
+`codimension`, `psi_map` and the cached per-cut helpers trust their input.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 
-from .errors import BudgetError
+from .errors import BudgetError, ConfigError
 from .posets import (
     BOTTOM,
     TOP,
     Poset,
+    check_cut,
     check_partition_masks,
     check_tau,
     extend_poset,
@@ -104,7 +107,7 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
     of the elements left free may open a new block, and the rest close as
     singletons.  No block opens or stays open at the last rank.
     """
-    tau = check_tau(tau)
+    tau = check_cut(tau, k)
     ranks = [rank_elements(tau, r) for r in range(k + 1, len(tau) + 2)]
     states: list[tuple[tuple[Block, ...], Block]] = [((), ())]
     for idx, elems in enumerate(ranks):
@@ -126,12 +129,11 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
 
 def induced_order_poset(tau, k: int) -> Poset:
     """The order-side elements as a poset (full bipartite between consecutive ranks)."""
-    tau = check_tau(tau)
-    ell = len(tau)
-    elems = tuple(e for r in range(k + 1, ell + 1) for e in rank_elements(tau, r))
+    tau = check_cut(tau, k)
+    elems = tuple(e for r in range(k + 1, len(tau) + 1) for e in rank_elements(tau, r))
     covers = tuple(
         (a, b)
-        for r in range(k + 1, ell)
+        for r in range(k + 1, len(tau))
         for a in rank_elements(tau, r)
         for b in rank_elements(tau, r + 1)
     )
@@ -161,17 +163,14 @@ def _in_order(s, allowed) -> bool:
 
 
 def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | None]:
-    """Full validity check; returns (ok, reason).
+    """Full validity check; returns (ok, reason), but a bad tau or cut raises.
 
     Only the canonical encoding passes, the one `enumerate_normal_forms` and
     `psi_map` build: sorted blocks, each sorted, and every zero set, eq set
     and chain-end set a tuple of its allowed elements in rank order, so that
     equal faces have equal forms.  An entry of the wrong type is a reason too.
     """
-    tau = check_tau(tau)
-    ell = len(tau)
-    if not 0 <= k <= ell:
-        return False, "cut out of range"
+    tau = check_cut(tau, k)
     ep, index = _extended_order_poset(tau, k)
     try:
         masks = partition_masks(ep, [*nf.pi, (BOTTOM,)], index)
@@ -202,7 +201,7 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
                 return False, f"rank {i} has free elements but an empty eq set"
             all_zeroed = False
     tops = nf.eq_sets[k]
-    if k == ell:
+    if k == len(tau):
         if tops != (top_element(tau),):
             return False, "tight chains at the full cut must end at the adjoined maximum"
         forced_one = True
@@ -246,10 +245,7 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
     zeroed.  Each partition pairs them with its own chain-end options, leaving
     out the combination that cuts out the empty face.
     """
-    tau = check_tau(tau)
-    ell = len(tau)
-    if not 0 <= k <= ell:
-        raise ValueError(f"k must be in [0, {ell}], got {k}")
+    tau = check_cut(tau, k)
     ground = order_ground(tau, k)
     if len(ground) > PARTITION_GROUND_LIMIT:
         raise BudgetError(
@@ -263,7 +259,7 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
         chain_choices.append((zeros, prefixes, not any(frees)))
     forms: list[FaceNormalForm] = []
     for pi in face_partitions(tau, k):
-        if k < ell:
+        if k < len(tau):
             # tight chains end on a nonempty set of singletons, or in the
             # block that glues the whole first order rank upward
             singles = [e for e in rank_elements(tau, k + 1) if (e,) in pi]
@@ -324,10 +320,7 @@ def f_vector_normal_form(tau, k: int) -> tuple[int, ...]:
     combination (all chain ranks zeroed, chain end pinned to one) lands at
     codimension n+1 and is removed; its coefficient is asserted to be exactly 1.
     """
-    tau = check_tau(tau)
-    ell = len(tau)
-    if not 0 <= k <= ell:
-        raise ValueError(f"k must be in [0, {ell}], got {k}")
+    tau = check_cut(tau, k)
     n = sum(tau)
     w = _faces_by_codimension_at(tau, k, 1).bit_length()
     total = _faces_by_codimension_at(tau, k, 1 << w)
@@ -400,12 +393,12 @@ def verify_injection(tau, k: int) -> InjectionReport:
     """Apply the cut-raising map to every face of codimension >= 2 and audit it.
 
     Checks image validity, codimension preservation, and pairwise distinctness
-    of images; failures are collected in the report rather than raised.
+    of images; failures are collected in the report rather than raised.  The
+    cut must lie below the top rank; another raises `ConfigError`.
     """
-    tau = check_tau(tau)
-    ell = len(tau)
-    if k >= ell:
-        raise ValueError("verification needs a cut below the top rank")
+    tau = check_cut(tau, k)
+    if k == len(tau):
+        raise ConfigError(f"verification needs a cut below the top rank {len(tau)}, got k={k}")
     n = sum(tau)
     src_counts: dict[int, int] = {}
     img_counts: dict[int, int] = {}

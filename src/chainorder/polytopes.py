@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError
+from .errors import BudgetError, ConfigError
 from .linalg import int_matrix_rank  # also a perfbench tracing target until ROADMAP item 1
-from .posets import Poset, check_tau, make_maximal_ranked, mask_to_tuple
+from .posets import Poset, check_cut, make_maximal_ranked, mask_to_tuple
 from .posets import maximal_antichains  # unused: a perfbench tracing target until ROADMAP item 1
 
 Row = tuple[tuple[int, ...], int]
@@ -88,11 +88,10 @@ def _chain_order_rows(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -
     """
     n = p.n
     inside = [bool(chain_part >> i & 1) for i in range(n)]
-    # chains from the bottom, or from v itself outside the chain part, to v;
-    # positions come in an order with everything below v first
+    # chains from the bottom, or from v itself outside the chain part, to v
     ways = [1] * n
     rows = chain_part.bit_count()
-    for v in sorted(range(n), key=lambda i: p.below_masks[i].bit_count()):
+    for v in p.linear_extension:
         ups, downs = p.up_covers[v], p.down_covers[v]
         if inside[v]:
             ways[v] = sum(ways[u] for u in downs) or 1
@@ -132,8 +131,11 @@ def chain_order_dd(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -> t
     node is one vertex, and none repeats.  ``max_points`` (``MAX_POINTS`` by
     default) bounds the rows and the vertices as they are found; the search
     also stops at an antichain of more than ``max_points.bit_length()``
-    elements, whose subsets alone are more vertices than that.
+    elements, whose subsets alone are more vertices than that.  A chain part
+    that is not a down-set of P's positions raises `ConfigError`.
     """
+    if chain_part >> p.n or any(p.below_masks[i] & ~chain_part for i in mask_to_tuple(chain_part)):
+        raise ConfigError(f"chain part {chain_part:#b} is not a down-set of the {p.n} positions")
     h = HRep(p.elements, tuple(_chain_order_rows(p, chain_part, max_points)))
     n, above = p.n, p.above_masks
     order_part = ((1 << n) - 1) & ~chain_part
@@ -175,11 +177,8 @@ def chain_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
 
 def chain_order_hrep(tau, k: int) -> HRep:
     """The rows of `chain_order_dd` on P_tau with the ranks up to the cut k as
-    chain part, counted against the default point budget."""
-    tau = check_tau(tau)
-    ell = len(tau)
-    if not 0 <= k <= ell:
-        raise ValueError(f"k must be in [0, {ell}], got {k}")
+    chain part, counted against the default point budget; a bad cut raises."""
+    tau = check_cut(tau, k)
     p = make_maximal_ranked(tau)  # positions run rank by rank
     return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1)))
 

@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from . import cliques
+from .errors import ConfigError
 
 Element = Any
 Block = tuple[Element, ...]
@@ -36,10 +37,18 @@ def check_tau(tau: Sequence[int]) -> tuple[int, ...]:
     """Validate a tuple of rank sizes: nonempty, all parts ints >= 1 (not bools)."""
     tau = tuple(tau)
     if not tau:
-        raise ValueError("tau must have at least one part")
+        raise ConfigError("tau must have at least one part")
     for t in tau:
         if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-            raise ValueError(f"tau parts must be positive integers, got {tau}")
+            raise ConfigError(f"tau parts must be positive integers, got {tau}")
+    return tau
+
+
+def check_cut(tau: Sequence[int], k: int) -> tuple[int, ...]:
+    """Validate an int cut k of P_tau (ranks 1..k are the chain part); returns the checked tau."""
+    tau = check_tau(tau)
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= len(tau):
+        raise ConfigError(f"k must be in [0, {len(tau)}], got {k}")
     return tau
 
 
@@ -110,11 +119,18 @@ class Poset:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def linear_extension(self) -> tuple[int, ...]:
+        """Positions in an order with every position after all below it."""
+        order = _topological_order(self.up_covers)
+        if order is None:
+            raise ValueError("cover relation has a directed cycle")
+        return tuple(order)
+
+    @cached_property
     def above_masks(self) -> tuple[int, ...]:
         """Bitmask of positions strictly above each position."""
-        n = self.n
-        above = [0] * n
-        for i in self._topo_reverse:
+        above = [0] * self.n
+        for i in reversed(self.linear_extension):
             m = 0
             for j in self.up_covers[i]:
                 m |= (1 << j) | above[j]
@@ -125,19 +141,12 @@ class Poset:
     def below_masks(self) -> tuple[int, ...]:
         """Bitmask of positions strictly below each position."""
         below = [0] * self.n
-        for i in reversed(self._topo_reverse):
+        for i in self.linear_extension:
             m = 0
             for j in self.down_covers[i]:
                 m |= (1 << j) | below[j]
             below[i] = m
         return tuple(below)
-
-    @cached_property
-    def _topo_reverse(self) -> tuple[int, ...]:
-        order = _topological_order(self.up_covers)
-        if order is None:
-            raise ValueError("cover relation has a directed cycle")
-        return tuple(reversed(order))
 
     def less(self, p: Element, q: Element) -> bool:
         """Strict order comparison."""
@@ -314,7 +323,7 @@ def as_tau_shape(p: Poset) -> tuple[int, ...] | None:
         return None
     # longest-path levels from the minima
     level = [0] * p.n
-    for i in reversed(p._topo_reverse):
+    for i in p.linear_extension:
         for j in p.down_covers[i]:
             level[i] = max(level[i], level[j] + 1)
     nlev = max(level) + 1

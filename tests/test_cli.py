@@ -512,8 +512,22 @@ def test_verify_injectivity(capsys):
 def test_verify_injectivity_rejects_top_cut(capsys):
     # k = len(tau) is a valid cut, but there is no cut above it to inject into
     code, out, err = run_main(capsys, "verify", "injectivity", "--tau", "2,1", "--k", "2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out, err) == (2, "", "error: verification needs a cut below the top rank 2, got k=2\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        *[
+            (["fvector", "--tau", "2,2", "--k", "9", "--method", method], "k must be in [0, 2], got 9")
+            for method in ("geometric", "normalform", "both")
+        ],
+        (["dd", "--polytope", "chain-order", "--tau", "2,2", "--k", "-1"], "k must be in [0, 2], got -1"),
+        (["verify", "injectivity", "--tau", "2,1", "--k", "-1"], "k must be in [0, 2], got -1"),
+    ],
+)
+def test_bad_cut_exits_two_with_the_library_message(capsys, argv, message):
+    assert run_main(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_verify_injectivity_all_cuts(capsys):

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 from math import comb
 
 import pytest
@@ -6,8 +8,8 @@ from conftest import compositions, compositions_upto, set_partitions
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainorder import normalform
-from chainorder.errors import BudgetError
+from chainorder import cli, normalform
+from chainorder.errors import BudgetError, ConfigError
 from chainorder.facelattice import enumerate_faces, f_vector, incidence_matrix
 from chainorder.normalform import (
     PARTITION_GROUND_LIMIT,
@@ -25,7 +27,7 @@ from chainorder.normalform import (
     verify_injection,
     verify_monotone,
 )
-from chainorder.polytopes import chain_order_hrep, chain_polytope_dd, order_polytope_dd, zero_one_vertices
+from chainorder.polytopes import MAX_POINTS, chain_order_hrep, chain_polytope_dd, order_polytope_dd, zero_one_vertices
 from chainorder.posets import BOTTOM, TOP, check_tau, extend_poset, make_maximal_ranked, validate_face_partition
 
 
@@ -215,7 +217,7 @@ _MUST_PARTITION = "pi does not partition the order side: "
 @pytest.mark.parametrize(
     "tau,k,nf,reason",
     [
-        pytest.param((2, 2), 3, FaceNormalForm(_PI, _ZEROS, _EQ), "cut out of range", id="cut"),
+        pytest.param((2, 2), 3, FaceNormalForm(_PI, _ZEROS, _EQ), ConfigError("k must be in [0, 2], got 3"), id="cut"),
         pytest.param(
             (2, 2), 1, FaceNormalForm(_PI + ((),), _ZEROS, _EQ), _MUST_PARTITION + "empty block", id="empty-block"
         ),
@@ -334,7 +336,37 @@ _MUST_PARTITION = "pi does not partition the order side: "
 )
 def test_every_rejection_reason(tau, k, nf, reason):
     assert is_valid_normal_form(FaceNormalForm(_PI, _ZEROS, _EQ), (2, 2), 1) == (True, None)
-    assert is_valid_normal_form(nf, tau, k) == (False, reason)
+    if isinstance(reason, ConfigError):  # a bad cut is a bad argument, not a bad form
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(reason))}$"):
+            is_valid_normal_form(nf, tau, k)
+    else:
+        assert is_valid_normal_form(nf, tau, k) == (False, reason)
+
+
+# every function taking (tau, k), each with the cut as its last argument
+_CUT_ENTRY_POINTS = {
+    "face_partitions": face_partitions,
+    "induced_order_poset": induced_order_poset,
+    "enumerate_normal_forms": enumerate_normal_forms,
+    "f_vector_normal_form": f_vector_normal_form,
+    "is_valid_normal_form": lambda tau, k: is_valid_normal_form(FaceNormalForm(_PI, _ZEROS, _EQ), tau, k),
+    "verify_injection": verify_injection,
+    "chain_order_hrep": chain_order_hrep,
+    "cli._dd_for": lambda tau, k: cli._dd_for(argparse.Namespace(budget_points=MAX_POINTS), tau, k, None),
+}
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+@pytest.mark.parametrize("entry", sorted(_CUT_ENTRY_POINTS))
+def test_every_cut_entry_point_rejects_a_bad_cut(entry, k):
+    with pytest.raises(ConfigError, match=rf"^k must be in \[0, 2\], got {k}$"):
+        _CUT_ENTRY_POINTS[entry]((2, 2), k)
+
+
+def test_verify_injection_rejects_the_top_cut():
+    # the top cut is a cut, but has no cut above it to inject into
+    with pytest.raises(ConfigError, match=r"^verification needs a cut below the top rank 2, got k=2$"):
+        verify_injection((2, 2), 2)
 
 
 def test_enumeration_budget():

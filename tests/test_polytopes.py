@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainorder import polytopes
-from chainorder.errors import BudgetError, InconsistentInputError
+from chainorder.errors import BudgetError, ConfigError, InconsistentInputError
 from chainorder.linalg import int_matrix_rank
 from chainorder.polytopes import (
     HRep,
@@ -114,6 +114,21 @@ def test_chain_order_hrep_intermediate_counts():
     assert (len(nonneg), len(tops), len(mixed)) == (2, 2, 4)
     with pytest.raises(ValueError):
         chain_order_hrep((2, 2), 3)
+
+
+@pytest.mark.parametrize(
+    "tau,chain_part,message",
+    [
+        ((2, 1, 2), 0b100, "chain part 0b100 is not a down-set of the 5 positions"),  # rank 2 without rank 1
+        ((2, 2), 0b1000, "chain part 0b1000 is not a down-set of the 4 positions"),
+        ((2, 2), 0b10000, "chain part 0b10000 is not a down-set of the 4 positions"),  # too long
+        ((2, 2), 0b11111, "chain part 0b11111 is not a down-set of the 4 positions"),
+        ((2, 2), -1, "chain part -0b1 is not a down-set of the 4 positions"),
+    ],
+)
+def test_chain_order_dd_rejects_a_bad_chain_part(tau, chain_part, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        chain_order_dd(make_maximal_ranked(tau), chain_part)
 
 
 @pytest.mark.parametrize("tau,k", [((2, 2), 1), ((2, 1), 1), ((3, 2), 1), ((1, 2, 1), 2)])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_polytopes import maximal_chains
 
+from chainorder.errors import ConfigError
 from chainorder.facelattice import count_faces, incidence_matrix
 from chainorder.normalform import f_vector_normal_form
 from chainorder.polytopes import chain_polytope_dd, order_polytope_dd
@@ -17,6 +18,8 @@ from chainorder.posets import (
     TOP,
     Poset,
     as_tau_shape,
+    check_cut,
+    check_tau,
     extend_poset,
     has_hl_pattern,
     make_maximal_ranked,
@@ -59,6 +62,19 @@ def test_make_maximal_ranked_running_example():
 def test_make_maximal_ranked_rejects_bad_tau(bad):
     with pytest.raises(ValueError):
         make_maximal_ranked(bad)
+
+
+def test_check_cut():
+    assert [check_cut([2, 1], k) for k in range(3)] == [(2, 1)] * 3
+    assert issubclass(ConfigError, ValueError)
+    for k in (-1, 3, 1.5, True):
+        with pytest.raises(ConfigError, match=rf"^k must be in \[0, 2\], got {k}$"):
+            check_cut((2, 1), k)
+    for bad in [(), (0, 1)]:  # the tau is checked first, with check_tau's message
+        with pytest.raises(ConfigError, match="^tau "):
+            check_tau(bad)
+        with pytest.raises(ConfigError, match="^tau "):
+            check_cut(bad, 0)
 
 
 def test_poset_rejects_cycles_and_unreduced_covers():
@@ -267,6 +283,18 @@ def test_below_masks_transpose_above_masks(n, density, seed):
     for i in range(p.n):
         for j in range(p.n):
             assert (p.below_masks[j] >> i) & 1 == (p.above_masks[i] >> j) & 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_linear_extension_puts_each_position_after_those_below(n, density, seed):
+    p = random_poset(random.Random(seed), n, density)
+    order = p.linear_extension
+    assert sorted(order) == list(range(p.n))
+    seen = 0
+    for i in order:
+        assert not p.below_masks[i] & ~seen
+        seen |= 1 << i
 
 
 def quotient_by_partition(p: Poset, pi: Iterable[Iterable]) -> Poset:
