@@ -162,6 +162,33 @@ def _in_order(s, allowed) -> bool:
     return s == () or isinstance(s, tuple) and s == tuple([e for e in allowed if e in s])
 
 
+def _chain_end_facts(pi, tau: tuple[int, ...], k: int) -> tuple[tuple[Element, ...], bool]:
+    """The singletons of rank k + 1 in a face partition ``pi`` at cut k, and,
+    when there are none, whether the block gluing that rank upward holds the
+    adjoined maximum (then a chain ending in it is pinned to one)."""
+    singles = tuple([e for e in rank_elements(tau, k + 1) if (e,) in pi])
+    return singles, not singles and top_element(tau) in (_glued_block(pi, k + 1) or ())
+
+
+def _partition_reason(pi, tau: tuple[int, ...], k: int):
+    """The partition half of `is_valid_normal_form`, which depends on ``pi``
+    alone: (reason, None) if ``pi`` is not a canonical face partition at cut
+    k, else (None, `_chain_end_facts`).  ``tau`` and ``k`` must be checked.
+    """
+    ep, index = _extended_order_poset(tau, k)
+    try:
+        masks = partition_masks(ep, [*pi, (BOTTOM,)], index)
+    except (ValueError, TypeError) as exc:
+        return f"pi does not partition the order side: {exc}", None
+    if pi != _canonical_partition(pi):
+        if not isinstance(pi, tuple) or not all(isinstance(b, tuple) for b in pi):
+            return "pi must be a tuple of blocks, each a tuple", None
+        return "pi is not sorted blockwise and within its blocks", None
+    if not (check := check_partition_masks(ep, masks)).valid:
+        return f"pi is not a face partition: {check.reason}", None
+    return None, _chain_end_facts(pi, tau, k)
+
+
 def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | None]:
     """Full validity check; returns (ok, reason), but a bad tau or cut raises.
 
@@ -171,53 +198,55 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
     equal faces have equal forms.  An entry of the wrong type is a reason too.
     """
     tau = check_cut(tau, k)
-    ep, index = _extended_order_poset(tau, k)
-    try:
-        masks = partition_masks(ep, [*nf.pi, (BOTTOM,)], index)
-    except (ValueError, TypeError) as exc:
-        return False, f"pi does not partition the order side: {exc}"
-    if nf.pi != _canonical_partition(nf.pi):
-        if not isinstance(nf.pi, tuple) or not all(isinstance(b, tuple) for b in nf.pi):
-            return False, "pi must be a tuple of blocks, each a tuple"
-        return False, "pi is not sorted blockwise and within its blocks"
-    if not (check := check_partition_masks(ep, masks)).valid:
-        return False, f"pi is not a face partition: {check.reason}"
+    reason = _form_reason(nf, tau, k, _partition_reason)
+    return reason is None, reason
+
+
+def _form_reason(nf, tau: tuple[int, ...], k: int, partition_reason) -> str | None:
+    """Why ``nf`` is not a valid normal form at cut k, or None if it is.
+
+    ``partition_reason(pi, tau, k)`` is `_partition_reason` or a memo of it;
+    the rest is the per-form half: zero sets, eq sets and chain ends.
+    """
+    if not isinstance(nf, FaceNormalForm):
+        return f"{type(nf).__name__} is not a FaceNormalForm"
+    reason, facts = partition_reason(nf.pi, tau, k)
+    if reason is not None:
+        return reason
     if not isinstance(nf.zero_sets, tuple) or len(nf.zero_sets) != k:
-        return False, "zero_sets must be a tuple of one entry per chain-side rank"
+        return "zero_sets must be a tuple of one entry per chain-side rank"
     for i, zeros in enumerate(nf.zero_sets, 1):
         if not _in_order(zeros, rank_elements(tau, i)):
-            return False, f"zero set of rank {i} is not a tuple of its rank's elements in order"
+            return f"zero set of rank {i} is not a tuple of its rank's elements in order"
     if nf.eq_sets is None:
-        return True, None
+        return None
     if not isinstance(nf.eq_sets, tuple) or len(nf.eq_sets) != k + 1:
-        return False, "eq_sets must be None or a tuple of one entry per rank through the cut"
+        return "eq_sets must be None or a tuple of one entry per rank through the cut"
     all_zeroed = True
     for i in range(1, k + 1):
         free = tuple([e for e in rank_elements(tau, i) if e not in nf.zero_sets[i - 1]])
         if not _in_order(nf.eq_sets[i - 1], free):
-            return False, f"eq set of rank {i} is not a tuple of its free elements in order"
+            return f"eq set of rank {i} is not a tuple of its free elements in order"
         if free:
             if not nf.eq_sets[i - 1]:
-                return False, f"rank {i} has free elements but an empty eq set"
+                return f"rank {i} has free elements but an empty eq set"
             all_zeroed = False
     tops = nf.eq_sets[k]
     if k == len(tau):
         if tops != (top_element(tau),):
-            return False, "tight chains at the full cut must end at the adjoined maximum"
+            return "tight chains at the full cut must end at the adjoined maximum"
         forced_one = True
     else:
-        singles = tuple([e for e in rank_elements(tau, k + 1) if (e,) in nf.pi])
+        singles, forced_one = facts
         if not _in_order(tops, singles):
-            return False, "chain ends are not singletons of the first order rank in order"
+            return "chain ends are not singletons of the first order rank in order"
         if tops:
             forced_one = False
-        elif singles:
-            return False, "empty chain end needs the whole first order rank glued upward"
-        else:  # a face partition puts the whole rank in one glued block
-            forced_one = top_element(tau) in _glued_block(nf.pi, k + 1)
+        elif singles:  # a face partition glues the rank upward only when whole
+            return "empty chain end needs the whole first order rank glued upward"
     if all_zeroed and forced_one:
-        return False, "all chain ranks zeroed with the chain end pinned to one: empty face"
-    return True, None
+        return "all chain ranks zeroed with the chain end pinned to one: empty face"
+    return None
 
 
 def codimension(nf: FaceNormalForm, tau, k: int) -> int:
@@ -262,9 +291,8 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
         if k < len(tau):
             # tight chains end on a nonempty set of singletons, or in the
             # block that glues the whole first order rank upward
-            singles = [e for e in rank_elements(tau, k + 1) if (e,) in pi]
+            singles, forced_one = _chain_end_facts(pi, tau, k)
             top_options = list(_subsets(singles, 1 if singles else 0))
-            forced_one = not singles and top_element(tau) in (_glued_block(pi, k + 1) or ())
         else:
             top_options, forced_one = [(top_element(tau),)], True
         for zeros, prefixes, all_zeroed in chain_choices:
@@ -393,8 +421,10 @@ def verify_injection(tau, k: int) -> InjectionReport:
     """Apply the cut-raising map to every face of codimension >= 2 and audit it.
 
     Checks image validity, codimension preservation, and pairwise distinctness
-    of images; failures are collected in the report rather than raised.  The
-    cut must lie below the top rank; another raises `ConfigError`.
+    of images; failures are collected in the report rather than raised.  Every
+    image gets every check of `is_valid_normal_form`, but its partition half
+    runs once per distinct image partition in this call.  The cut must lie
+    below the top rank; another raises `ConfigError`.
     """
     tau = check_cut(tau, k)
     if k == len(tau):
@@ -409,14 +439,25 @@ def verify_injection(tau, k: int) -> InjectionReport:
     preserved = True
     failures: list[str] = []
     seen: dict[FaceNormalForm, FaceNormalForm] = {}
+    partitions: dict = {}  # image pi -> its `_partition_reason`, for this audit only
+
+    def partition_reason(pi, tau, k):
+        try:
+            return partitions[pi]
+        except KeyError:
+            partitions[pi] = result = _partition_reason(pi, tau, k)
+            return result
+        except TypeError:  # an unhashable pi is checked in full every time
+            return _partition_reason(pi, tau, k)
+
     for nf in enumerate_normal_forms(tau, k):
         cod = codimension(nf, tau, k)
         if cod < 2:
             continue
         src_counts[cod] = src_counts.get(cod, 0) + 1
         img = psi_map(nf, tau, k)
-        ok, reason = is_valid_normal_form(img, tau, k + 1)
-        if not ok:
+        reason = _form_reason(img, tau, k + 1, partition_reason)
+        if reason is not None:
             failures.append(f"invalid image of {nf}: {reason}")
             continue
         cod2 = codimension(img, tau, k + 1)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import re
 from math import comb
@@ -565,7 +566,7 @@ def test_psi_is_injective_and_keeps_codimension(tau_k):
     ]
 
 
-@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about a minute; set CHAINORDER_SLOW=1")
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 20 s; set CHAINORDER_SLOW=1")
 def test_injection_exhaustive_n8():
     audited = 0
     taus = compositions(8)
@@ -698,6 +699,72 @@ def test_audit_catches_codimension_change(monkeypatch):
     assert not rep.ok and not rep.codim_preserved
     assert any(f.startswith("codimension changed") for f in rep.failures)
     assert not any(f.startswith("invalid image") for f in rep.failures)
+
+
+def test_audit_reports_each_bad_form_among_images_sharing_a_partition(monkeypatch):
+    # every second image gets a zero set outside its rank; the partition half
+    # of each image is checked once per distinct pi, so a verdict cached for a
+    # good image must not hide the bad zero set of a later one, or the reverse
+    bad_sources, pis = set(), {}
+
+    def bad_zeros_every_second(nf, tau, k, img):
+        bad = len(pis.setdefault(img.pi, [])) % 2 == 1
+        pis[img.pi].append(bad)
+        if not bad:
+            return img
+        bad_sources.add(nf)
+        return FaceNormalForm(img.pi, (((9, 9),),) + img.zero_sets[1:], img.eq_sets)
+
+    _patch_psi(monkeypatch, bad_zeros_every_second)
+    for k in range(2):
+        bad_sources.clear()
+        pis.clear()
+        rep = verify_injection((2, 2, 2), k)
+        assert not rep.ok and rep.injective and rep.codim_preserved
+        assert any(len(set(flags)) == 2 for flags in pis.values())  # good and bad images share a pi
+        reason = "zero set of rank 1 is not a tuple of its rank's elements in order"
+        assert sorted(rep.failures) == sorted(f"invalid image of {nf}: {reason}" for nf in bad_sources)
+    monkeypatch.undo()  # nothing the audit saw carries over to the next audit
+    assert verify_injection((2, 2, 2), 1).ok
+
+
+@pytest.mark.parametrize("as_lists", [lambda pi: tuple(map(list, pi)), list], ids=["list-blocks", "list-pi"])
+def test_audit_rejects_unhashable_partitions_without_raising(monkeypatch, as_lists):
+    _patch_psi(monkeypatch, lambda nf, tau, k, img: FaceNormalForm(as_lists(img.pi), img.zero_sets, img.eq_sets))
+    rep = verify_injection((2, 1, 2), 1)
+    assert len(rep.failures) == sum(rep.per_codim_counts_src.values()) > 0
+    assert all(f.endswith(": pi must be a tuple of blocks, each a tuple") for f in rep.failures)
+
+
+def test_audit_rejects_an_image_that_is_not_a_form(monkeypatch):
+    _patch_psi(monkeypatch, lambda nf, tau, k, img: (img.pi, img.zero_sets, img.eq_sets))
+    rep = verify_injection((2, 2), 0)
+    assert len(rep.failures) == sum(rep.per_codim_counts_src.values()) > 0
+    assert all(f.startswith("invalid image of") and f.endswith(": tuple is not a FaceNormalForm") for f in rep.failures)
+    assert is_valid_normal_form(None, (2, 2), 0) == (False, "NoneType is not a FaceNormalForm")
+    with pytest.raises(ConfigError):  # a bad cut still raises first
+        is_valid_normal_form(None, (2, 2), 3)
+
+
+def test_injection_reports_digest_upto_6():
+    # counts, flags and failures of the audit at every cut of every
+    # composition of n <= 6, pinned before the partition memo, which must
+    # change no report
+    digest = hashlib.sha256()
+    for tau in compositions_upto(6):
+        for k in range(len(tau)):
+            rep = verify_injection(tau, k)
+            line = (
+                tau,
+                k,
+                sorted(rep.per_codim_counts_src.items()),
+                sorted(rep.per_codim_counts_img.items()),
+                rep.injective,
+                rep.codim_preserved,
+                rep.failures,
+            )
+            digest.update(repr(line).encode() + b"\n")
+    assert digest.hexdigest() == "0bd7a535bd0d3cbb4e3041eda43f791223405d6534651579baf96745c649e4b6"
 
 
 def test_verify_monotone_small():
