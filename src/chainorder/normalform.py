@@ -14,10 +14,10 @@ identified by three pieces of data:
 The eq data is either absent (no chain row is tight) or present, and presence
 with all-empty sets is meaningful: it occurs when every chain-side rank is
 fully zeroed and the tight chains end in the unique glued block above the cut.
-Enumeration, codimension, fast f-vector counting, and a codimension-preserving
-injection from cut k to cut k+1 all live here.  Each entry point taking (tau, k)
-checks the cut on entry by `check_cut`, which raises `ConfigError`;
-`codimension`, `psi_map` and the cached per-cut helpers trust their input.
+Enumeration within the face budget ``MAX_FACES``, codimension, fast f-vector
+counting and a codimension-preserving injection from cut k to k+1 live here.
+Each entry point taking (tau, k) checks the cut by `check_cut`, which raises
+`ConfigError`; `codimension`, `psi_map` and the per-cut caches trust their input.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import BudgetError, ConfigError
+from .facelattice import MAX_FACES  # the one face budget; no facelattice code runs here
 from .posets import (
     BOTTOM,
     TOP,
@@ -41,8 +42,6 @@ from .posets import (
 
 Element = tuple[int, int]
 Block = tuple[Element, ...]
-
-PARTITION_GROUND_LIMIT = 10
 
 # Per-(tau, k) structures are memoised: the injection audit asks for the same
 # few of them thousands of times.  Arguments must be checked tuples.
@@ -272,14 +271,13 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
     sets, the eq-set prefixes (a nonempty subset of each rank's free elements,
     or () where a rank is fully zeroed) and whether every chain rank is
     zeroed.  Each partition pairs them with its own chain-end options, leaving
-    out the combination that cuts out the empty face.
+    out the combination that cuts out the empty face.  That is one form per
+    nonempty face, counted before any is built, and refused past ``MAX_FACES``.
     """
     tau = check_cut(tau, k)
-    ground = order_ground(tau, k)
-    if len(ground) > PARTITION_GROUND_LIMIT:
-        raise BudgetError(
-            f"order side has {len(ground)} elements; enumeration limit is {PARTITION_GROUND_LIMIT}"
-        )
+    total = _faces_by_codimension_at(tau, k, 1) - 1  # less the empty face's combination
+    if total > MAX_FACES:
+        raise BudgetError(f"face budget {MAX_FACES} exceeded: the polytope has {total} nonempty faces")
     chain_ranks = [rank_elements(tau, i) for i in range(1, k + 1)]
     chain_choices = []  # (zero sets, eq-set prefixes, all chain ranks zeroed)
     for zeros in product(*map(_subsets, chain_ranks)):
@@ -431,10 +429,8 @@ def verify_injection(tau, k: int) -> InjectionReport:
         raise ConfigError(f"verification needs a cut below the top rank {len(tau)}, got k={k}")
     n = sum(tau)
     src_counts: dict[int, int] = {}
-    img_counts: dict[int, int] = {}
     f_next = f_vector_normal_form(tau, k + 1)
-    for c in range(2, n + 1):
-        img_counts[c] = f_next[n - c]
+    img_counts = {c: f_next[n - c] for c in range(2, n + 1)}
     injective = True
     preserved = True
     failures: list[str] = []

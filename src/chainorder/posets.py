@@ -361,4 +361,8 @@ def poset_from_json(text: str) -> Poset:
         raise ValueError("elements and covers must be JSON arrays")
     if not all(isinstance(c, list) and len(c) == 2 for c in covers):
         raise ValueError("each cover must be a two-item array")
+    names = {}  # dd prints each element by its name, so no two may share one
+    for e in elements:
+        if (first := names.setdefault(element_name(e), e)) != e:
+            raise ValueError(f"elements {first!r} and {e!r} print as one name {element_name(e)!r}")
     return Poset(tuple(elements), tuple(map(tuple, covers)))

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainorder
-from chainorder import cli
+from chainorder import cli, normalform
 from chainorder.cli import main, table_taus
 from chainorder.posets import as_tau_shape, poset_from_json
 
@@ -263,6 +263,19 @@ def test_directory_as_file_exits_two(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "elements, first, second", [('[1, "1"]', 1, "1"), ('[null, "None"]', None, "None"), ('["a", 1, "b", "1"]', 1, "1")]
+)
+def test_dd_poset_elements_must_print_apart(tmp_path, capsys, elements, first, second):
+    # dd prints each element by its name: two with one name would be one variable
+    poset_path = tmp_path / "p.json"
+    poset_path.write_text(f'{{"elements": {elements}, "covers": []}}')
+    code, out, err = run_main(capsys, "dd", "--poset", str(poset_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad poset file {poset_path}: elements ") and err.count("\n") == 1
+    assert f"elements {first!r} and {second!r} print as one name" in err
+
+
 def test_poset_json_fields_must_be_arrays(tmp_path, capsys):
     for text in (
         '{"elements": "ab", "covers": []}',
@@ -507,6 +520,26 @@ def test_verify_injectivity(capsys):
     code, out, _ = run_main(capsys, "verify", "injectivity", "--tau", "2,2", "--k", "0")
     assert code == 0
     assert "injective=True" in out and "codim_preserved=True" in out
+
+
+def test_verify_monotone_drop_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(normalform, "f_vector_normal_form", lambda tau, k: (5 - k, 7))
+    code, out, err = run_main(capsys, "verify", "monotone", "--tau", "2,1")
+    assert (code, err) == (1, "")
+    assert out.endswith("monotone=False\nf_0 drops from 5 to 4 between cuts 0 and 1\nf_0 drops from 4 to 3 between cuts 1 and 2\n")
+
+
+def test_verify_injectivity_over_the_face_budget_exits_two(capsys):
+    # 9,565,939 forms at this cut, counted before any is built
+    code, out, err = run_main(capsys, "verify", "injectivity", "--tau", "14,1", "--k", "1")
+    message = "face budget 5000000 exceeded: the polytope has 9565939 nonempty faces"
+    assert (code, out, err) == (2, "", f"budget exceeded: {message}\n")
+
+
+def test_verify_injectivity_takes_an_order_side_of_eleven_elements(capsys):
+    code, out, err = run_main(capsys, "verify", "injectivity", "--tau", ",".join(["1"] * 11), "--k", "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("cut 0 -> 1: injective=True codim_preserved=True failures=0\n")
 
 
 def test_verify_injectivity_rejects_top_cut(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chainorder.errors import BudgetError, InconsistentInputError
 from chainorder.facelattice import (
+    FaceLattice,
     IncidenceMatrix,
     _facets,
     _glue_vertex,
@@ -247,6 +248,23 @@ def test_two_disjoint_facets_reach_no_vertex():
         for faces in (enumerate_faces, count_faces):
             with pytest.raises(InconsistentInputError):
                 faces(_prism(inc, j))
+
+
+def test_a_glue_whose_facet_restricts_to_no_facet_of_its_piece_is_refused():
+    # these incidences glue at vertex 4 into two components, but a facet
+    # restricted to the piece on vertices 2, 3, 4, 6 is no facet of it:
+    # `_pieces` refuses the split, and the walk finds the incidences no polytope's
+    inc = IncidenceMatrix(7, 4, (101, 51, 92, 7))
+    for faces in (enumerate_faces, count_faces):
+        with pytest.raises(InconsistentInputError, match="^vertices not all at one depth; inconsistent incidences$"):
+            faces(inc)
+
+
+def test_f_vector_refuses_a_proper_face_of_out_of_range_dimension():
+    # a hand-built lattice of dimension 1 whose one proper face claims dimension 1
+    lattice = FaceLattice(1, (0, 1, 1), (-1, 1, 1), ((0, 1), (1, 2)), 0, 2)
+    with pytest.raises(InconsistentInputError, match="^proper face with out-of-range dimension$"):
+        f_vector(lattice)
 
 
 def _simplex(d):

@@ -13,7 +13,6 @@ from chainorder import cli, normalform
 from chainorder.errors import BudgetError, ConfigError
 from chainorder.facelattice import enumerate_faces, f_vector, incidence_matrix
 from chainorder.normalform import (
-    PARTITION_GROUND_LIMIT,
     FaceNormalForm,
     codimension,
     enumerate_normal_forms,
@@ -371,8 +370,33 @@ def test_verify_injection_rejects_the_top_cut():
 
 
 def test_enumeration_budget():
-    with pytest.raises(BudgetError):
-        enumerate_normal_forms((1,) * 11, 0)
+    # the order side has 2 elements, the chain side 14: the face budget counts both
+    message = "face budget 5000000 exceeded: the polytope has 9565939 nonempty faces"
+    with pytest.raises(BudgetError, match=f"^{message}$"):
+        enumerate_normal_forms((14, 1), 1)
+
+
+def test_enumeration_takes_an_order_side_of_eleven_elements():
+    # the 11-chain's order polytope is a simplex with 2^12 - 1 nonempty faces
+    assert len(enumerate_normal_forms((1,) * 11, 0)) == 4095
+    for k in range(11):
+        assert verify_injection((1,) * 11, k).ok, k
+
+
+@pytest.mark.parametrize("tau, k", [((2, 2), 1), ((2, 1, 2), 0), ((1, 3), 2)])
+def test_enumeration_budget_is_the_exact_form_count_checked_first(monkeypatch, tau, k):
+    count = len(enumerate_normal_forms(tau, k))
+    assert count == sum(f_vector_normal_form(tau, k)) + 1  # the polytope is a form too
+    calls = []
+    real = normalform.face_partitions
+    monkeypatch.setattr(normalform, "face_partitions", lambda tau, k: calls.append(tau) or real(tau, k))
+    monkeypatch.setattr(normalform, "MAX_FACES", count)
+    assert len(enumerate_normal_forms(tau, k)) == count and len(calls) == 1
+    monkeypatch.setattr(normalform, "MAX_FACES", count - 1)
+    message = f"face budget {count - 1} exceeded: the polytope has {count} nonempty faces"
+    with pytest.raises(BudgetError, match=f"^{message}$"):
+        enumerate_normal_forms(tau, k)
+    assert len(calls) == 1  # refused before a partition was built
 
 
 def test_uniqueness_against_geometry():
@@ -550,7 +574,7 @@ def test_psi_matches_reference_on_small_compositions():
 def _enumerable_tau_and_cut(draw):
     tau = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
     k = draw(st.integers(0, len(tau) - 1))
-    assume(sum(tau) <= 8 and sum(tau[k:]) + 1 <= PARTITION_GROUND_LIMIT)
+    assume(sum(tau) <= 8)
     return tau, k
 
 
@@ -774,6 +798,31 @@ def test_verify_monotone_small():
     fs = [rep.f_vectors[k] for k in range(4)]
     for lo, hi in zip(fs, fs[1:]):
         assert all(a <= b for a, b in zip(lo, hi))
+
+
+def test_verify_monotone_reports_a_drop(monkeypatch):
+    monkeypatch.setattr(normalform, "f_vector_normal_form", lambda tau, k: (5 - k, 7))
+    rep = verify_monotone((2, 1))
+    assert not rep.monotone
+    assert rep.failures == [
+        "f_0 drops from 5 to 4 between cuts 0 and 1",
+        "f_0 drops from 4 to 3 between cuts 1 and 2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        pytest.param(lambda n, x: x ** (n + 1), "has unexpected high-codimension terms", id="two-empty-faces"),
+        pytest.param(lambda n, x: x ** (n + 2), "has unexpected high-codimension terms", id="past-the-empty-face"),
+        pytest.param(lambda n, x: -1, "lost the whole polytope", id="no-polytope"),
+    ],
+)
+def test_counter_asserts_its_extreme_coefficients(monkeypatch, extra, message):
+    real = normalform._faces_by_codimension_at
+    monkeypatch.setattr(normalform, "_faces_by_codimension_at", lambda tau, k, x: real(tau, k, x) + extra(sum(tau), x))
+    with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
+        f_vector_normal_form((2, 1, 2), 1)
 
 
 # ---------------------------------------------------------------------------

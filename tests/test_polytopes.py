@@ -357,6 +357,18 @@ def test_hrep_rejects_entries_that_are_not_ints(row):
         HRep(("x", "y"), (((-1, 0), 0), row))
 
 
+def test_hrep_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^row length does not match variable count$"):
+        HRep(("x", "y"), (((-1,), 0),))
+
+
+def test_lattice_point_count_needs_a_positive_dilation():
+    h = order_polytope_dd(make_maximal_ranked((1,)))[1]
+    for t in (0, -1):
+        with pytest.raises(ValueError, match="^dilation factor must be positive$"):
+            lattice_point_count(h, t)
+
+
 def test_hrep_takes_no_equations():
     with pytest.raises(TypeError):
         HRep(("x",), (), (((1,), 0),))

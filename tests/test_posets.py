@@ -84,6 +84,25 @@ def test_poset_rejects_cycles_and_unreduced_covers():
         Poset(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
 
 
+def test_poset_rejects_duplicate_cover_pairs():
+    with pytest.raises(ValueError, match="^duplicate cover pairs$"):
+        Poset(("a", "b"), (("a", "b"), ("a", "b")))
+
+
+@pytest.mark.parametrize(
+    "elements, covers",
+    [
+        pytest.param((), (), id="empty"),
+        # d < c skips the level of b in a < b < c
+        pytest.param("abcd", (("a", "b"), ("b", "c"), ("d", "c")), id="cover-skips-a-level"),
+        # c covers a but not b, below it by levels
+        pytest.param("abc", (("a", "c"),), id="levels-not-joined-in-full"),
+    ],
+)
+def test_as_tau_shape_recognises_only_maximal_ranked_posets(elements, covers):
+    assert as_tau_shape(Poset(tuple(elements), covers)) is None
+
+
 def test_extend_poset_counts():
     ep = extend_poset(make_maximal_ranked((2, 2)))
     assert len(ep.elements) == 6
