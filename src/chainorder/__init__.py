@@ -10,6 +10,7 @@ from .normalform import (
     codimension,
     enumerate_normal_forms,
     f_vector_normal_form,
+    f_vectors_normal_form,
     psi_map,
     verify_injection,
     verify_monotone,

@@ -16,7 +16,7 @@ import sys
 
 from .errors import BudgetError, ConfigError
 from .facelattice import MAX_FACES, count_faces, enumerate_faces, f_vector, incidence_matrix
-from .normalform import f_vector_normal_form, verify_injection, verify_monotone
+from .normalform import f_vector_normal_form, f_vectors_normal_form, verify_injection, verify_monotone
 from .polytopes import MAX_POINTS, chain_order_dd
 from .polytopes import chain_order_hrep, zero_one_vertices  # unused: perfbench targets (ROADMAP item 1)
 from .posets import (
@@ -88,17 +88,16 @@ def _geometric_fvector(args: argparse.Namespace, tau, k: int | None, poset: Pose
     return count_faces(inc, max_faces=args.budget_faces), None
 
 
-def _pipelines_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
-    """(f-vector, lattice, agree) by the configured method.
+def _pipelines_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None, norm):
+    """(f-vector, lattice, agree) by the configured method, given ``norm``,
+    the normal-form f-vector already counted, or None for ``--method geometric``.
 
     With ``--method both`` a disagreement is reported on stderr, and the
     geometric f-vector is returned with ``agree`` false.
     """
-    geo = norm = lattice = None
+    geo = lattice = None
     if args.method in ("geometric", "both"):
         geo, lattice = _geometric_fvector(args, tau, k, poset)
-    if args.method in ("normalform", "both"):
-        norm = f_vector_normal_form(tau, k)
     agree = args.method != "both" or geo == norm
     if not agree:
         sys.stderr.write(
@@ -154,7 +153,8 @@ def _fvector_command(args: argparse.Namespace) -> int:
             raise ConfigError("--k is for --tau input; --poset input takes --polytope")
         label = args.polytope or "order"
 
-    fv, lattice, agree = _pipelines_fvector(args, tau, k, poset)
+    norm = f_vector_normal_form(tau, k) if args.method != "geometric" else None
+    fv, lattice, agree = _pipelines_fvector(args, tau, k, poset, norm)
     if not agree:
         return 1
     if lattice is not None:
@@ -193,10 +193,13 @@ def _table_command(args: argparse.Namespace) -> int:
         raise ConfigError(f"table needs --n >= 1, got {args.n}")
     rows_out: list[list] = []
     status = 0
-    for tau in table_taus(args.n):
-        for k in (0, len(tau)):
+    taus = table_taus(args.n)
+    batches = [((tau, 0) for tau in taus), ((tau, len(tau)) for tau in taus)]  # order rows, chain rows
+    counted = [f_vectors_normal_form(b) if args.method != "geometric" else [None] * len(taus) for b in batches]
+    for tau, norms in zip(taus, zip(*counted)):
+        for k, norm in zip((0, len(tau)), norms):
             try:
-                fv, _, agree = _pipelines_fvector(args, tau, k, None)
+                fv, _, agree = _pipelines_fvector(args, tau, k, None, norm)
             except BudgetError as exc:
                 raise BudgetError(f"at tau={_tau_label(tau)}, k={k} ({_polytope_label(tau, k)}): {exc}") from exc
             if not agree:

@@ -14,8 +14,9 @@ identified by three pieces of data:
 The eq data is either absent (no chain row is tight) or present, and presence
 with all-empty sets is meaningful: it occurs when every chain-side rank is
 fully zeroed and the tight chains end in the unique glued block above the cut.
-Enumeration within the face budget ``MAX_FACES``, codimension, fast f-vector
-counting and a codimension-preserving injection from cut k to k+1 live here.
+Enumeration within the face budget ``MAX_FACES``, codimension, f-vector
+counting by a bottom-up rank fold (per cut, or per batch sharing rank prefixes)
+and a codimension-preserving injection from cut k to k+1 live here.
 Each entry point taking (tau, k) checks the cut by `check_cut`, which raises
 `ConfigError`; `codimension`, `psi_map` and the per-cut caches trust their input.
 """
@@ -101,10 +102,10 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
     nonempty top subset.  Two multi-rank blocks may share a boundary rank but
     their spans cannot cross, so at most one block is open at a time.  One
     loop folds the ranks bottom up over states (closed blocks, open block or
-    ()), the states `_faces_by_codimension_at` counts.  The open block takes
-    the whole rank, or ends on a nonempty part of it; then a nonempty subset
-    of the elements left free may open a new block, and the rest close as
-    singletons.  No block opens or stays open at the last rank.
+    ()), the states `_faces_by_codimension_at` counts as (a, b).  The open
+    block takes the whole rank, or ends on a nonempty part of it; then a
+    nonempty subset of the elements left free may open a new block, and the
+    rest close as singletons.  No block opens or stays open at the last rank.
     """
     tau = check_cut(tau, k)
     ranks = [rank_elements(tau, r) for r in range(k + 1, len(tau) + 2)]
@@ -306,57 +307,87 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
 # ---------------------------------------------------------------------------
 
 
+def _rank_step(a: int, b: int, t: int, chain: bool, x: int) -> tuple[int, int]:
+    """One rank of size t in the fold of `_faces_by_codimension_at`.  A
+    chain-side rank grades its free zeros by (1+x)^t in the forms without
+    tight chains and its zero/eq choices by ((1+2x)^t - (1+x)^t)/x + x^t in
+    those with them.  On the order side, ``pick`` = ((1+x)^t - 1)/x grades a
+    nonempty subset of the rank by its size - 1: what reaches up ends on it,
+    or, times x, a new block starts on it.  ``stay`` is x^t for what reaches
+    up taking the whole rank, plus it ending on some elements while a new
+    block starts on others.  All divisions by x are exact."""
+    grow, both = (1 + x) ** t, (1 + 2 * x) ** t
+    if chain:
+        return a * grow, b * ((both - grow) // x + x**t)
+    pick, stay = (grow - 1) // x, (both - 2 * grow + 1) // x + x**t
+    return a + b * pick, a * (grow - 1) + b * stay  # x * pick = grow - 1
+
+
 def _faces_by_codimension_at(tau: tuple[int, ...], k: int, x: int) -> int:
     """The generating function of the normal forms by codimension, at x.
 
-    The order side is folded rank by rank, from the adjoined maximum down,
-    through a 2x2 transfer step on (closed, open): the partitions of the ranks
-    seen so far with no block, or with one block, still reaching down.  For a
-    rank of size t, ``pick`` = ((1+x)^t - 1)/x grades a nonempty subset of the
-    rank by its size - 1: the open block ends on it (graded by its size, hence
-    the factor x), or a new block starts on it.  ``stay`` is x^t for the open
-    block taking the whole rank, plus the open block ending on some elements
-    while a new one starts on the rest.  After the first order rank, ``open``
-    counts where tight chains may end: a nonempty set of singletons, or the
-    whole rank glued upward.  Each chain-side rank of size t adds its zero/eq
-    choices ((1+2x)^t - (1+x)^t)/x + x^t to the forms with tight chains and
-    its free zeros (1+x)^t to those without.  All divisions by x are exact.
+    `_rank_step` folds a row vector (a, b) from rank 1 upward, from (1, x):
+    the forms on the ranks so far with nothing, or with one thing, reaching
+    up, a block of the order side or, below it, the tight chains (graded x
+    for their equation), which end on the first order rank as a block does.
+    The adjoined maximum, where everything ends, closes the fold as a + b.
     """
-    closed, open_ = 1, 0
-    for t in reversed(tau[k:] + (1,)):
-        pick = ((1 + x) ** t - 1) // x
-        stay = ((1 + 2 * x) ** t - 2 * (1 + x) ** t + 1) // x + x**t
-        closed, open_ = closed + x * pick * open_, pick * closed + stay * open_
-    chains = 1
-    for t in tau[:k]:
-        chains *= ((1 + 2 * x) ** t - (1 + x) ** t) // x + x**t
-    return (1 + x) ** sum(tau[:k]) * closed + x * open_ * chains
+    state = (1, x)
+    for i, t in enumerate(tau):
+        state = _rank_step(*state, t, i < k, x)
+    return sum(state)
 
 
-def f_vector_normal_form(tau, k: int) -> tuple[int, ...]:
-    """f-vector of the chain-order polytope at cut k, by counting normal forms.
+def _shared_folds(plan, x: int):
+    """`_faces_by_codimension_at` at x for each (shared, tau, k) of a plan: a
+    cut keeps the first ``shared`` partial folds and folds its other ranks."""
+    stack = [(1, x)]
+    for shared, tau, k in plan:
+        del stack[shared + 1 :]
+        for i in range(shared, len(tau)):
+            stack.append(_rank_step(*stack[-1], tau[i], i < k, x))
+        yield sum(stack[-1])
 
-    Choices factor: a face partition of the order side, independent zero/eq
-    data per chain-side rank, and the chain-end choice coupled only to the
-    partition through its first-order-rank statistics.  The generating
-    function by codimension has nonnegative coefficients, so its value at
-    x = 1 bounds each of them; evaluated at x = 2^W with 2^W above that bound,
-    its base-2^W digits are the counts (Kronecker substitution), and the whole
-    count is a few native integer products.  The single overdetermined
-    combination (all chain ranks zeroed, chain end pinned to one) lands at
-    codimension n+1 and is removed; its coefficient is asserted to be exactly 1.
-    """
-    tau = check_cut(tau, k)
-    n = sum(tau)
-    w = _faces_by_codimension_at(tau, k, 1).bit_length()
-    total = _faces_by_codimension_at(tau, k, 1 << w)
+
+def _f_vector_digits(total: int, w: int, n: int) -> tuple[int, ...]:
+    """The f-vector in the base-2^w digits of the count at x = 2^w, checked."""
     mask = (1 << w) - 1
     counts = [(total >> (w * d)) & mask for d in range(n + 2)]
     if counts[n + 1] != 1 or total >> (w * (n + 2)):
         raise AssertionError("normal-form count has unexpected high-codimension terms")
     if counts[0] != 1:
         raise AssertionError("normal-form count lost the whole polytope")
-    return tuple(counts[n - i] for i in range(n))
+    return tuple(counts[n:0:-1])
+
+
+def f_vector_normal_form(tau, k: int) -> tuple[int, ...]:
+    """f-vector of the chain-order polytope at cut k, by counting normal forms:
+    the base-2^W digits of the generating function by codimension at x = 2^W
+    (Kronecker substitution), 2^W above its value at x = 1, which bounds its
+    nonnegative coefficients.  The one overdetermined combination (all chain
+    ranks zeroed, chain end pinned to one) lands at codimension n+1 and is
+    removed; its coefficient must be 1, as must the polytope's, at 0."""
+    tau = check_cut(tau, k)
+    w = _faces_by_codimension_at(tau, k, 1).bit_length()
+    return _f_vector_digits(_faces_by_codimension_at(tau, k, 1 << w), w, sum(tau))
+
+
+def f_vectors_normal_form(cuts):
+    """`f_vector_normal_form` at each cut (tau, k) of ``cuts``, in order, all
+    checked before the first is yielded, with one W for the batch: the largest
+    bit length at x = 1.  A cut refolds only the ranks after those it shares
+    with the cut before (the same size on the same side of both cuts), so the
+    order of the cuts changes the work, not the result."""
+    plan, prev, prev_k = [], (), 0
+    for tau, k in cuts:
+        tau = check_cut(tau, k)
+        limit = min(len(tau), len(prev)) if k == prev_k else min(k, prev_k)
+        shared = next((i for i in range(limit) if tau[i] != prev[i]), limit)
+        plan.append((shared, tau, k))
+        prev, prev_k = tau, k
+    w = max(_shared_folds(plan, 1), default=0).bit_length()
+    for (_, tau, _), total in zip(plan, _shared_folds(plan, 1 << w)):
+        yield _f_vector_digits(total, w, sum(tau))
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def test_mismatch_exit_code(monkeypatch, capsys):
 def test_table_mismatch_names_tau_k_and_vectors(monkeypatch, capsys):
     code, expected, _ = run_main(capsys, "table", "--n", "5", "--method", "both")
     assert code == 0
-    monkeypatch.setattr(cli, "f_vector_normal_form", lambda tau, k: (99,))
+    monkeypatch.setattr(cli, "f_vectors_normal_form", lambda cuts: ((99,) for _ in cuts))
     code, out, err = run_main(capsys, "table", "--n", "5", "--method", "both")
     assert code == 1
     assert out == expected
@@ -597,6 +597,16 @@ def test_table_json(capsys):
     data = json.loads(out)
     assert [d["tau"] for d in data] == ["2,2,1", "2,2,1"]
     assert data[0]["polytope"] == "order" and data[1]["polytope"] == "chain"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tables_without_rows_are_empty(capsys, n):
+    # every partition of n <= 4 into three ranks has at most one rank of size >= 2
+    assert table_taus(n) == []
+    for method in ("geometric", "normalform", "both"):
+        argv = ("table", "--n", str(n), "--method", method)
+        assert run_main(capsys, *argv) == (0, "", "")
+        assert run_main(capsys, *argv, "--format", "json") == (0, "[]\n", "")
 
 
 def test_table_n26_normalform_digest_and_closed_forms(capsys):

@@ -17,6 +17,7 @@ from chainorder.normalform import (
     codimension,
     enumerate_normal_forms,
     f_vector_normal_form,
+    f_vectors_normal_form,
     face_partitions,
     induced_order_poset,
     is_valid_normal_form,
@@ -349,6 +350,7 @@ _CUT_ENTRY_POINTS = {
     "induced_order_poset": induced_order_poset,
     "enumerate_normal_forms": enumerate_normal_forms,
     "f_vector_normal_form": f_vector_normal_form,
+    "f_vectors_normal_form": lambda tau, k: list(f_vectors_normal_form([(tau, k)])),
     "is_valid_normal_form": lambda tau, k: is_valid_normal_form(FaceNormalForm(_PI, _ZEROS, _EQ), tau, k),
     "verify_injection": verify_injection,
     "chain_order_hrep": chain_order_hrep,
@@ -819,10 +821,75 @@ def test_verify_monotone_reports_a_drop(monkeypatch):
     ],
 )
 def test_counter_asserts_its_extreme_coefficients(monkeypatch, extra, message):
-    real = normalform._faces_by_codimension_at
+    real, real_shared = normalform._faces_by_codimension_at, normalform._shared_folds
     monkeypatch.setattr(normalform, "_faces_by_codimension_at", lambda tau, k, x: real(tau, k, x) + extra(sum(tau), x))
+    # the batch path folds by a plan of (shared ranks, tau, k) per cut
+    monkeypatch.setattr(
+        normalform,
+        "_shared_folds",
+        lambda plan, x: (total + extra(sum(tau), x) for (_, tau, _), total in zip(plan, real_shared(plan, x))),
+    )
     with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
         f_vector_normal_form((2, 1, 2), 1)
+    with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
+        list(f_vectors_normal_form([((2, 1, 2), 1), ((2, 2), 0)]))
+
+
+@st.composite
+def _cut_lists(draw):
+    """0 to 12 cuts (tau, k), parts in 1..6, length <= 6; a cut often repeats
+    an earlier tau, or a prefix of it, with the same or another k."""
+    cuts = []
+    for _ in range(draw(st.integers(0, 12))):
+        tau = ()
+        if cuts and draw(st.booleans()):
+            tau = draw(st.sampled_from(cuts))[0]
+            tau = tau[: draw(st.integers(0, len(tau)))]
+        tau += tuple(draw(st.lists(st.integers(1, 6), min_size=0 if tau else 1, max_size=6 - len(tau))))
+        cuts.append((tau, draw(st.integers(0, len(tau)))))
+    return cuts
+
+
+@given(_cut_lists())
+def test_batch_counts_equal_per_cut_counts(cuts):
+    vectors = list(f_vectors_normal_form(cuts))
+    assert vectors == [f_vector_normal_form(tau, k) for tau, k in cuts]
+    for (tau, k), fv in zip(cuts, vectors):
+        if sum(tau) <= 9:
+            assert fv == _reference_f_vector_normal_form(tau, k)
+
+
+@pytest.mark.parametrize(
+    "cuts",
+    [
+        # every cut of 2,2,1 has one f-vector; 2,2,2 and 2,1,2 have two, split between k = 1 and 2
+        pytest.param([((2, 2, 1), 0), ((2, 2, 1), 2), ((2, 2, 1), 1)], id="same-tau-other-k"),
+        pytest.param([((2, 2, 2), 0), ((2, 2, 2), 2), ((2, 2, 2), 1), ((2, 1, 2), 3), ((2, 1, 2), 1)], id="k-across-the-split"),
+        pytest.param([((2, 1, 2), 2), ((2, 1, 2), 3), ((2, 1, 2), 2), ((2, 1, 2), 2)], id="side-changes-and-repeats"),
+        pytest.param([((3, 1, 2), 1), ((3, 1), 1), ((3, 1, 2, 2), 3), ((3,), 0), ((1,), 1)], id="prefixes-unsorted"),
+    ],
+)
+def test_batch_shares_a_rank_only_on_the_same_side_of_both_cuts(cuts):
+    # equal sizes on opposite sides of the cut are different ranks of the fold
+    assert list(f_vectors_normal_form(cuts)) == [_reference_f_vector_normal_form(tau, k) for tau, k in cuts]
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize(
+    "bad, message",
+    [(((2, 1), 3), r"^k must be in \[0, 2\], got 3$"), (((2, 0), 0), r"^tau parts must be positive integers, got \(2, 0\)$")],
+    ids=["cut", "tau"],
+)
+def test_batch_checks_every_cut_before_the_first_vector(where, bad, message):
+    cuts = [((2, 1), 0), ((2, 1), 2), ((1, 1), 1), ((3,), 0)]
+    cuts.insert(where, bad)
+    vectors = f_vectors_normal_form(cuts)
+    with pytest.raises(ConfigError, match=message):
+        next(vectors)
+
+
+def test_empty_batch_yields_nothing():
+    assert list(f_vectors_normal_form([])) == []
 
 
 # ---------------------------------------------------------------------------
