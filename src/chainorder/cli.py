@@ -262,10 +262,10 @@ def _verify_command(args: argparse.Namespace) -> int:
         payload["monotone"] = rep.monotone
         payload["failures"] = rep.failures
     payload["ok"] = ok
-    _emit(args, "\n".join(lines) + "\n")
-    if args.json_out:
+    if args.json_out:  # before the report, so that a bad path leaves stdout empty
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
+    _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

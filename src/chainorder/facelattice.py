@@ -48,6 +48,13 @@ __all__ = [
 MAX_FACES = 5_000_000  # the default face budget, shared with the CLI
 
 
+def face_budget_error(budget: int, faces: int, exact: bool = True) -> BudgetError:
+    """The error for a polytope past the face budget, with its ``faces``
+    nonempty faces: all of them, or, not ``exact``, those found so far."""
+    least = "" if exact else "at least "
+    return BudgetError(f"face budget {budget} exceeded: the polytope has {least}{faces} nonempty faces")
+
+
 @dataclass(frozen=True)
 class IncidenceMatrix:
     """Tightness bits between vertices and inequality rows."""
@@ -197,7 +204,7 @@ def count_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> tuple[int, 
     ranks = _glued((1 << inc.n_vertices) - 1, _facets(inc), 0, max_faces)[0]
     total = sum(ranks) - 1  # nonempty faces
     if total > max_faces:
-        raise BudgetError(f"face budget {max_faces} exceeded: the polytope has {total} nonempty faces")
+        raise face_budget_error(max_faces, total)
     return tuple(ranks[1:-1]) or (1,)  # a point is reported as (1,), as in f_vector
 
 
@@ -365,14 +372,11 @@ def _walk(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, 
     found = 1  # the polytope
     n_vertex_faces = 0
 
-    def over_budget() -> BudgetError:
-        return BudgetError(f"face budget {max_faces} exceeded: the polytope has at least {found} nonempty faces")
-
     def walk(coatoms: list[int], depth: int) -> None:
         nonlocal found, n_vertex_faces
         found += len(coatoms)
         if found > max_faces:
-            raise over_budget()
+            raise face_budget_error(max_faces, found, exact=False)
         if depth == len(counts):
             counts.append(0)
         counts[depth] += len(coatoms)
@@ -419,7 +423,7 @@ def _walk(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, 
             visited.append(h)
 
     if found > max_faces:
-        raise over_budget()
+        raise face_budget_error(max_faces, found, exact=False)
     if facets or nv != 1:  # a point has no proper face to walk
         walk(facets, 0)
         if len(vertex_depths) != 1:
@@ -464,11 +468,8 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
     levels: list[list[int]] = []
     d = 0
 
-    def over_budget() -> BudgetError:
-        return BudgetError(f"face budget {max_faces} exceeded: the polytope has at least {len(depth)} nonempty faces")
-
     if len(depth) > max_faces:
-        raise over_budget()
+        raise face_budget_error(max_faces, len(depth), exact=False)
     while level:
         levels.append(level)
         d += 1
@@ -487,7 +488,7 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
                         depth[c] = d
                         below.append(c)
                         if len(depth) > max_faces:
-                            raise over_budget()
+                            raise face_budget_error(max_faces, len(depth), exact=False)
                     elif depth[c] != d:
                         raise InconsistentInputError("a face at two depths; inconsistent incidences")
             lower[f] = kept

@@ -15,8 +15,9 @@ The eq data is either absent (no chain row is tight) or present, and presence
 with all-empty sets is meaningful: it occurs when every chain-side rank is
 fully zeroed and the tight chains end in the unique glued block above the cut.
 Enumeration within the face budget ``MAX_FACES``, codimension, f-vector
-counting by a bottom-up rank fold (per cut, or per batch sharing rank prefixes)
-and a codimension-preserving injection from cut k to k+1 live here.
+counting by one bottom-up rank fold over a batch of cuts that share rank
+prefixes (one cut is a batch of one) and a codimension-preserving injection
+from cut k to k+1 live here.
 Each entry point taking (tau, k) checks the cut by `check_cut`, which raises
 `ConfigError`; `codimension`, `psi_map` and the per-cut caches trust their input.
 """
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 
-from .errors import BudgetError, ConfigError
-from .facelattice import MAX_FACES  # the one face budget; no facelattice code runs here
+from .errors import ConfigError
+from .facelattice import MAX_FACES, face_budget_error  # the one face budget and its message
 from .posets import (
     BOTTOM,
     TOP,
@@ -102,10 +103,11 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
     nonempty top subset.  Two multi-rank blocks may share a boundary rank but
     their spans cannot cross, so at most one block is open at a time.  One
     loop folds the ranks bottom up over states (closed blocks, open block or
-    ()), the states `_faces_by_codimension_at` counts as (a, b).  The open
-    block takes the whole rank, or ends on a nonempty part of it; then a
-    nonempty subset of the elements left free may open a new block, and the
-    rest close as singletons.  No block opens or stays open at the last rank.
+    ()), the states the counting fold `_shared_folds` counts as (a, b).  The
+    open block takes the whole rank, or ends on a nonempty part of it; then
+    a nonempty subset of the elements left free may open a new block, and
+    the rest close as singletons.  No block opens or stays open at the last
+    rank.
     """
     tau = check_cut(tau, k)
     ranks = [rank_elements(tau, r) for r in range(k + 1, len(tau) + 2)]
@@ -198,19 +200,25 @@ def is_valid_normal_form(nf: FaceNormalForm, tau, k: int) -> tuple[bool, str | N
     equal faces have equal forms.  An entry of the wrong type is a reason too.
     """
     tau = check_cut(tau, k)
-    reason = _form_reason(nf, tau, k, _partition_reason)
+    reason = _form_reason(nf, tau, k, {})
     return reason is None, reason
 
 
-def _form_reason(nf, tau: tuple[int, ...], k: int, partition_reason) -> str | None:
+def _form_reason(nf, tau: tuple[int, ...], k: int, partitions: dict) -> str | None:
     """Why ``nf`` is not a valid normal form at cut k, or None if it is.
 
-    ``partition_reason(pi, tau, k)`` is `_partition_reason` or a memo of it;
-    the rest is the per-form half: zero sets, eq sets and chain ends.
+    ``partitions`` memoises `_partition_reason` by ``pi`` at this one cut,
+    across the caller's forms; an unhashable ``pi`` is checked in full each
+    time.  The rest is the per-form half: zero sets, eq sets and chain ends.
     """
     if not isinstance(nf, FaceNormalForm):
         return f"{type(nf).__name__} is not a FaceNormalForm"
-    reason, facts = partition_reason(nf.pi, tau, k)
+    try:
+        reason, facts = partitions[nf.pi]
+    except KeyError:
+        reason, facts = partitions[nf.pi] = _partition_reason(nf.pi, tau, k)
+    except TypeError:
+        reason, facts = _partition_reason(nf.pi, tau, k)
     if reason is not None:
         return reason
     if not isinstance(nf.zero_sets, tuple) or len(nf.zero_sets) != k:
@@ -276,9 +284,9 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
     nonempty face, counted before any is built, and refused past ``MAX_FACES``.
     """
     tau = check_cut(tau, k)
-    total = _faces_by_codimension_at(tau, k, 1) - 1  # less the empty face's combination
+    total = next(_shared_folds([(0, tau, k)], 1)) - 1  # less the empty face's combination
     if total > MAX_FACES:
-        raise BudgetError(f"face budget {MAX_FACES} exceeded: the polytope has {total} nonempty faces")
+        raise face_budget_error(MAX_FACES, total)
     chain_ranks = [rank_elements(tau, i) for i in range(1, k + 1)]
     chain_choices = []  # (zero sets, eq-set prefixes, all chain ranks zeroed)
     for zeros in product(*map(_subsets, chain_ranks)):
@@ -308,14 +316,14 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
 
 
 def _rank_step(a: int, b: int, t: int, chain: bool, x: int) -> tuple[int, int]:
-    """One rank of size t in the fold of `_faces_by_codimension_at`.  A
-    chain-side rank grades its free zeros by (1+x)^t in the forms without
-    tight chains and its zero/eq choices by ((1+2x)^t - (1+x)^t)/x + x^t in
-    those with them.  On the order side, ``pick`` = ((1+x)^t - 1)/x grades a
-    nonempty subset of the rank by its size - 1: what reaches up ends on it,
-    or, times x, a new block starts on it.  ``stay`` is x^t for what reaches
-    up taking the whole rank, plus it ending on some elements while a new
-    block starts on others.  All divisions by x are exact."""
+    """One rank of size t in the fold of `_shared_folds`.  A chain-side rank
+    grades its free zeros by (1+x)^t in the forms without tight chains and
+    its zero/eq choices by ((1+2x)^t - (1+x)^t)/x + x^t in those with them.
+    On the order side, ``pick`` = ((1+x)^t - 1)/x grades a nonempty subset
+    of the rank by its size - 1: what reaches up ends on it, or, times x, a
+    new block starts on it.  ``stay`` is x^t for what reaches up taking the
+    whole rank, plus it ending on some elements while a new block starts on
+    others.  All divisions by x are exact."""
     grow, both = (1 + x) ** t, (1 + 2 * x) ** t
     if chain:
         return a * grow, b * ((both - grow) // x + x**t)
@@ -323,8 +331,10 @@ def _rank_step(a: int, b: int, t: int, chain: bool, x: int) -> tuple[int, int]:
     return a + b * pick, a * (grow - 1) + b * stay  # x * pick = grow - 1
 
 
-def _faces_by_codimension_at(tau: tuple[int, ...], k: int, x: int) -> int:
-    """The generating function of the normal forms by codimension, at x.
+def _shared_folds(plan, x: int):
+    """The generating function of the normal forms by codimension, at x, for
+    each (shared, tau, k) of a plan: a cut keeps the first ``shared`` partial
+    folds of the cut before and folds its other ranks.
 
     `_rank_step` folds a row vector (a, b) from rank 1 upward, from (1, x):
     the forms on the ranks so far with nothing, or with one thing, reaching
@@ -332,15 +342,6 @@ def _faces_by_codimension_at(tau: tuple[int, ...], k: int, x: int) -> int:
     for their equation), which end on the first order rank as a block does.
     The adjoined maximum, where everything ends, closes the fold as a + b.
     """
-    state = (1, x)
-    for i, t in enumerate(tau):
-        state = _rank_step(*state, t, i < k, x)
-    return sum(state)
-
-
-def _shared_folds(plan, x: int):
-    """`_faces_by_codimension_at` at x for each (shared, tau, k) of a plan: a
-    cut keeps the first ``shared`` partial folds and folds its other ranks."""
     stack = [(1, x)]
     for shared, tau, k in plan:
         del stack[shared + 1 :]
@@ -361,23 +362,25 @@ def _f_vector_digits(total: int, w: int, n: int) -> tuple[int, ...]:
 
 
 def f_vector_normal_form(tau, k: int) -> tuple[int, ...]:
-    """f-vector of the chain-order polytope at cut k, by counting normal forms:
-    the base-2^W digits of the generating function by codimension at x = 2^W
-    (Kronecker substitution), 2^W above its value at x = 1, which bounds its
-    nonnegative coefficients.  The one overdetermined combination (all chain
-    ranks zeroed, chain end pinned to one) lands at codimension n+1 and is
-    removed; its coefficient must be 1, as must the polytope's, at 0."""
-    tau = check_cut(tau, k)
-    w = _faces_by_codimension_at(tau, k, 1).bit_length()
-    return _f_vector_digits(_faces_by_codimension_at(tau, k, 1 << w), w, sum(tau))
+    """f-vector of the chain-order polytope at cut k, by counting normal
+    forms: `f_vectors_normal_form` on the one cut."""
+    return next(f_vectors_normal_form(((tau, k),)))
 
 
 def f_vectors_normal_form(cuts):
-    """`f_vector_normal_form` at each cut (tau, k) of ``cuts``, in order, all
-    checked before the first is yielded, with one W for the batch: the largest
-    bit length at x = 1.  A cut refolds only the ranks after those it shares
-    with the cut before (the same size on the same side of both cuts), so the
-    order of the cuts changes the work, not the result."""
+    """The f-vector of the chain-order polytope at each cut (tau, k) of
+    ``cuts``, in order, by counting normal forms; every cut is checked
+    before the first is yielded.
+
+    Each f-vector is read from the base-2^W digits of the generating
+    function by codimension at x = 2^W (Kronecker substitution), with one W
+    for the batch: the largest bit length at x = 1, which bounds every
+    nonnegative coefficient.  The one overdetermined combination (all chain
+    ranks zeroed, chain end pinned to one) lands at codimension n+1 and is
+    removed; its coefficient must be 1, as must the polytope's, at 0.  A cut
+    refolds only the ranks after those it shares with the cut before (the
+    same size on the same side of both cuts), so the order of the cuts
+    changes the work, not the result."""
     plan, prev, prev_k = [], (), 0
     for tau, k in cuts:
         tau = check_cut(tau, k)
@@ -467,23 +470,13 @@ def verify_injection(tau, k: int) -> InjectionReport:
     failures: list[str] = []
     seen: dict[FaceNormalForm, FaceNormalForm] = {}
     partitions: dict = {}  # image pi -> its `_partition_reason`, for this audit only
-
-    def partition_reason(pi, tau, k):
-        try:
-            return partitions[pi]
-        except KeyError:
-            partitions[pi] = result = _partition_reason(pi, tau, k)
-            return result
-        except TypeError:  # an unhashable pi is checked in full every time
-            return _partition_reason(pi, tau, k)
-
     for nf in enumerate_normal_forms(tau, k):
         cod = codimension(nf, tau, k)
         if cod < 2:
             continue
         src_counts[cod] = src_counts.get(cod, 0) + 1
         img = psi_map(nf, tau, k)
-        reason = _form_reason(img, tau, k + 1, partition_reason)
+        reason = _form_reason(img, tau, k + 1, partitions)
         if reason is not None:
             failures.append(f"invalid image of {nf}: {reason}")
             continue

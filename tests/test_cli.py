@@ -255,11 +255,12 @@ def test_deeply_nested_poset_json_exits_two(tmp_path, capsys):
         ["gen", "--tau", "2", "--output"],
         ["fvector", "--tau", "1", "--k", "0", "--method", "geometric", "--export-lattice"],
         ["verify", "monotone", "--tau", "2,1", "--json"],
+        ["verify", "injectivity", "--tau", "2,1", "--json"],
     ],
 )
 def test_directory_as_file_exits_two(tmp_path, capsys, argv):
-    code, _, err = run_main(capsys, *argv, str(tmp_path))
-    assert code == 2
+    code, out, err = run_main(capsys, *argv, str(tmp_path))
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
 
 

@@ -821,9 +821,8 @@ def test_verify_monotone_reports_a_drop(monkeypatch):
     ],
 )
 def test_counter_asserts_its_extreme_coefficients(monkeypatch, extra, message):
-    real, real_shared = normalform._faces_by_codimension_at, normalform._shared_folds
-    monkeypatch.setattr(normalform, "_faces_by_codimension_at", lambda tau, k, x: real(tau, k, x) + extra(sum(tau), x))
-    # the batch path folds by a plan of (shared ranks, tau, k) per cut
+    real_shared = normalform._shared_folds
+    # every count folds by a plan of (shared ranks, tau, k) per cut
     monkeypatch.setattr(
         normalform,
         "_shared_folds",
