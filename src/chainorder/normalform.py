@@ -14,10 +14,12 @@ identified by three pieces of data:
 The eq data is either absent (no chain row is tight) or present, and presence
 with all-empty sets is meaningful: it occurs when every chain-side rank is
 fully zeroed and the tight chains end in the unique glued block above the cut.
-Enumeration within the face budget ``MAX_FACES``, codimension, f-vector
-counting by one bottom-up rank fold over a batch of cuts that share rank
-prefixes (one cut is a batch of one) and a codimension-preserving injection
-from cut k to k+1 live here.
+Enumeration within the face budget ``MAX_FACES`` (a stream in canonical
+order, grouped by partition), codimension, f-vector counting by one bottom-up
+rank fold over a batch of cuts that share rank prefixes (one cut is a batch
+of one) and a codimension-preserving injection from cut k to k+1, whose
+partition half is computed once per run of source forms sharing a partition,
+live here.
 Each entry point taking (tau, k) checks the cut by `check_cut`, which raises
 `ConfigError`; `codimension`, `psi_map` and the per-cut caches trust their input.
 """
@@ -273,15 +275,25 @@ def codimension(nf: FaceNormalForm, tau, k: int) -> int:
 
 
 def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
-    """All valid normal forms, canonically sorted.
+    """All valid normal forms, one per nonempty face, in `FaceNormalForm.sort_key`
+    order by construction: the list of `_normal_forms`, with no sort."""
+    return list(_normal_forms(tau, k))
 
-    Every partition from `face_partitions` is already a face partition.  The
-    chain-side choices do not depend on it, so they are built once: per zero
-    sets, the eq-set prefixes (a nonempty subset of each rank's free elements,
+
+def _normal_forms(tau, k: int):
+    """The normal forms of `enumerate_normal_forms`, streamed in canonical order.
+
+    The cut and the face budget are checked on the call, before any form is
+    built: the forms are counted exactly by the counter's generating function
+    at x = 1 and refused past ``MAX_FACES``.  Every partition from
+    `face_partitions` is already a face partition.  The chain-side choices do
+    not depend on it, so they are built once, sorted: per zero sets, the
+    sorted eq-set prefixes (a nonempty subset of each rank's free elements,
     or () where a rank is fully zeroed) and whether every chain rank is
-    zeroed.  Each partition pairs them with its own chain-end options, leaving
-    out the combination that cuts out the empty face.  That is one form per
-    nonempty face, counted before any is built, and refused past ``MAX_FACES``.
+    zeroed.  Each sorted partition pairs them with its own sorted chain-end
+    options, leaving out the combination that cuts out the empty face.  Per
+    partition and zero sets the form without tight chains comes first, so
+    the forms come in ``sort_key`` order, grouped by partition.
     """
     tau = check_cut(tau, k)
     total = next(_shared_folds([(0, tau, k)], 1)) - 1  # less the empty face's combination
@@ -289,25 +301,27 @@ def enumerate_normal_forms(tau, k: int) -> list[FaceNormalForm]:
         raise face_budget_error(MAX_FACES, total)
     chain_ranks = [rank_elements(tau, i) for i in range(1, k + 1)]
     chain_choices = []  # (zero sets, eq-set prefixes, all chain ranks zeroed)
-    for zeros in product(*map(_subsets, chain_ranks)):
+    for zeros in sorted(product(*map(_subsets, chain_ranks))):
         frees = [tuple(e for e in elems if e not in z) for elems, z in zip(chain_ranks, zeros)]
-        prefixes = list(product(*[_subsets(free, 1 if free else 0) for free in frees]))
+        prefixes = sorted(product(*[_subsets(free, 1 if free else 0) for free in frees]))
         chain_choices.append((zeros, prefixes, not any(frees)))
-    forms: list[FaceNormalForm] = []
-    for pi in face_partitions(tau, k):
-        if k < len(tau):
-            # tight chains end on a nonempty set of singletons, or in the
-            # block that glues the whole first order rank upward
-            singles, forced_one = _chain_end_facts(pi, tau, k)
-            top_options = list(_subsets(singles, 1 if singles else 0))
-        else:
-            top_options, forced_one = [(top_element(tau),)], True
-        for zeros, prefixes, all_zeroed in chain_choices:
-            forms.append(FaceNormalForm(pi, zeros, None))
-            if not (all_zeroed and forced_one):  # else the empty face
-                forms.extend(FaceNormalForm(pi, zeros, prefix + (tops,)) for prefix in prefixes for tops in top_options)
-    forms.sort(key=FaceNormalForm.sort_key)
-    return forms
+    partitions = sorted(face_partitions(tau, k))
+
+    def forms():
+        for pi in partitions:
+            if k < len(tau):
+                # tight chains end on a nonempty set of singletons, or in the
+                # block that glues the whole first order rank upward
+                singles, forced_one = _chain_end_facts(pi, tau, k)
+                top_options = sorted(_subsets(singles, 1 if singles else 0))
+            else:
+                top_options, forced_one = [(top_element(tau),)], True
+            for zeros, prefixes, all_zeroed in chain_choices:
+                yield FaceNormalForm(pi, zeros, None)
+                if not (all_zeroed and forced_one):  # else the empty face
+                    yield from (FaceNormalForm(pi, zeros, prefix + (tops,)) for prefix in prefixes for tops in top_options)
+
+    return forms()
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +417,16 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
 
     Blocks contained in the two ranks around the cut are dropped, all other
     blocks lose their rank-(k+1) part, and the freed data is re-expressed as
-    zeros and chain ends one level higher.  ``nf`` must be a valid normal
-    form of codimension >= 2 at a cut k < len(tau), as `verify_injection`
-    passes; none of this is checked here, but a cut at the top rank raises.
+    zeros and chain ends one level higher.  That partition half depends on
+    the source partition alone and comes from `_psi_partition`; the rest
+    reads the zero and eq sets.  ``nf`` must be a valid normal form of
+    codimension >= 2 at a cut k < len(tau), as `verify_injection` passes;
+    none of this is checked here, but a cut at the top rank raises.
     """
     tau = tuple(tau)
     if k >= len(tau):
         raise ValueError("the cut can only be raised below the top rank")
-    # rank arithmetic on sorted (rank, index) ids: ranks k+1 and k+2 lie
-    # around the cut, and rank k+2 may be the adjoined maximum's
-    kept = [tuple(e for e in b if e[0] != k + 1) for b in nf.pi if b[-1][0] > k + 2]
-    used = {e for b in kept for e in b}
-    pi2 = _canonical_partition(kept + [(e,) for e in order_ground(tau, k + 1) if e not in used])
-
-    glued = _glued_block(nf.pi, k + 1) or ()  # its parts are () when nothing is glued
-    a_part = tuple([e for e in glued if e[0] == k + 1])
-    b_part = tuple([e for e in glued if e[0] == k + 2])
-    height1 = bool(glued) and glued[-1][0] == k + 2
-    sigma = tuple([b[0] for b in nf.pi if len(b) == 1 and b[0][0] == k + 2])
-
+    pi2, glued, a_part, b_part, height1, sigma = _psi_partition(nf.pi, tau, k)
     if nf.eq_sets is not None:
         # chains end on a height-one block's top, in a taller one, or on the least singleton
         ends = (b_part if height1 else ()) if glued else sigma[:1]
@@ -432,6 +437,26 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
     # re-encode the block as a bundle of tight chains through least-index picks
     picks = [next(((e,) for e in rank_elements(tau, i) if e not in zeros), ()) for i, zeros in enumerate(nf.zero_sets, 1)]
     return FaceNormalForm(pi2, nf.zero_sets + ((),), (*picks, a_part, b_part))
+
+
+@lru_cache(maxsize=1)  # the forms of a cut come grouped by partition
+def _psi_partition(pi, tau: tuple[int, ...], k: int):
+    """The half of `psi_map` that reads only the source partition ``pi`` at
+    cut k: the image partition, whether a block glues rank k + 1 upward, that
+    block's parts of ranks k + 1 and k + 2, whether it ends at rank k + 2,
+    and the singletons of rank k + 2.  A pure function of its arguments.
+    """
+    # rank arithmetic on sorted (rank, index) ids: ranks k+1 and k+2 lie
+    # around the cut, and rank k+2 may be the adjoined maximum's
+    kept = [tuple(e for e in b if e[0] != k + 1) for b in pi if b[-1][0] > k + 2]
+    used = {e for b in kept for e in b}
+    pi2 = _canonical_partition(kept + [(e,) for e in order_ground(tau, k + 1) if e not in used])
+    glued = _glued_block(pi, k + 1) or ()  # its parts are () when nothing is glued
+    a_part = tuple([e for e in glued if e[0] == k + 1])
+    b_part = tuple([e for e in glued if e[0] == k + 2])
+    height1 = bool(glued) and glued[-1][0] == k + 2
+    sigma = tuple([b[0] for b in pi if len(b) == 1 and b[0][0] == k + 2])
+    return pi2, bool(glued), a_part, b_part, height1, sigma
 
 
 @dataclass
@@ -455,8 +480,11 @@ def verify_injection(tau, k: int) -> InjectionReport:
     Checks image validity, codimension preservation, and pairwise distinctness
     of images; failures are collected in the report rather than raised.  Every
     image gets every check of `is_valid_normal_form`, but its partition half
-    runs once per distinct image partition in this call.  The cut must lie
-    below the top rank; another raises `ConfigError`.
+    runs once per distinct image partition in this call.  The source forms
+    stream from `_normal_forms` in canonical order, after the face budget has
+    refused a cut with too many, and no list of them is kept; the images are,
+    to find collisions.  The cut must lie below the top rank; another raises
+    `ConfigError`.
     """
     tau = check_cut(tau, k)
     if k == len(tau):
@@ -470,7 +498,7 @@ def verify_injection(tau, k: int) -> InjectionReport:
     failures: list[str] = []
     seen: dict[FaceNormalForm, FaceNormalForm] = {}
     partitions: dict = {}  # image pi -> its `_partition_reason`, for this audit only
-    for nf in enumerate_normal_forms(tau, k):
+    for nf in _normal_forms(tau, k):
         cod = codimension(nf, tau, k)
         if cod < 2:
             continue

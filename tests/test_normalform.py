@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import os
+import random
 import re
 from math import comb
 
@@ -401,6 +402,21 @@ def test_enumeration_budget_is_the_exact_form_count_checked_first(monkeypatch, t
     assert len(calls) == 1  # refused before a partition was built
 
 
+
+@pytest.mark.parametrize("tau, k", [((2, 2), 1), ((2, 1, 2), 0), ((1, 3), 1)])
+def test_audit_checks_the_face_budget_first(monkeypatch, tau, k):
+    count = len(enumerate_normal_forms(tau, k))
+    calls = []
+    _patch_psi(monkeypatch, lambda nf, tau, k, img: calls.append(nf) or img)
+    monkeypatch.setattr(normalform, "MAX_FACES", count - 1)
+    message = f"face budget {count - 1} exceeded: the polytope has {count} nonempty faces"
+    with pytest.raises(BudgetError, match=f"^{message}$"):
+        verify_injection(tau, k)
+    assert calls == []  # refused before psi saw a form
+    monkeypatch.setattr(normalform, "MAX_FACES", count)
+    rep = verify_injection(tau, k)
+    assert rep.ok and len(calls) == sum(rep.per_codim_counts_src.values()) > 0
+
 def test_uniqueness_against_geometry():
     """Every normal form cuts out a distinct geometric face of equal codim,
     and every face arises: an exact bijection, instance by instance."""
@@ -572,6 +588,34 @@ def test_psi_matches_reference_on_small_compositions():
     assert audited == 31_963
 
 
+
+def test_psi_memo_is_order_free():
+    # psi's partition half is memoised for the last source partition; forms
+    # of mixed cuts and compositions, in no order, must get the reference image
+    cases = [
+        (nf, tau, k)
+        for tau in compositions_upto(5)
+        for k in range(len(tau))
+        for nf in enumerate_normal_forms(tau, k)
+        if codimension(nf, tau, k) >= 2
+    ]
+    random.Random(2801).shuffle(cases)
+    for nf, tau, k in cases:
+        assert psi_map(nf, tau, k) == _reference_psi_map(nf, tau, k), (tau, k, nf)
+    assert len(cases) == 5_409
+
+
+def test_psi_of_one_form_at_two_compositions():
+    # one source form at cut 1 of (1, 2, 2) and of (3, 2, 2): its glued block
+    # is re-encoded through the least free element of rank 1, which tau decides
+    nf = FaceNormalForm((((2, 1), (2, 2), (3, 1), (3, 2)), ((4, 1),)), (((1, 1),),), None)
+    images = {}
+    for tau in [(1, 2, 2), (3, 2, 2), (1, 2, 2), (3, 2, 2)]:
+        assert is_valid_normal_form(nf, tau, 1) == (True, None) and codimension(nf, tau, 1) >= 2
+        img = psi_map(nf, tau, 1)
+        assert img == _reference_psi_map(nf, tau, 1) == images.setdefault(tau, img), tau
+    assert images[(1, 2, 2)].eq_sets[0] == () and images[(3, 2, 2)].eq_sets[0] == ((1, 2),)
+
 @st.composite
 def _enumerable_tau_and_cut(draw):
     tau = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
@@ -630,6 +674,15 @@ def test_generator_makes_only_valid_forms():
                 ok, reason = is_valid_normal_form(nf, tau, k)
                 assert ok, (tau, k, nf, reason)
 
+
+
+def test_enumeration_is_canonically_sorted_without_repeats():
+    # the forms are built in sort_key order, and the audit relies on it: its
+    # failures name the first form of a collision in this order
+    for tau in compositions_upto(6):
+        for k in range(len(tau) + 1):
+            forms = enumerate_normal_forms(tau, k)
+            assert forms == sorted(set(forms), key=FaceNormalForm.sort_key), (tau, k)
 
 def _patch_psi(monkeypatch, broken):
     """Replace psi_map with ``broken(nf, tau, k, real_image)``."""
