@@ -44,11 +44,7 @@ def _tau_label(tau) -> str:
 
 
 def _polytope_label(tau, k: int) -> str:
-    if k == 0:
-        return "order"
-    if k == len(tau):
-        return "chain"
-    return "chain-order"
+    return "order" if k == 0 else "chain" if k == len(tau) else "chain-order"
 
 
 def _load_poset(args: argparse.Namespace) -> Poset | None:
@@ -79,31 +75,21 @@ def _dd_for(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
     return chain_order_dd(poset, chain_part, max_points=args.budget_points)
 
 
-def _geometric_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None):
-    """(f-vector, lattice); the whole lattice is built only for export."""
-    inc = incidence_matrix(*_dd_for(args, tau, k, poset))
-    if args.export_lattice:
-        lattice = enumerate_faces(inc, max_faces=args.budget_faces)
-        return f_vector(lattice), lattice
-    return count_faces(inc, max_faces=args.budget_faces), None
-
-
 def _pipelines_fvector(args: argparse.Namespace, tau, k: int | None, poset: Poset | None, norm):
     """(f-vector, lattice, agree) by the configured method, given ``norm``,
-    the normal-form f-vector already counted, or None for ``--method geometric``.
-
-    With ``--method both`` a disagreement is reported on stderr, and the
-    geometric f-vector is returned with ``agree`` false.
-    """
-    geo = lattice = None
-    if args.method in ("geometric", "both"):
-        geo, lattice = _geometric_fvector(args, tau, k, poset)
-    agree = args.method != "both" or geo == norm
+    the normal-form f-vector already counted, or None for ``--method geometric``;
+    the whole lattice is built only for ``--export-lattice``.  With ``--method
+    both`` a disagreement is reported on stderr, and the geometric f-vector is
+    returned with ``agree`` false."""
+    if args.method == "normalform":
+        return norm, None, True
+    inc = incidence_matrix(*_dd_for(args, tau, k, poset))
+    lattice = enumerate_faces(inc, max_faces=args.budget_faces) if args.export_lattice else None
+    geo = f_vector(lattice) if lattice is not None else count_faces(inc, max_faces=args.budget_faces)
+    agree = args.method == "geometric" or geo == norm
     if not agree:
-        sys.stderr.write(
-            f"pipeline mismatch at tau={_tau_label(tau)}, k={k}: geometric {geo} vs normal form {norm}\n"
-        )
-    return (geo if geo is not None else norm), lattice, agree
+        sys.stderr.write(f"pipeline mismatch at tau={_tau_label(tau)}, k={k}: geometric {geo} vs normal form {norm}\n")
+    return geo, lattice, agree
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -114,19 +100,22 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_rows(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_rows(args: argparse.Namespace, rows: list[list]) -> None:
+    """Emit f-vector rows ``[tau, k, polytope, *f]`` as CSV lines or as JSON:
+    fvector's one row as one compact object, table's rows as an indented list."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        _emit(args, buf.getvalue())
+        return
+    objs = [{"tau": tau, "k": k, "polytope": label, "f": fv} for tau, k, label, *fv in rows]
+    one = args.command == "fvector"
+    _emit(args, json.dumps(objs[0] if one else objs, indent=None if one else 2, sort_keys=True) + "\n")
 
 
 def _export_lattice(path: str, lattice) -> None:
     data = {
-        "faces": [
-            {"vertices": list(lattice.face_vertices(fid)), "dim": lattice.dims[fid]}
-            for fid in range(lattice.n_faces)
-        ],
+        "faces": [{"vertices": list(lattice.face_vertices(f)), "dim": lattice.dims[f]} for f in range(lattice.n_faces)],
         "covers": [list(edge) for edge in lattice.covers],
         "bottom": lattice.bottom,
         "top": lattice.top,
@@ -152,19 +141,13 @@ def _fvector_command(args: argparse.Namespace) -> int:
         if k is not None:
             raise ConfigError("--k is for --tau input; --poset input takes --polytope")
         label = args.polytope or "order"
-
     norm = f_vector_normal_form(tau, k) if args.method != "geometric" else None
     fv, lattice, agree = _pipelines_fvector(args, tau, k, poset, norm)
     if not agree:
         return 1
     if lattice is not None:
         _export_lattice(args.export_lattice, lattice)
-    tau_field = _tau_label(tau) if tau else args.poset_file
-    k_field = k if k is not None else ""
-    if args.format == "json":
-        _emit(args, json.dumps({"tau": tau_field, "k": k_field, "polytope": label, "f": list(fv)}, sort_keys=True) + "\n")
-    else:
-        _emit(args, _csv_rows([[tau_field, k_field, label, *fv]]))
+    _write_rows(args, [[_tau_label(tau) if tau else args.poset_file, "" if k is None else k, label, *fv]])
     return 0
 
 
@@ -180,18 +163,13 @@ def table_taus(n: int) -> list[tuple[int, ...]]:
             for rest in partitions(total - first, first):
                 yield (first,) + rest
 
-    rows = [
-        t
-        for t in partitions(n, n)
-        if len(t) >= 3 and sum(1 for x in t if x >= 2) >= 2
-    ]
-    return sorted(rows)
+    return sorted(t for t in partitions(n, n) if len(t) >= 3 and sum(1 for x in t if x >= 2) >= 2)
 
 
 def _table_command(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ConfigError(f"table needs --n >= 1, got {args.n}")
-    rows_out: list[list] = []
+    rows: list[list] = []
     status = 0
     taus = table_taus(args.n)
     batches = [((tau, 0) for tau in taus), ((tau, len(tau)) for tau in taus)]  # order rows, chain rows
@@ -204,63 +182,38 @@ def _table_command(args: argparse.Namespace) -> int:
                 raise BudgetError(f"at tau={_tau_label(tau)}, k={k} ({_polytope_label(tau, k)}): {exc}") from exc
             if not agree:
                 status = 1
-            rows_out.append([_tau_label(tau), k, _polytope_label(tau, k), *fv])
-    if args.format == "json":
-        payload = [
-            {"tau": r[0], "k": r[1], "polytope": r[2], "f": list(r[3:])} for r in rows_out
-        ]
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _emit(args, _csv_rows(rows_out))
+            rows.append([_tau_label(tau), k, _polytope_label(tau, k), *fv])
+    _write_rows(args, rows)
     return status
 
 
 def _verify_command(args: argparse.Namespace) -> int:
-    tau = args.tau
-    if tau is None:
-        raise ConfigError("verify needs --tau")
-    lines: list[str] = []
-    payload: dict = {"tau": list(tau)}
-    ok = True
+    tau, payload = args.tau, {"tau": list(args.tau)}
     if args.what == "injectivity":
-        ks = [args.k] if args.k is not None else list(range(len(tau)))
-        reports = []
-        for k in ks:
-            rep = verify_injection(tau, k)
-            reports.append(rep)
+        reports = [verify_injection(tau, k) for k in ([args.k] if args.k is not None else range(len(tau)))]
+        lines, payload["reports"] = [], []
+        for rep in reports:
             lines.append(
-                f"cut {k} -> {k + 1}: injective={rep.injective} "
+                f"cut {rep.k} -> {rep.k + 1}: injective={rep.injective} "
                 f"codim_preserved={rep.codim_preserved} failures={len(rep.failures)}"
             )
-            for c in sorted(rep.per_codim_counts_src):
-                lines.append(
-                    f"  codim {c}: {rep.per_codim_counts_src[c]} -> "
-                    f"{rep.per_codim_counts_img.get(c, 0)} available"
-                )
-            ok = ok and rep.ok
-        payload["reports"] = [
-            {
-                "k": rep.k,
-                "injective": rep.injective,
-                "codim_preserved": rep.codim_preserved,
-                "per_codim_src": rep.per_codim_counts_src,
-                "per_codim_img": rep.per_codim_counts_img,
-                "failures": rep.failures,
-            }
-            for rep in reports
-        ]
+            lines.extend(
+                f"  codim {c}: {n} -> {rep.per_codim_counts_img.get(c, 0)} available"
+                for c, n in sorted(rep.per_codim_counts_src.items())
+            )
+            payload["reports"].append(
+                {"k": rep.k, "injective": rep.injective, "codim_preserved": rep.codim_preserved, "failures": rep.failures,
+                 "per_codim_src": rep.per_codim_counts_src, "per_codim_img": rep.per_codim_counts_img}
+            )
+        ok = all(rep.ok for rep in reports)
     else:  # monotone
         if args.k is not None:
             raise ConfigError("verify monotone checks every cut; --k is for injectivity")
         rep = verify_monotone(tau)
-        for k in sorted(rep.f_vectors):
-            lines.append(f"k={k}: f = {rep.f_vectors[k]}")
-        lines.append(f"monotone={rep.monotone}")
-        lines.extend(rep.failures)
+        lines = [f"k={k}: f = {rep.f_vectors[k]}" for k in sorted(rep.f_vectors)]
+        lines += [f"monotone={rep.monotone}", *rep.failures]
         ok = rep.monotone
-        payload["f_vectors"] = {str(k): list(v) for k, v in rep.f_vectors.items()}
-        payload["monotone"] = rep.monotone
-        payload["failures"] = rep.failures
+        payload.update(f_vectors={str(k): list(v) for k, v in rep.f_vectors.items()}, monotone=ok, failures=rep.failures)
     payload["ok"] = ok
     if args.json_out:  # before the report, so that a bad path leaves stdout empty
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -273,12 +226,10 @@ def _dd_command(args: argparse.Namespace) -> int:
     if args.k is not None and args.polytope != "chain-order":
         raise ConfigError("--k is for --polytope chain-order")
     poset = _load_poset(args)
-    if args.polytope == "chain-order":
-        if poset is not None or args.k is None:
-            raise ConfigError("chain-order needs --tau and --k")
-        v, h = _dd_for(args, args.tau, args.k, None)
-    else:
-        v, h = _dd_for(args, None, None, make_maximal_ranked(args.tau) if poset is None else poset)
+    if args.polytope == "chain-order" and (poset is not None or args.k is None):
+        raise ConfigError("chain-order needs --tau and --k")
+    ends = {"order": 0, "chain": len(args.tau or ())}  # P_tau's order and chain polytopes are its end cuts
+    v, h = _dd_for(args, args.tau, ends.get(args.polytope, args.k), poset)
     data = {
         "vars": [element_name(e) for e in h.var_names],
         "ineqs": [{"coeffs": list(c), "rhs": r} for c, r in h.ineqs],
@@ -290,70 +241,61 @@ def _dd_command(args: argparse.Namespace) -> int:
 
 
 def _gen_command(args: argparse.Namespace) -> int:
-    if args.tau is None:
-        raise ConfigError("gen needs --tau")
     _emit(args, poset_to_json(make_maximal_ranked(args.tau)) + "\n")
     return 0
 
 
 def run(args: argparse.Namespace) -> int:
-    """Dispatch parsed arguments to their command; returns the process exit code."""
-    handlers = {
-        "gen": _gen_command,
-        "dd": _dd_command,
-        "fvector": _fvector_command,
-        "verify": _verify_command,
-        "table": _table_command,
-    }
-    return handlers[args.command](args)
+    """Run the parsed command; returns the process exit code."""
+    return args.handler(args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="chainorder",
-        description="Exact f-vectors of order, chain, and chain-order polytopes.",
+        prog="chainorder", description="Exact f-vectors of order, chain, and chain-order polytopes."
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {  # the flags that more than one command takes
+        "--tau": dict(help="comma-separated rank sizes, e.g. 5,2,1,4,2,3"),
+        "--output": {},
+        "--k": dict(type=int),
+        "--poset": dict(dest="poset_file"),
+        "--method": dict(choices=["geometric", "normalform", "both"], default="both"),
+        "--format": dict(choices=["csv", "json"], default="csv"),
+        "--budget-faces": dict(type=int, default=MAX_FACES),
+        "--budget-points": dict(type=int, default=MAX_POINTS),
+    }
 
-    def common(p, tau_required=False):
-        p.add_argument("--tau", type=str, required=tau_required, help="comma-separated rank sizes, e.g. 5,2,1,4,2,3")
-        p.add_argument("--output", type=str, default=None)
+    def command(name, handler, help, *flags):
+        """A subcommand taking ``flags`` in order: each a shared flag, or (flag, its own keywords)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            flag, own = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **{**shared.get(flag, {}), **own})
+        return p
 
-    g = sub.add_parser("gen", help="write a ranked poset as JSON")
-    common(g, tau_required=True)
-
-    d = sub.add_parser("dd", help="double description (vertices and inequalities)")
-    common(d)
-    d.add_argument("--polytope", choices=["order", "chain", "chain-order"], default="order")
-    d.add_argument("--k", type=int, default=None)
-    d.add_argument("--poset", dest="poset_file", type=str, default=None)
-    d.add_argument("--budget-points", type=int, default=MAX_POINTS)
-
-    f = sub.add_parser("fvector", help="f-vector by one or both pipelines")
-    common(f)
-    f.add_argument("--k", type=int, default=None)
-    f.add_argument("--poset", dest="poset_file", type=str, default=None)
-    f.add_argument("--polytope", choices=["order", "chain"], default=None, help="for --poset input")
-    f.add_argument("--method", choices=["geometric", "normalform", "both"], default="both")
-    f.add_argument("--format", choices=["csv", "json"], default="csv")
-    f.add_argument("--export-lattice", dest="export_lattice", type=str, default=None)
-    f.add_argument("--budget-faces", type=int, default=MAX_FACES)
-    f.add_argument("--budget-points", type=int, default=MAX_POINTS)
-
-    v = sub.add_parser("verify", help="machine-check the injection or monotonicity")
-    v.add_argument("what", choices=["injectivity", "monotone"])
-    common(v, tau_required=True)
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--json", dest="json_out", type=str, default=None)
-
-    t = sub.add_parser("table", help="order and chain f-vectors for all table rows of size n")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--method", choices=["geometric", "normalform", "both"], default="both")
-    t.add_argument("--format", choices=["csv", "json"], default="csv")
-    t.add_argument("--output", type=str, default=None)
-    t.add_argument("--budget-faces", type=int, default=MAX_FACES)
-    t.add_argument("--budget-points", type=int, default=MAX_POINTS)
-    t.set_defaults(export_lattice=None)  # the table never exports a lattice
+    tau_required = ("--tau", dict(required=True))
+    command("gen", _gen_command, "write a ranked poset as JSON", tau_required, "--output")
+    command(
+        "dd", _dd_command, "double description (vertices and inequalities)", "--tau", "--output",
+        ("--polytope", dict(choices=["order", "chain", "chain-order"], default="order")),
+        "--k", "--poset", "--budget-points",
+    )
+    command(
+        "fvector", _fvector_command, "f-vector by one or both pipelines", "--tau", "--output", "--k", "--poset",
+        ("--polytope", dict(choices=["order", "chain"], help="for --poset input")),
+        "--method", "--format", ("--export-lattice", {}), "--budget-faces", "--budget-points",
+    )
+    command(
+        "verify", _verify_command, "machine-check the injection or monotonicity",
+        ("what", dict(choices=["injectivity", "monotone"])), tau_required, "--output", "--k",
+        ("--json", dict(dest="json_out")),
+    )
+    command(
+        "table", _table_command, "order and chain f-vectors for all table rows of size n",
+        ("--n", dict(type=int, required=True)), "--method", "--format", "--output", "--budget-faces", "--budget-points",
+    ).set_defaults(export_lattice=None)  # the table never exports a lattice
     return parser
 
 
@@ -365,6 +307,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
         if hasattr(args, "tau"):  # every command but table
             args.tau = _parse_tau(args.tau)
+            if args.tau is None and not hasattr(args, "poset_file"):  # gen and verify; _load_poset checks the others
+                raise ConfigError(f"{args.command} needs --tau")
         return run(args)
     except (ConfigError, OSError) as exc:  # OSError: unreadable or unwritable files
         sys.stderr.write(f"error: {exc}\n")

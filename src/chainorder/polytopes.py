@@ -84,12 +84,17 @@ def _chain_order_rows(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -
     when r > 0 (Stanley, "Two poset polytopes", 1986; Fang, Fourier, Litza and
     Pegel, "A continuous family of marked poset polytopes", 2020).  The empty
     poset's 0 <= 1 gives no row.  The rows are counted against ``max_points``
-    before any is built.
+    by `_check_row_count` before `_build_rows` builds any.
     """
-    n = p.n
-    inside = [bool(chain_part >> i & 1) for i in range(n)]
+    _check_row_count(p, chain_part, max_points)
+    return _build_rows(p, chain_part)
+
+
+def _check_row_count(p: Poset, chain_part: int, max_points: int) -> None:
+    """Count the rows of `_chain_order_rows` from the covers; more than ``max_points`` raise."""
+    inside = [bool(chain_part >> i & 1) for i in range(p.n)]
     # chains from the bottom, or from v itself outside the chain part, to v
-    ways = [1] * n
+    ways = [1] * p.n
     rows = chain_part.bit_count()
     for v in p.linear_extension:
         ups, downs = p.up_covers[v], p.down_covers[v]
@@ -100,6 +105,12 @@ def _chain_order_rows(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -
         rows += ways[v] * (sum(not inside[u] for u in ups) if ups else 1)
     if rows > max_points:
         raise BudgetError(f"{rows} facet rows exceed the point budget {max_points}")
+
+
+def _build_rows(p: Poset, chain_part: int) -> list[Row]:
+    """The rows of `_chain_order_rows`, built without a budget."""
+    n = p.n
+    inside = [bool(chain_part >> i & 1) for i in range(n)]
     out = [(_unit(n, i, -1), 0) for i in range(n) if inside[i]]
     top = (n,)  # the adjoined top, as a coordinate after the last
     minima = tuple(i for i in range(n) if not p.down_covers[i])
@@ -129,14 +140,15 @@ def chain_order_dd(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -> t
     and Pegel, 2020).  A search over the antichains M of O takes F = up(M),
     then searches the antichains of the elements of C that F admits; each
     node is one vertex, and none repeats.  ``max_points`` (``MAX_POINTS`` by
-    default) bounds the rows and the vertices as they are found; the search
-    also stops at an antichain of more than ``max_points.bit_length()``
-    elements, whose subsets alone are more vertices than that.  A chain part
-    that is not a down-set of P's positions raises `ConfigError`.
+    default) bounds the rows, counted before the search and built after it,
+    and the vertices as they are found; the search also stops at an antichain
+    of more than ``max_points.bit_length()`` elements, whose subsets alone are
+    more vertices than that.  A chain part that is not a down-set of P's
+    positions raises `ConfigError`.
     """
     if chain_part >> p.n or any(p.below_masks[i] & ~chain_part for i in mask_to_tuple(chain_part)):
         raise ConfigError(f"chain part {chain_part:#b} is not a down-set of the {p.n} positions")
-    h = HRep(p.elements, tuple(_chain_order_rows(p, chain_part, max_points)))
+    _check_row_count(p, chain_part, max_points)
     n, above = p.n, p.above_masks
     order_part = ((1 << n) - 1) & ~chain_part
     up = [(1 << i) | a for i, a in enumerate(above)]
@@ -162,7 +174,7 @@ def chain_order_dd(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -> t
             for v in mask_to_tuple(pool):
                 below_v = pool & ((1 << v) - 1) & ~exclude[v]
                 stack.append((mask | (up[v] if over_o else 1 << v), below_v, taken + 1, over_o))
-    return VRep(vertices), h
+    return VRep(vertices), HRep(p.elements, tuple(_build_rows(p, chain_part)))
 
 
 def order_polytope_dd(p: Poset) -> tuple[VRep, HRep]:

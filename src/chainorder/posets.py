@@ -90,11 +90,14 @@ class Poset:
             raise ValueError("duplicate cover pairs")
         object.__setattr__(self, "covers", tuple(sorted(self.covers, key=lambda c: (idx[c[0]], idx[c[1]]))))
         above = self.above_masks  # raises on a directed cycle
+        # p < q is implied when q lies above another up-cover of p; q is not above itself
+        implied = [0] * self.n
+        for i, ups in enumerate(self.up_covers):
+            for w in ups:
+                implied[i] |= above[w]
         for p, q in self.covers:
-            i, j = idx[p], idx[q]
-            for w in self.up_covers[i]:
-                if w != j and (above[w] >> j) & 1:
-                    raise ValueError(f"cover ({p!r}, {q!r}) is implied; covers must be reduced")
+            if implied[idx[p]] >> idx[q] & 1:
+                raise ValueError(f"cover ({p!r}, {q!r}) is implied; covers must be reduced")
 
     @property
     def n(self) -> int:

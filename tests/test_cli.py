@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainorder
-from chainorder import cli, normalform
+from chainorder import cli, normalform, polytopes
 from chainorder.cli import main, table_taus
 from chainorder.posets import as_tau_shape, poset_from_json
 
@@ -67,6 +68,54 @@ def test_dd_json_digest(tmp_path, capsys):
         digest.update(out.encode())
     assert len(runs) == 175
     assert digest.hexdigest() == "0bcada104d63db3ef49517fbc3351d4d6fa1176b9277009f8c57e22dd8a7f518"
+
+
+# the small commands of every kind, each with its exit code, stdout, stderr
+# and any file it writes; the tables that other digests pin are left out
+SMALL_COMMANDS = [
+    "table --n 0",
+    "table --n 10",
+    "table --n 10 --format json",
+    "fvector --tau 2,2,1 --k 1",
+    "fvector --tau 2,2,1 --k 3 --format json",
+    "fvector --tau 2,2,1 --k 2 --method geometric --export-lattice lat.json",
+    "fvector --poset p.json --method geometric",
+    "fvector --poset p.json --polytope chain --method geometric --format json",
+    "fvector --tau 2,2 --k 9",
+    "fvector --tau 3 --k 0 --method geometric --budget-faces 27",
+    "fvector --tau 3 --k 0 --method geometric --budget-faces 26",
+    "fvector --tau 2,2 --k 1 --budget-points -1",
+    "fvector --poset p.json --method both",
+    "dd --tau 2,1,2 --polytope order",
+    "dd --tau 2,1,2 --polytope chain",
+    "dd --tau 2,1,2 --polytope chain-order --k 1",
+    "dd --poset p.json --polytope chain",
+    "dd --poset p.json",
+    "dd --polytope chain-order --tau 2,2",
+    "dd --tau 2,2 --polytope order --k 1",
+    "dd --polytope chain-order --tau 12 --k 0 --budget-points 4095",
+    "dd --tau 2,2,2 --polytope chain --budget-points 9",
+    "gen --tau 2,1",
+    "gen --tau=",
+    "verify injectivity --tau 2,1,2 --json v.json",
+    "verify monotone --tau 3,1,2 --json m.json",
+    "verify injectivity --tau 2,1 --k 2",
+    "verify injectivity --tau=",
+]
+
+
+def test_small_commands_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths: the poset file's name is printed
+    assert run_main(capsys, "gen", "--tau", "2,1", "--output", "p.json")[0] == 0
+    digest = hashlib.sha256()
+    for command in SMALL_COMMANDS:
+        code, out, err = run_main(capsys, *command.split())
+        digest.update(f"{command}\0{code}\0{out}\0{err}\0".encode())
+        for written in ("lat.json", "v.json", "m.json"):
+            if (tmp_path / written).exists():
+                digest.update((tmp_path / written).read_bytes())
+                (tmp_path / written).unlink()
+    assert digest.hexdigest() == "3a8d6378b0ac9190de895eb5399f00a0d3db0e206c5fde52b4a380b8150ae278"
 
 
 def test_dd_chain_order(capsys):
@@ -480,6 +529,17 @@ def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
         assert len(got) == 130 and sorted(got) == sorted(vertices + [(0,) * 129])
 
 
+def test_wide_tau_is_refused_by_its_vertices_before_any_row_is_built(monkeypatch, capsys):
+    # O(200,200) has 40,400 facet rows, within the point budget, and a rank of
+    # 200 elements, whose subsets the vertex search refuses before a row is built
+    def no_rows(p, chain_part):
+        raise AssertionError("facet rows built before the vertex search")
+
+    monkeypatch.setattr(polytopes, "_build_rows", no_rows)
+    code, out, err = run_main(capsys, "dd", "--tau", "200,200", "--polytope", "order")
+    assert (code, out, err) == (2, "", "budget exceeded: at least 16777216 vertices exceed the point budget 4194304\n")
+
+
 def test_poset_antichain_budget_is_checked_during_the_search(tmp_path, capsys):
     # 64 disjoint 2-element chains have 2^64 maximal antichains of 64 elements;
     # the search stops at an antichain of 11 elements, which has 2048 subsets
@@ -674,6 +734,39 @@ def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["fvector", "--bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags, choices",
+    [
+        ([], [], ["{gen,dd,fvector,verify,table}"]),
+        (["gen"], ["--output", "--tau"], []),
+        (["dd"], ["--budget-points", "--k", "--output", "--polytope", "--poset", "--tau"], ["{order,chain,chain-order}"]),
+        (
+            ["fvector"],
+            [
+                "--budget-faces", "--budget-points", "--export-lattice", "--format", "--k", "--method",
+                "--output", "--polytope", "--poset", "--tau",
+            ],
+            ["{csv,json}", "{geometric,normalform,both}", "{order,chain}"],
+        ),
+        (["verify"], ["--json", "--k", "--output", "--tau"], ["{injectivity,monotone}"]),
+        (
+            ["table"],
+            ["--budget-faces", "--budget-points", "--format", "--method", "--n", "--output"],
+            ["{csv,json}", "{geometric,normalform,both}"],
+        ),
+    ],
+)
+def test_cli_surface(monkeypatch, capsys, command, flags, choices):
+    """Each command's flags and choice groups, as its --help lists them."""
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option: no group is wrapped
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert sorted(set(re.findall(r"--[a-z-]+", text))) == sorted(["--help", *flags])
+    assert sorted(set(re.findall(r"\{[^}]*\}", text))) == choices
 
 
 def test_cli_imports_without_numpy():

@@ -89,6 +89,48 @@ def test_poset_rejects_duplicate_cover_pairs():
         Poset(("a", "b"), (("a", "b"), ("a", "b")))
 
 
+def test_unreduced_cover_message_names_the_implied_cover():
+    with pytest.raises(ValueError) as exc:
+        Poset("abc", (("a", "b"), ("b", "c"), ("a", "c")))
+    assert str(exc.value) == "cover ('a', 'c') is implied; covers must be reduced"
+
+
+def _first_implied_cover(elements, covers):
+    """The first cover, in element order, with an element strictly between its
+    ends, by the transitive closure of the covers; None when they are reduced."""
+    less = set(covers)
+    for m in elements:
+        less |= {(a, b) for a, x in less if x == m for y, b in less if y == m}
+    idx = {e: i for i, e in enumerate(elements)}
+    for a, b in sorted(covers, key=lambda c: (idx[c[0]], idx[c[1]])):
+        if any((a, m) in less and (m, b) in less for m in elements):
+            return a, b
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_unreduced_cover_check_matches_brute_force(n, density, seed, added):
+    # a random DAG's reduced covers with up to three implied pairs added, in random order
+    rng = random.Random(seed)
+    p = random_poset(rng, n, density)
+    implied = [
+        (p.elements[i], p.elements[j])
+        for i in range(p.n)
+        for j in mask_to_tuple(p.above_masks[i])
+        if (p.elements[i], p.elements[j]) not in p.covers
+    ]
+    covers = list(p.covers) + rng.sample(implied, min(added, len(implied)))
+    rng.shuffle(covers)
+    first = _first_implied_cover(p.elements, covers)
+    if first is None:
+        assert Poset(p.elements, tuple(covers)).covers == p.covers
+        return
+    with pytest.raises(ValueError) as exc:
+        Poset(p.elements, tuple(covers))
+    assert str(exc.value) == f"cover ({first[0]!r}, {first[1]!r}) is implied; covers must be reduced"
+
+
 @pytest.mark.parametrize(
     "elements, covers",
     [
