@@ -14,10 +14,10 @@ import io
 import json
 import sys
 
-from .errors import BudgetError, ConfigError
-from .facelattice import MAX_FACES, count_faces, enumerate_faces, f_vector, incidence_matrix
+from .errors import MAX_FACES, MAX_POINTS, BudgetError, ConfigError
+from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, f_vectors_normal_form, verify_injection, verify_monotone
-from .polytopes import MAX_POINTS, chain_order_dd
+from .polytopes import chain_order_dd
 from .polytopes import chain_order_hrep, zero_one_vertices  # unused: perfbench targets (ROADMAP item 1)
 from .posets import (
     Poset,

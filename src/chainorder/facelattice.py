@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
-from .errors import BudgetError, InconsistentInputError
+from .errors import MAX_FACES, InconsistentInputError, face_budget_error
 from .polytopes import HRep, VRep
 from .posets import mask_to_tuple
 
@@ -44,16 +44,6 @@ __all__ = [
     "enumerate_faces",
     "f_vector",
 ]
-
-MAX_FACES = 5_000_000  # the default face budget, shared with the CLI
-
-
-def face_budget_error(budget: int, faces: int, exact: bool = True) -> BudgetError:
-    """The error for a polytope past the face budget, with its ``faces``
-    nonempty faces: all of them, or, not ``exact``, those found so far."""
-    least = "" if exact else "at least "
-    return BudgetError(f"face budget {budget} exceeded: the polytope has {least}{faces} nonempty faces")
-
 
 @dataclass(frozen=True)
 class IncidenceMatrix:

@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 
-from .errors import ConfigError
-from .facelattice import MAX_FACES, face_budget_error  # the one face budget and its message
+from .errors import MAX_FACES, ConfigError, face_budget_error
 from .posets import (
     BOTTOM,
     TOP,

@@ -10,16 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .errors import BudgetError, ConfigError
-from .linalg import int_matrix_rank  # also a perfbench tracing target until ROADMAP item 1
+from .errors import MAX_POINTS, BudgetError, ConfigError
 from .posets import Poset, check_cut, make_maximal_ranked, mask_to_tuple
 from .posets import maximal_antichains  # unused: a perfbench tracing target until ROADMAP item 1
 
 Row = tuple[tuple[int, ...], int]
 
 ZERO_ONE_MAX_VARS = 30
-MAX_POINTS = 1 << 22  # the default point budget, shared with the CLI
 EXACT_ENUM_MAX_RAYS = 10**5
 LATTICE_MAX_STATES = 10**5
 LATTICE_MAX_STEPS = 10**6
@@ -193,6 +192,55 @@ def chain_order_hrep(tau, k: int) -> HRep:
     tau = check_cut(tau, k)
     p = make_maximal_ranked(tau)  # positions run rank by rank
     return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1)))
+
+
+def int_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix.
+
+    The rank over GF(2) comes first, from the rows' parities as int bitmasks
+    in an XOR basis.  It is a lower bound on the rank over the rationals: a
+    minor that is odd is nonzero.  When it reaches min(rows, columns) it is
+    the rank; otherwise Bareiss fraction-free elimination decides.  The
+    0/1 search calls it through the module global, which perfbench wraps
+    until ROADMAP item 1.
+    """
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    full = min(nrows, ncols)
+    basis: dict[int, int] = {}  # leading bit -> GF(2) basis row
+    for r in m:
+        x = sum(1 << c for c, v in enumerate(r) if v & 1)
+        while x:
+            lead = x.bit_length()
+            if lead not in basis:
+                basis[lead] = x
+                if len(basis) == full:
+                    return full
+                break
+            x ^= basis[lead]
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, nrows):
+            f = m[r][col]
+            for c in range(col, ncols):
+                m[r][c] = (m[r][c] * p - f * m[rank][c]) // prev
+        prev = p
+        rank += 1
+        if rank == full:
+            break
+    return rank
 
 
 def _row_bounds(h: HRep) -> list[tuple[tuple[int, ...], list[int]]]:

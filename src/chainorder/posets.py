@@ -350,10 +350,8 @@ def element_name(e: Element) -> str:
 
 
 def poset_to_json(p: Poset) -> str:
-    data = {
-        "elements": [element_name(e) for e in p.elements],
-        "covers": [[element_name(a), element_name(b)] for a, b in p.covers],
-    }
+    names = dict(zip(p.elements, map(element_name, p.elements)))  # each element named once
+    data = {"elements": list(names.values()), "covers": [[names[a], names[b]] for a, b in p.covers]}
     return json.dumps(data, indent=2, sort_keys=True)
 
 

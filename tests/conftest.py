@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from chainorder.linalg import int_matrix_rank
+from chainorder.polytopes import int_matrix_rank
 from chainorder.posets import Poset
 
 

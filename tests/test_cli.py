@@ -34,6 +34,12 @@ def test_gen_roundtrip(capsys):
     assert as_tau_shape(p) == (2, 1)
 
 
+def test_gen_tau_40_40_digest(capsys):
+    code, out, _ = run_main(capsys, "gen", "--tau", "40,40")  # 80 elements, 1,600 covers
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "ef42d1d4ed8acac6aaab25f3df0402ff036c675fe4fb10be31d3e9b9ce828510"
+
+
 def test_dd_order_json(capsys):
     code, out, _ = run_main(capsys, "dd", "--tau", "2,2", "--polytope", "order")
     assert code == 0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chainorder import polytopes
 from chainorder.errors import BudgetError, ConfigError, InconsistentInputError
-from chainorder.linalg import int_matrix_rank
+from chainorder.polytopes import int_matrix_rank
 from chainorder.polytopes import (
     HRep,
     VRep,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_polytopes import maximal_chains
 
+from chainorder import posets
 from chainorder.errors import ConfigError
 from chainorder.facelattice import count_faces, incidence_matrix
 from chainorder.normalform import f_vector_normal_form
@@ -410,6 +411,21 @@ def test_quotient_top_rank_edge():
     pi = [((1, 1), (2, 1)), ((1, 2),), ((1, 3),)]
     q = quotient_by_partition(p, pi)
     assert as_tau_shape(q) == (2, 1)
+
+
+def test_poset_to_json_names_each_element_once(monkeypatch):
+    p = make_maximal_ranked((3, 2))
+    calls = []
+    name = posets.element_name
+
+    def counted(e):
+        calls.append(e)
+        return name(e)
+
+    monkeypatch.setattr(posets, "element_name", counted)
+    text = poset_to_json(p)
+    assert sorted(calls) == sorted(p.elements)  # 5 calls; naming each cover's ends again made 17
+    assert poset_from_json(text).covers == tuple((name(a), name(b)) for a, b in p.covers)
 
 
 def test_quotient_rejects_incompatible():
