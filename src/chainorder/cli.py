@@ -175,14 +175,15 @@ def _table_command(args: argparse.Namespace) -> int:
     batches = [((tau, 0) for tau in taus), ((tau, len(tau)) for tau in taus)]  # order rows, chain rows
     counted = [f_vectors_normal_form(b) if args.method != "geometric" else [None] * len(taus) for b in batches]
     for tau, norms in zip(taus, zip(*counted)):
+        label = _tau_label(tau)  # one label for both of its rows
         for k, norm in zip((0, len(tau)), norms):
             try:
                 fv, _, agree = _pipelines_fvector(args, tau, k, None, norm)
             except BudgetError as exc:
-                raise BudgetError(f"at tau={_tau_label(tau)}, k={k} ({_polytope_label(tau, k)}): {exc}") from exc
+                raise BudgetError(f"at tau={label}, k={k} ({_polytope_label(tau, k)}): {exc}") from exc
             if not agree:
                 status = 1
-            rows.append([_tau_label(tau), k, _polytope_label(tau, k), *fv])
+            rows.append([label, k, _polytope_label(tau, k), *fv])
     _write_rows(args, rows)
     return status
 

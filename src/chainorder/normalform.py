@@ -19,7 +19,10 @@ order, grouped by partition), codimension, f-vector counting by one bottom-up
 rank fold over a batch of cuts that share rank prefixes (one cut is a batch
 of one) and a codimension-preserving injection from cut k to k+1, whose
 partition half is computed once per run of source forms sharing a partition,
-live here.
+live here.  The fold multiplies a row vector by one 2x2 transfer matrix per
+rank, M_c = diag(g, c) on the chain side and M_o = [[1, g - 1], [p, s]] on
+the order side (`_rank_matrix`); each call of the fold builds each matrix
+once per rank size and side, in a dict that lives only as long as the call.
 Each entry point taking (tau, k) checks the cut by `check_cut`, which raises
 `ConfigError`; `codimension`, `psi_map` and the per-cut caches trust their input.
 """
@@ -328,20 +331,21 @@ def _normal_forms(tau, k: int):
 # ---------------------------------------------------------------------------
 
 
-def _rank_step(a: int, b: int, t: int, chain: bool, x: int) -> tuple[int, int]:
-    """One rank of size t in the fold of `_shared_folds`.  A chain-side rank
-    grades its free zeros by (1+x)^t in the forms without tight chains and
-    its zero/eq choices by ((1+2x)^t - (1+x)^t)/x + x^t in those with them.
-    On the order side, ``pick`` = ((1+x)^t - 1)/x grades a nonempty subset
-    of the rank by its size - 1: what reaches up ends on it, or, times x, a
-    new block starts on it.  ``stay`` is x^t for what reaches up taking the
-    whole rank, plus it ending on some elements while a new block starts on
-    others.  All divisions by x are exact."""
+def _rank_matrix(t: int, chain: bool, x: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The 2x2 transfer matrix ((m00, m01), (m10, m11)) of one rank of size
+    t in the fold of `_shared_folds`, with g = (1+x)^t.  A chain-side rank
+    is M_c = diag(g, c): it grades its free zeros by g in the forms without
+    tight chains and its zero/eq choices by c = ((1+2x)^t - g)/x + x^t in
+    those with them.  An order-side rank is M_o = [[1, g - 1], [p, s]]:
+    ``p`` = (g - 1)/x grades a nonempty subset of the rank by its size - 1,
+    where what reaches up ends on it, or, times x, a new block starts on it.
+    ``s`` is x^t for what reaches up taking the whole rank, plus it ending on
+    some elements while a new block starts on others.  All divisions by x
+    are exact, and c - s = p, so M_c - M_o = p (x, -1)^T (1, -1)."""
     grow, both = (1 + x) ** t, (1 + 2 * x) ** t
     if chain:
-        return a * grow, b * ((both - grow) // x + x**t)
-    pick, stay = (grow - 1) // x, (both - 2 * grow + 1) // x + x**t
-    return a + b * pick, a * (grow - 1) + b * stay  # x * pick = grow - 1
+        return (grow, 0), (0, (both - grow) // x + x**t)
+    return (1, grow - 1), ((grow - 1) // x, (both - 2 * grow + 1) // x + x**t)
 
 
 def _shared_folds(plan, x: int):
@@ -349,18 +353,27 @@ def _shared_folds(plan, x: int):
     each (shared, tau, k) of a plan: a cut keeps the first ``shared`` partial
     folds of the cut before and folds its other ranks.
 
-    `_rank_step` folds a row vector (a, b) from rank 1 upward, from (1, x):
-    the forms on the ranks so far with nothing, or with one thing, reaching
-    up, a block of the order side or, below it, the tight chains (graded x
-    for their equation), which end on the first order rank as a block does.
-    The adjoined maximum, where everything ends, closes the fold as a + b.
+    The fold is a row vector (a, b) from rank 1 upward, from (1, x): the
+    forms on the ranks so far with nothing, or with one thing, reaching up,
+    a block of the order side or, below it, the tight chains (graded x for
+    their equation), which end on the first order rank as a block does.
+    Each rank multiplies it by its `_rank_matrix`, M_c below the cut and M_o
+    above it, built once per (size, side) in a dict local to this call.  The
+    adjoined maximum, where everything ends, closes the fold as a + b.
     """
+    matrices = {}  # (t, chain) -> its transfer matrix at this x
     stack = [(1, x)]
     for shared, tau, k in plan:
         del stack[shared + 1 :]
+        a, b = stack[-1]
         for i in range(shared, len(tau)):
-            stack.append(_rank_step(*stack[-1], tau[i], i < k, x))
-        yield sum(stack[-1])
+            key = (tau[i], i < k)
+            if (m := matrices.get(key)) is None:
+                m = matrices[key] = _rank_matrix(*key, x)
+            (m00, m01), (m10, m11) = m
+            a, b = a * m00 + b * m10, a * m01 + b * m11
+            stack.append((a, b))
+        yield a + b
 
 
 def _f_vector_digits(total: int, w: int, n: int) -> tuple[int, ...]:

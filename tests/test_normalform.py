@@ -887,6 +887,51 @@ def test_counter_asserts_its_extreme_coefficients(monkeypatch, extra, message):
         list(f_vectors_normal_form([((2, 1, 2), 1), ((2, 2), 0)]))
 
 
+def _rank_one_gaps(rank_matrix, ts, xs):
+    """Where M_c - M_o != p (x, -1)^T (1, -1) entrywise, with p the m10 of
+    M_o: the (t, x) at which g - 1 != x p or c - s != p."""
+    gaps = []
+    for x in xs:
+        for t in ts:
+            (g, c01), (c10, c) = rank_matrix(t, True, x)
+            (o00, o01), (p, s) = rank_matrix(t, False, x)
+            diff = ((g - o00, c01 - o01), (c10 - p, c - s))
+            if diff != ((x * p, -x * p), (-p, p)):
+                gaps.append((t, x))
+    return gaps
+
+
+def test_rank_matrix_difference_is_rank_one():
+    ts, xs = range(201), (1, 2, 2**42)
+    assert _rank_one_gaps(normalform._rank_matrix, ts, xs) == []
+
+    def stay_plus_one(t, chain, x):  # a mutant M_o with s + 1
+        (m00, m01), (m10, m11) = normalform._rank_matrix(t, chain, x)
+        return (m00, m01), (m10, m11 + (not chain))
+
+    assert _rank_one_gaps(stay_plus_one, ts, xs) == [(t, x) for x in xs for t in ts]
+
+
+def test_shared_folds_builds_each_matrix_once_per_call(monkeypatch):
+    calls = []
+    real = normalform._rank_matrix
+
+    def counted(t, chain, x):
+        calls.append((t, chain, x))
+        return real(t, chain, x)
+
+    monkeypatch.setattr(normalform, "_rank_matrix", counted)
+    taus = cli.table_taus(12)
+    list(f_vectors_normal_form((tau, 0) for tau in taus))  # the order batch of `table --n 12`
+    sizes = {t for tau in taus for t in tau}
+    by_x = {}
+    for t, chain, x in calls:
+        by_x.setdefault(x, []).append((t, chain))
+    assert len(by_x) == 2  # the pass at x = 1 that fixes W, then the one at x = 2^W
+    for keys in by_x.values():  # at most one matrix per (size, side) in each call
+        assert sorted(keys) == sorted({(t, False) for t in sizes})
+
+
 @st.composite
 def _cut_lists(draw):
     """0 to 12 cuts (tau, k), parts in 1..6, length <= 6; a cut often repeats

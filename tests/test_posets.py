@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -428,6 +429,25 @@ def test_poset_to_json_names_each_element_once(monkeypatch):
     assert poset_from_json(text).covers == tuple((name(a), name(b)) for a, b in p.covers)
 
 
+def _dumped(p):
+    """`poset_to_json`'s layout, by the standard encoder."""
+    name = posets.element_name
+    data = {"elements": list(map(name, p.elements)), "covers": [[name(a), name(b)] for a, b in p.covers]}
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("tau", [(1,), (2, 1), (3, 2, 4), (40, 40)])
+def test_poset_to_json_of_tau_has_the_bytes_of_json_dumps(tau):
+    p = make_maximal_ranked(tau)
+    assert poset_to_json(p) == _dumped(p)
+
+
+def test_poset_to_json_escapes_names_as_json_dumps_does():
+    p = Poset(('q"1', "\u00e9", "tab\t", 7), (('q"1', "\u00e9"), (7, "tab\t")))
+    assert poset_to_json(p) == _dumped(p)
+    assert poset_from_json(poset_to_json(p)).elements == ('q"1', "\u00e9", "tab\t", "7")
+
+
 def test_quotient_rejects_incompatible():
     p = make_maximal_ranked((2, 2))
     # gluing (1,1) with (2,1) and (1,2) with (2,2) in crossed blocks is cyclic
@@ -526,3 +546,4 @@ def test_poset_json_roundtrip():
 def test_poset_json_roundtrip_random(n, density, seed):
     p = random_poset(random.Random(seed), n, density)
     assert poset_from_json(poset_to_json(p)) == p
+    assert poset_to_json(p) == _dumped(p)
