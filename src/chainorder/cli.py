@@ -9,8 +9,8 @@ including files that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -92,25 +92,39 @@ def _pipelines_fvector(args: argparse.Namespace, tau, k: int | None, poset: Pose
     return geo, lattice, agree
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_rows(args: argparse.Namespace, rows: list[list]) -> None:
-    """Emit f-vector rows ``[tau, k, polytope, *f]`` as CSV lines or as JSON:
-    fvector's one row as one compact object, table's rows as an indented list."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        _emit(args, buf.getvalue())
+@contextlib.contextmanager
+def _output(args: argparse.Namespace):
+    """The open ``--output`` file, or stdout, which is left open."""
+    if not args.output:
+        yield sys.stdout
         return
-    objs = [{"tau": tau, "k": k, "polytope": label, "f": fv} for tau, k, label, *fv in rows]
-    one = args.command == "fvector"
-    _emit(args, json.dumps(objs[0] if one else objs, indent=None if one else 2, sort_keys=True) + "\n")
+    with open(args.output, "w", encoding="utf-8") as fh:
+        yield fh
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    with _output(args) as out:
+        out.write(text)
+
+
+def _write_rows(args: argparse.Namespace, rows) -> None:
+    """Write f-vector rows ``[tau, k, polytope, *f]`` as each comes, as CSV
+    lines or as JSON: fvector's one row as one compact object, table's rows as
+    the bytes of ``json.dumps(rows, indent=2, sort_keys=True)``, one object at
+    a time.  The output is opened before the first row is asked for."""
+    with _output(args) as out:
+        if args.format == "csv":
+            csv.writer(out, lineterminator="\n").writerows(rows)
+            return
+        objs = ({"tau": tau, "k": k, "polytope": label, "f": fv} for tau, k, label, *fv in rows)
+        if args.command == "fvector":
+            out.write(json.dumps(next(objs), sort_keys=True) + "\n")
+            return
+        sep = "[\n  "
+        for obj in objs:  # each object indented one level deeper, as inside the list
+            out.write(sep + json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n  "))
+            sep = ",\n  "
+        out.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def _export_lattice(path: str, lattice) -> None:
@@ -166,25 +180,51 @@ def table_taus(n: int) -> list[tuple[int, ...]]:
     return sorted(t for t in partitions(n, n) if len(t) >= 3 and sum(1 for x in t if x >= 2) >= 2)
 
 
+def _check_table_rows(n: int, budget: int) -> None:
+    """Refuse ``table --n n`` past ``budget`` rows before any is built.  The
+    table has two rows for each partition of n that `table_taus` keeps: all
+    but the n with at most one part above 1 and the floor(n/2) - 1 with just
+    two parts, both above 1, so p(n) - n - floor(n/2) + 1 of them for n >= 3.
+    p is counted upward by Euler's pentagonal recurrence; the row count never
+    falls as m grows, so it stops at the first m <= n already past the budget."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= m:  # the pentagonal numbers g and g + j
+            sign = 1 if j % 2 else -1
+            total += sign * (p[m - g] + (p[m - g - j] if g + j <= m else 0))
+            j += 1
+        p.append(total)
+        rows = 2 * (total - m - m // 2 + 1) if m >= 3 else 0
+        if rows > budget:
+            raise BudgetError(f"{'' if m == n else 'at least '}{rows} table rows exceed the point budget {budget}")
+
+
 def _table_command(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ConfigError(f"table needs --n >= 1, got {args.n}")
-    rows: list[list] = []
-    status = 0
+    _check_table_rows(args.n, args.budget_points)
     taus = table_taus(args.n)
-    batches = [((tau, 0) for tau in taus), ((tau, len(tau)) for tau in taus)]  # order rows, chain rows
-    counted = [f_vectors_normal_form(b) if args.method != "geometric" else [None] * len(taus) for b in batches]
-    for tau, norms in zip(taus, zip(*counted)):
-        label = _tau_label(tau)  # one label for both of its rows
-        for k, norm in zip((0, len(tau)), norms):
-            try:
-                fv, _, agree = _pipelines_fvector(args, tau, k, None, norm)
-            except BudgetError as exc:
-                raise BudgetError(f"at tau={label}, k={k} ({_polytope_label(tau, k)}): {exc}") from exc
-            if not agree:
-                status = 1
-            rows.append([label, k, _polytope_label(tau, k), *fv])
-    _write_rows(args, rows)
+    status = 0
+
+    def rows():
+        nonlocal status
+        batches = [((tau, 0) for tau in taus), ((tau, len(tau)) for tau in taus)]  # order rows, chain rows
+        counted = [f_vectors_normal_form(b) if args.method != "geometric" else [None] * len(taus) for b in batches]
+        for tau, *norms in zip(taus, *counted):
+            label = _tau_label(tau)  # one label for both of its rows
+            for k, norm in zip((0, len(tau)), norms):
+                try:
+                    fv, _, agree = _pipelines_fvector(args, tau, k, None, norm)
+                except BudgetError as exc:
+                    raise BudgetError(f"at tau={label}, k={k} ({_polytope_label(tau, k)}): {exc}") from exc
+                if not agree:
+                    status = 1
+                yield [label, k, _polytope_label(tau, k), *fv]
+
+    # normal-form rows stream; a geometric row can spend a budget, and exit 2
+    # must leave the output empty, so those rows are all built first
+    _write_rows(args, rows() if args.method == "normalform" else list(rows()))
     return status
 
 

@@ -540,9 +540,10 @@ class MonotoneReport:
 
 
 def verify_monotone(tau) -> MonotoneReport:
-    """f-vectors for every cut, with a componentwise monotonicity audit."""
+    """f-vectors for every cut, counted as one batch, with a componentwise
+    monotonicity audit."""
     tau = check_tau(tau)
-    fvs = {k: f_vector_normal_form(tau, k) for k in range(len(tau) + 1)}
+    fvs = dict(enumerate(f_vectors_normal_form((tau, k) for k in range(len(tau) + 1))))
     failures = []
     for k in range(len(tau)):
         for i, (lo, hi) in enumerate(zip(fvs[k], fvs[k + 1])):

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import chainorder
 from chainorder import cli, normalform, polytopes
 from chainorder.cli import main, table_taus
+from chainorder.errors import MAX_POINTS, BudgetError
 from chainorder.posets import as_tau_shape, poset_from_json
 
 
@@ -590,7 +592,7 @@ def test_verify_injectivity(capsys):
 
 
 def test_verify_monotone_drop_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(normalform, "f_vector_normal_form", lambda tau, k: (5 - k, 7))
+    monkeypatch.setattr(normalform, "f_vectors_normal_form", lambda cuts: ((5 - k, 7) for _, k in cuts))
     code, out, err = run_main(capsys, "verify", "monotone", "--tau", "2,1")
     assert (code, err) == (1, "")
     assert out.endswith("monotone=False\nf_0 drops from 5 to 4 between cuts 0 and 1\nf_0 drops from 4 to 3 between cuts 1 and 2\n")
@@ -674,6 +676,96 @@ def test_tables_without_rows_are_empty(capsys, n):
         argv = ("table", "--n", str(n), "--method", method)
         assert run_main(capsys, *argv) == (0, "", "")
         assert run_main(capsys, *argv, "--format", "json") == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("method", ["geometric", "normalform", "both"])
+def test_table_json_is_the_csv_rows_dumped_indented(capsys, method):
+    # the JSON list is written one object at a time, with json.dumps's bytes
+    for n in range(1, 13):
+        code, out, _ = run_main(capsys, "table", "--n", str(n), "--method", method)
+        assert code == 0
+        rows = [
+            {"tau": tau, "k": int(k), "polytope": label, "f": [int(f) for f in fv]}
+            for tau, k, label, *fv in csv.reader(io.StringIO(out))
+        ]
+        expected = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        assert run_main(capsys, "table", "--n", str(n), "--method", method, "--format", "json") == (0, expected, "")
+
+
+@pytest.mark.parametrize("method", ["normalform", "both"])
+def test_table_streams_only_normal_form_rows(monkeypatch, method):
+    # when the chain batch yields its last f-vector, every earlier tau's two
+    # rows are out already; rows that can spend a budget are all built first
+    out, seen, batch = io.StringIO(), [], cli.f_vectors_normal_form
+    taus = table_taus(9)
+
+    def watched(cuts):
+        for fv in batch(cuts):
+            seen.append(out.getvalue())
+            yield fv
+
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(cli, "f_vectors_normal_form", watched)
+    assert main(["table", "--n", "9", "--method", method]) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(lines) == 2 * len(taus)
+    assert seen[-1] == ("".join(lines[:-2]) if method == "normalform" else "")
+
+
+def test_table_output_directory_exits_two_before_any_count(tmp_path, monkeypatch, capsys):
+    def refuse(cuts):
+        raise AssertionError("an f-vector was counted before --output was opened")
+
+    monkeypatch.setattr(cli, "f_vectors_normal_form", refuse)
+    code, out, err = run_main(capsys, "table", "--n", "10", "--method", "normalform", "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
+def test_table_row_count_is_refused_before_the_rows_are_listed(monkeypatch, capsys):
+    def refuse(n):
+        raise AssertionError("table_taus ran before the row budget was checked")
+
+    monkeypatch.setattr(cli, "table_taus", refuse)
+    for method in ("geometric", "normalform", "both"):
+        start = time.monotonic()
+        code, out, err = run_main(capsys, "table", "--n", "120", "--method", method)
+        assert time.monotonic() - start < 2
+        # the default budget admits n <= 65; n = 66 has 4,646,844 rows
+        assert (code, out, err) == (2, "", "budget exceeded: at least 4646844 table rows exceed the point budget 4194304\n")
+    code, out, err = run_main(capsys, "table", "--n", "50", "--budget-points", "408303")
+    assert (code, out, err) == (2, "", "budget exceeded: 408304 table rows exceed the point budget 408303\n")
+
+
+def test_table_row_budget_matches_the_listed_rows():
+    # two rows per kept partition, p(n) - n - floor(n/2) + 1 of them for n >= 3
+    for n in range(1, 31):
+        rows = 2 * len(table_taus(n))
+        cli._check_table_rows(n, rows)
+        if rows:
+            with pytest.raises(BudgetError, match=f"^{rows} table rows exceed the point budget {rows - 1}$"):
+                cli._check_table_rows(n, rows - 1)
+    cli._check_table_rows(65, MAX_POINTS)
+    with pytest.raises(BudgetError, match="^4646844 table rows "):
+        cli._check_table_rows(66, MAX_POINTS)
+
+
+@pytest.mark.skipif(
+    os.environ.get("CHAINORDER_SLOW") != "1" or sys.platform != "linux", reason="opt-in; set CHAINORDER_SLOW=1 (Linux)"
+)
+def test_table_n40_normalform_streams_in_flat_memory(tmp_path):
+    # 74,558 rows and 44.5 MB of CSV; held in memory, they took 327 MiB
+    out = tmp_path / "table.csv"
+    src = str(Path(chainorder.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chainorder.cli", "table", "--n", "40", "--method", "normalform", "--output", str(out)],
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+    with open(out, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 2 * len(table_taus(40)) == 74558
 
 
 def test_table_n26_normalform_digest_and_closed_forms(capsys):

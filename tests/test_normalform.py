@@ -855,8 +855,27 @@ def test_verify_monotone_small():
         assert all(a <= b for a, b in zip(lo, hi))
 
 
+def test_verify_monotone_counts_every_cut_in_one_batch(monkeypatch):
+    tau = (3, 1, 2, 2)
+    expected = {k: f_vector_normal_form(tau, k) for k in range(len(tau) + 1)}
+    batches, batch = [], normalform.f_vectors_normal_form
+
+    def recorded(cuts):
+        batches.append(list(cuts))
+        return batch(batches[-1])
+
+    def per_cut(tau, k):
+        raise AssertionError("verify_monotone counted a cut on its own")
+
+    monkeypatch.setattr(normalform, "f_vectors_normal_form", recorded)
+    monkeypatch.setattr(normalform, "f_vector_normal_form", per_cut)
+    rep = verify_monotone(tau)
+    assert batches == [[(tau, k) for k in range(len(tau) + 1)]]
+    assert (rep.f_vectors, rep.monotone, rep.failures) == (expected, True, [])
+
+
 def test_verify_monotone_reports_a_drop(monkeypatch):
-    monkeypatch.setattr(normalform, "f_vector_normal_form", lambda tau, k: (5 - k, 7))
+    monkeypatch.setattr(normalform, "f_vectors_normal_form", lambda cuts: ((5 - k, 7) for _, k in cuts))
     rep = verify_monotone((2, 1))
     assert not rep.monotone
     assert rep.failures == [
