@@ -11,7 +11,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
+import os
+import stat
 import sys
 
 from .errors import MAX_FACES, MAX_POINTS, BudgetError, ConfigError
@@ -100,6 +103,24 @@ def _output(args: argparse.Namespace):
         return
     with open(args.output, "w", encoding="utf-8") as fh:
         yield fh
+
+
+def _check_output(path: str) -> None:
+    """Raise the OSError that ``open(path, "w")`` would, but create and
+    truncate nothing: a path that exists is opened for writing as it is, and
+    a new file needs a directory that takes it.  A named pipe is left to the
+    open itself, since opening it waits for a reader."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
+        return
+    if not stat.S_ISFIFO(mode):
+        os.close(os.open(path, os.O_WRONLY))  # a directory raises "Is a directory"
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -223,7 +244,10 @@ def _table_command(args: argparse.Namespace) -> int:
                 yield [label, k, _polytope_label(tau, k), *fv]
 
     # normal-form rows stream; a geometric row can spend a budget, and exit 2
-    # must leave the output empty, so those rows are all built first
+    # must leave the output empty, so those rows are all built first, once the
+    # output is known to be writable
+    if args.method != "normalform" and args.output:
+        _check_output(args.output)
     _write_rows(args, rows() if args.method == "normalform" else list(rows()))
     return status
 

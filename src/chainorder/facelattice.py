@@ -21,9 +21,11 @@ splits take them down to 258 points, and no face of the 821,320 is walked.
 down one level at a time: the lower covers of a face are the
 inclusion-maximal nonempty meets of it with the facets (Kaibel and Pfetsch,
 2002).  The depth of a face below the polytope gives its dimension, which is
-cross-checked against exact affine rank in the test suite.  It serves lattice
-export and structural audits, and is the reference the iterator is tested
-against.
+cross-checked against exact affine rank in the test suite.  Each face keeps
+the vertex masks of its lower covers, and the cover pairs by face id are
+derived from them only when asked for, so a caller that wants the f-vector
+builds none.  It serves lattice export and structural audits, and is the
+reference the iterator is tested against.
 """
 
 from __future__ import annotations
@@ -96,16 +98,18 @@ def incidence_matrix(v: VRep, h: HRep) -> IncidenceMatrix:
 
 @dataclass(frozen=True)
 class FaceLattice:
-    """All faces (as vertex-index bitmasks), cover edges, and dimensions.
+    """All faces (as vertex-index bitmasks), their dimensions and lower covers.
 
     Includes the bottom (empty) face and the top face; those two are excluded
-    from the f-vector.
+    from the f-vector.  ``lower`` holds, per face id, the vertex masks of the
+    faces it covers, the larger first: ``()`` for the empty face and ``(0,)``
+    for each vertex.  ``covers`` derives the cover pairs from it on each access.
     """
 
     n_vertices: int
     face_masks: tuple[int, ...]
     dims: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]  # (lower face id, upper face id)
+    lower: tuple[tuple[int, ...], ...]  # per face id: vertex masks of its lower covers
     bottom: int
     top: int
 
@@ -116,6 +120,13 @@ class FaceLattice:
     @property
     def dim(self) -> int:
         return self.dims[self.top]
+
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Every (lower face id, upper face id) pair, sorted, read from
+        ``lower`` through one mask -> id dict."""
+        fid = {m: i for i, m in enumerate(self.face_masks)}
+        return tuple(sorted((fid[c], u) for u, low in enumerate(self.lower) for c in low))
 
     def face_vertices(self, fid: int) -> tuple[int, ...]:
         return mask_to_tuple(self.face_masks[fid])
@@ -442,8 +453,14 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
     Pfetsch, 2002).  The vertices cover the empty face.  A face at depth d has
     dimension (vertex depth) - d.  Ids are canonical: the empty face is 0, and
     the other faces follow by dimension, then by vertex mask, so the polytope
-    comes last.  Covers are sorted: listing each face's upper covers in id
-    order, for the faces in id order, gives them so.
+    comes last.  ``FaceLattice.lower`` keeps each face's lower covers as
+    vertex masks, the larger first, and ``FaceLattice.covers`` derives the
+    sorted pairs of ids from them.
+
+    The meets are taken with every facet.  The meets U & G of a face U above
+    F would give the same set, since F & G = F & (U & G), but the set built
+    in facet order fixes the order in which covers of one size are found,
+    and with it which error inconsistent incidences raise first.
 
     ``max_faces`` (``MAX_FACES`` by default) bounds the nonempty faces, the
     polytope included, and is checked as each face is recorded: running out
@@ -483,23 +500,20 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
                         raise InconsistentInputError("a face at two depths; inconsistent incidences")
             lower[f] = kept
         level = below
-    vertex_depths = {dep for m, dep in depth.items() if m.bit_count() == 1}
+    vertex_depths = {depth[1 << v] for v in range(nv) if (1 << v) in depth}
     if len(vertex_depths) != 1:
         raise InconsistentInputError("vertices not all at one depth; inconsistent incidences")
     (top_dim,) = vertex_depths
-    if any(dep >= top_dim and m.bit_count() > 1 for m, dep in depth.items()):
+    if any(m & (m - 1) for faces in levels[top_dim:] for m in faces):
         raise InconsistentInputError("a face of several vertices at or below the vertex depth")
-    if any((1 << v) not in depth for v in range(nv)):
-        raise InconsistentInputError(f"{sum(m.bit_count() == 1 for m in depth)} of {nv} vertices are faces")
+    if len(levels[top_dim]) != nv:  # the vertices found
+        raise InconsistentInputError(f"{len(levels[top_dim])} of {nv} vertices are faces")
     masks = [m for faces in reversed(levels) for m in sorted(faces)]
-    fid = {m: i for i, m in enumerate(masks, 1)}
-    upper = [list(range(1, nv + 1))] + [[] for _ in masks]  # per face id: ids of its upper covers
-    for u, f in enumerate(masks, 1):
-        for c in lower[f]:
-            upper[fid[c]].append(u)
-    covers = tuple((fi, u) for fi, ups in enumerate(upper) for u in ups)
     dims = (-1, *(top_dim - depth[m] for m in masks))
-    return FaceLattice(nv, (0, *masks), dims, covers, 0, len(masks))
+    # tuples made here in one run, not in the loop between the sets of meets:
+    # there they fragmented the heap, and a process's peak RSS grew pass after pass
+    covered = ((), *((*lower[m],) if m & (m - 1) else (0,) for m in masks))
+    return FaceLattice(nv, (0, *masks), dims, covered, 0, len(masks))
 
 
 def f_vector(fl: FaceLattice) -> tuple[int, ...]:

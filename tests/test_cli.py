@@ -189,6 +189,15 @@ def test_fvector_export_lattice(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == "cd0414538d6f1e07391cb6d2a35783246d239e2638b4628d98fd2865e1ea56b7"
+    # a 7-polytope with 2,656 faces and 13,549 covers
+    code, _, _ = run_main(
+        capsys, "fvector", "--tau", "3,2,3", "--k", "2", "--method", "geometric",
+        "--export-lattice", str(out_path),
+    )
+    assert code == 0
+    data = out_path.read_bytes()
+    assert len(data) == 779_259
+    assert hashlib.sha256(data).hexdigest() == "3f954069b1a346a3b09783bae7dd1f488745bf60c87dd4be5ed44959bef93866"
 
 
 def test_fvector_poset_file(tmp_path, capsys):
@@ -720,6 +729,46 @@ def test_table_output_directory_exits_two_before_any_count(tmp_path, monkeypatch
     code, out, err = run_main(capsys, "table", "--n", "10", "--method", "normalform", "--output", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["geometric", "both"])
+def test_table_unwritable_output_is_refused_before_any_row(tmp_path, monkeypatch, capsys, method):
+    # the rows of these methods are all built before the output is opened
+    def refuse(*args):
+        raise AssertionError("a row was built before --output was checked")
+
+    cases = [tmp_path, tmp_path / "missing" / "table.csv"]
+    expected = []
+    for path in cases:
+        with pytest.raises(OSError) as exc:
+            open(path, "w")
+        expected.append(f"error: {exc.value}\n")
+    monkeypatch.setattr(cli, "_pipelines_fvector", refuse)
+    monkeypatch.setattr(cli, "f_vectors_normal_form", refuse)
+    for path, message in zip(cases, expected):
+        code, out, err = run_main(capsys, "table", "--n", "14", "--method", method, "--output", str(path))
+        assert (code, out, err) == (2, "", message)
+    # a new file in a directory that does not take it is refused, and not created
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    new = tmp_path / "table.csv"
+    code, out, err = run_main(capsys, "table", "--n", "14", "--method", method, "--output", str(new))
+    assert (code, out, err) == (2, "", f"error: [Errno 13] Permission denied: '{new}'\n")
+    assert not new.exists()
+
+
+def test_table_budget_leaves_an_existing_output_untouched(tmp_path, capsys):
+    out_path = tmp_path / "table.csv"
+    out_path.write_text("an earlier table\n")
+    for method in ("geometric", "both"):
+        code, out, err = run_main(
+            capsys, "table", "--n", "6", "--method", method, "--budget-faces", "50", "--output", str(out_path)
+        )
+        assert (code, out) == (2, "")
+        assert err == "budget exceeded: at tau=2,2,1,1, k=0 (order): face budget 50 exceeded: the polytope has 207 nonempty faces\n"
+        assert out_path.read_text() == "an earlier table\n"
+    code, out, _ = run_main(capsys, "table", "--n", "6", "--method", "both", "--output", str(out_path))
+    assert (code, out) == (0, "")
+    assert out_path.read_text() == run_main(capsys, "table", "--n", "6", "--method", "both")[1]
 
 
 def test_table_row_count_is_refused_before_the_rows_are_listed(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from conftest import affine_rank, compositions_upto, random_poset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainorder.errors import BudgetError, InconsistentInputError
+from chainorder.errors import MAX_FACES, BudgetError, InconsistentInputError
 from chainorder.facelattice import (
     FaceLattice,
     IncidenceMatrix,
@@ -262,9 +262,42 @@ def test_a_glue_whose_facet_restricts_to_no_facet_of_its_piece_is_refused():
 
 def test_f_vector_refuses_a_proper_face_of_out_of_range_dimension():
     # a hand-built lattice of dimension 1 whose one proper face claims dimension 1
-    lattice = FaceLattice(1, (0, 1, 1), (-1, 1, 1), ((0, 1), (1, 2)), 0, 2)
+    lattice = FaceLattice(1, (0, 1, 1), (-1, 1, 1), ((), (0,), (1,)), 0, 2)
     with pytest.raises(InconsistentInputError, match="^proper face with out-of-range dimension$"):
         f_vector(lattice)
+
+
+def test_lattice_raises_on_a_face_at_two_depths():
+    with pytest.raises(InconsistentInputError, match="^a face at two depths; inconsistent incidences$"):
+        enumerate_faces(IncidenceMatrix(6, 5, (43, 12, 24, 36, 57)))
+    # facets {0, 1, 4}, {1, 3, 4} and {2, 4}: the vertex 4 is found below the
+    # facet {2, 4} at depth 2, the sixth nonempty face, and below the edge
+    # {1, 4} at depth 3.  The budget is checked as each face is recorded, so
+    # a budget of 5 runs out before the second depth is seen, and 6 does not.
+    inc = IncidenceMatrix(5, 3, (19, 26, 20))
+    with pytest.raises(BudgetError, match="^face budget 5 exceeded: the polytope has at least 6 nonempty faces$"):
+        enumerate_faces(inc, max_faces=5)
+    for budget in (6, MAX_FACES):
+        with pytest.raises(InconsistentInputError, match="^a face at two depths; inconsistent incidences$"):
+            enumerate_faces(inc, max_faces=budget)
+
+
+def test_lower_covers_give_the_sorted_cover_pairs():
+    for tau in compositions_upto(5):
+        for k in range(len(tau) + 1):
+            h = chain_order_hrep(tau, k)
+            fl = enumerate_faces(incidence_matrix(zero_one_vertices(h), h))
+            assert len(fl.lower) == fl.n_faces
+            assert fl.lower[fl.bottom] == ()
+            assert all(fl.lower[i] == (0,) for i, d in enumerate(fl.dims) if d == 0)
+            fid = {m: i for i, m in enumerate(fl.face_masks)}
+            pairs = [(fid[c], u) for u, low in enumerate(fl.lower) for c in low]
+            assert len(set(pairs)) == len(pairs)
+            assert list(fl.covers) == sorted(pairs), (tau, k)
+            for u, low in enumerate(fl.lower):  # proper subfaces one dimension down, the larger first
+                assert all(c & fl.face_masks[u] == c and fl.dims[fid[c]] == fl.dims[u] - 1 for c in low)
+                sizes = [c.bit_count() for c in low]
+                assert sizes == sorted(sizes, reverse=True), (tau, k, u)
 
 
 def _simplex(d):
