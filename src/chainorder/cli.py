@@ -105,22 +105,23 @@ def _output(args: argparse.Namespace):
         yield fh
 
 
-def _check_output(path: str) -> None:
-    """Raise the OSError that ``open(path, "w")`` would, but create and
-    truncate nothing: a path that exists is opened for writing as it is, and
-    a new file needs a directory that takes it.  A named pipe is left to the
-    open itself, since opening it waits for a reader."""
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise
-        if not os.access(directory, os.W_OK | os.X_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
-        return
-    if not stat.S_ISFIFO(mode):
-        os.close(os.open(path, os.O_WRONLY))  # a directory raises "Is a directory"
+def _check_output(*paths: str | None) -> None:
+    """For each path given, raise the OSError that ``open(path, "w")`` would,
+    but create and truncate nothing: a path that exists is opened for writing
+    as it is, and a new file needs a directory that takes it.  A named pipe is
+    left to the open itself, since opening it waits for a reader."""
+    for path in filter(None, paths):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise
+            if not os.access(directory, os.W_OK | os.X_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
+            continue
+        if not stat.S_ISFIFO(mode):
+            os.close(os.open(path, os.O_WRONLY))  # a directory raises "Is a directory"
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -176,6 +177,7 @@ def _fvector_command(args: argparse.Namespace) -> int:
         if k is not None:
             raise ConfigError("--k is for --tau input; --poset input takes --polytope")
         label = args.polytope or "order"
+    _check_output(args.export_lattice, args.output)  # in the order they are written
     norm = f_vector_normal_form(tau, k) if args.method != "geometric" else None
     fv, lattice, agree = _pipelines_fvector(args, tau, k, poset, norm)
     if not agree:
@@ -246,13 +248,16 @@ def _table_command(args: argparse.Namespace) -> int:
     # normal-form rows stream; a geometric row can spend a budget, and exit 2
     # must leave the output empty, so those rows are all built first, once the
     # output is known to be writable
-    if args.method != "normalform" and args.output:
+    if args.method != "normalform":
         _check_output(args.output)
     _write_rows(args, rows() if args.method == "normalform" else list(rows()))
     return status
 
 
 def _verify_command(args: argparse.Namespace) -> int:
+    if args.what == "monotone" and args.k is not None:
+        raise ConfigError("verify monotone checks every cut; --k is for injectivity")
+    _check_output(args.json_out, args.output)  # in the order they are written
     tau, payload = args.tau, {"tau": list(args.tau)}
     if args.what == "injectivity":
         reports = [verify_injection(tau, k) for k in ([args.k] if args.k is not None else range(len(tau)))]
@@ -272,15 +277,13 @@ def _verify_command(args: argparse.Namespace) -> int:
             )
         ok = all(rep.ok for rep in reports)
     else:  # monotone
-        if args.k is not None:
-            raise ConfigError("verify monotone checks every cut; --k is for injectivity")
         rep = verify_monotone(tau)
         lines = [f"k={k}: f = {rep.f_vectors[k]}" for k in sorted(rep.f_vectors)]
         lines += [f"monotone={rep.monotone}", *rep.failures]
         ok = rep.monotone
         payload.update(f_vectors={str(k): list(v) for k, v in rep.f_vectors.items()}, monotone=ok, failures=rep.failures)
     payload["ok"] = ok
-    if args.json_out:  # before the report, so that a bad path leaves stdout empty
+    if args.json_out:  # before the report, so that a failed write leaves stdout empty
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     _emit(args, "\n".join(lines) + "\n")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,7 +28,8 @@ LATTICE_MAX_STEPS = 10**6
 @dataclass(frozen=True)
 class HRep:
     """System ``coeffs . x <= rhs`` of int rows, with no equations: every
-    polytope here is full-dimensional (Stanley, "Two poset polytopes", 1986)."""
+    polytope here is full-dimensional (Stanley, "Two poset polytopes", 1986).
+    Its `lattice_point_count` plan is cached at first use, kept out of ==, hash and repr."""
 
     var_names: tuple
     ineqs: tuple[Row, ...]
@@ -50,6 +52,25 @@ class HRep:
     @property
     def eqs(self) -> tuple:  # always empty: perfbench reads it until ROADMAP item 1
         return ()
+
+    @cached_property
+    def _lattice_plan(self):
+        """`lattice_point_count` at t = 1: None for no point, else the start and the step per coordinate."""
+        least = dict(reversed(self.ineqs))  # class -> least rhs, its first row in sorted order
+        if any(b < sum(c for c in s if c < 0) for s, b in least.items()):
+            return None
+        classes = [s for s in least if any(s)]
+        start, steps = tuple(least[s] for s in classes), []
+        for i in range(self.n_vars):
+            sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # class after i -> (class, coefficient at i)
+            for p, s in enumerate(classes):
+                sources.setdefault(s[1:], []).append((p, s[0]))
+            # a lone class with coefficient 0 at i keeps its budget, already checked
+            keep = [srcs[0][0] for srcs in sources.values() if len(srcs) == 1 and not srcs[0][1]]
+            moved = [(s, srcs) for s, srcs in sources.items() if len(srcs) > 1 or srcs[0][1]]
+            steps.append((keep, [(srcs, sum(c for c in s if c < 0), any(s)) for s, srcs in moved]))
+            classes = [classes[p][1:] for p in keep] + [s for s, _ in moved if any(s)]
+        return start, steps
 
 
 @dataclass(frozen=True)
@@ -194,6 +215,22 @@ def chain_order_hrep(tau, k: int) -> HRep:
     return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1)))
 
 
+def _parity(row: Sequence[int]) -> int:
+    return sum(1 << c for c, v in enumerate(row) if v & 1)
+
+
+def _gf2_rank(masks, full: int) -> int:
+    basis: dict[int, int] = {}  # leading bit -> row of an XOR basis over GF(2), of at most `full` rows
+    for x in masks:
+        while x and (lead := x.bit_length()) in basis:
+            x ^= basis[lead]
+        if x:
+            basis[lead] = x
+            if len(basis) == full:
+                break
+    return len(basis)
+
+
 def int_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix.
 
@@ -201,25 +238,16 @@ def int_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     in an XOR basis.  It is a lower bound on the rank over the rationals: a
     minor that is odd is nonzero.  When it reaches min(rows, columns) it is
     the rank; otherwise Bareiss fraction-free elimination decides.  The
-    0/1 search calls it through the module global, which perfbench wraps
-    until ROADMAP item 1.
+    0/1 search calls this only where its own GF(2) rank falls short,
+    through the module global that perfbench wraps (ROADMAP item 1).
     """
     m = [list(r) for r in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
     full = min(nrows, ncols)
-    basis: dict[int, int] = {}  # leading bit -> GF(2) basis row
-    for r in m:
-        x = sum(1 << c for c, v in enumerate(r) if v & 1)
-        while x:
-            lead = x.bit_length()
-            if lead not in basis:
-                basis[lead] = x
-                if len(basis) == full:
-                    return full
-                break
-            x ^= basis[lead]
+    if _gf2_rank(map(_parity, m), full) == full:
+        return full
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -261,10 +289,11 @@ def zero_one_vertices(h: HRep) -> VRep:
     Bounded backtracking: the coordinates are fixed in order, each row's
     partial sum is kept, and a branch is cut once a row's partial sum leaves
     its bound from `_row_bounds`; only the rows with a nonzero coefficient
-    at the coordinate just fixed are checked.  A reference for
-    `chain_order_dd`, which lists the vertices by their closed form: it finds
-    them from the rows alone, by rank.  `vertex_enum_exact` is the
-    independent check that the polytopes here have 0/1 vertices only.
+    at the coordinate just fixed are checked.  The tight rows' rank is their
+    parities' over GF(2), or `int_matrix_rank`'s where that falls short.  A
+    reference for `chain_order_dd`, which lists the vertices by their closed
+    form: it finds them from the rows alone, by rank.  `vertex_enum_exact`
+    is the independent check that the polytopes here have 0/1 vertices only.
     """
     n = h.n_vars
     if n > ZERO_ONE_MAX_VARS:
@@ -275,12 +304,14 @@ def zero_one_vertices(h: HRep) -> VRep:
     # per coordinate, the rows it moves: (row, coefficient, bound after it)
     moved = [[(j, c[i], most[i + 1]) for j, (c, most) in enumerate(rows) if c[i]] for i in range(n)]
     sums = [0] * len(rows)
+    parities = [(_parity(c), c, r) for c, r in h.ineqs]
     found: list[tuple[int, ...]] = []
 
     def extend(i: int, point: tuple[int, ...]) -> None:
         if i == n:
-            tight = [c for (c, r), s in zip(h.ineqs, sums) if s == r]
-            if len(tight) >= n and int_matrix_rank(tight) == n:
+            tight = [(m, c) for (m, c, r), s in zip(parities, sums) if s == r]
+            gf2 = _gf2_rank([m for m, _ in tight], n)
+            if gf2 == n or len(tight) >= n and int_matrix_rank([c for _, c in tight]) == n:
                 found.append(point)
             return
         for x in (0, 1):
@@ -314,12 +345,13 @@ def vertex_enum_exact(h: HRep):
     to the cone ``{(t, x) : b t - A x >= 0, t >= 0}``, which starts as all of
     Z^(n+1), held as lineality generators, and is cut by one row at a time.
     A row that is nonzero on the lineality space uses up one generator, kept
-    as a ray on the row's positive side.  Otherwise each ray on its positive
-    side is combined with each adjacent ray on its negative side; adjacency
-    is the combinatorial test on zero sets, int bitmasks over the rows
-    processed so far.  Rays stay integral and gcd-reduced, so the cost grows
-    with the rays held, not with C(m, n).  The vertices are the rays with
-    t > 0, divided by t; an empty or non-pointed polyhedron has none.
+    as a ray on the row's positive side; the generators and rays it is 0 on
+    stay as they are.  Otherwise each ray on its positive side is combined
+    with each adjacent ray on its negative side; adjacency is the
+    combinatorial test on zero sets, int bitmasks over the rows processed so
+    far.  Rays stay integral and gcd-reduced, so the cost grows with the
+    rays held, not with C(m, n).  The vertices are the rays with t > 0,
+    divided by t when t > 1; an empty or non-pointed polyhedron has none.
     Entries are ints where integral, Fractions otherwise.
     """
     n = h.n_vars
@@ -333,13 +365,15 @@ def vertex_enum_exact(h: HRep):
         signed = [(r, z, sum([a * r[i] for i, a in support])) for r, z in rays]
         piv = next((j for j, v in enumerate(vals) if v), None)
         if piv is not None:
-            # the row cuts the lineality space: move the rays and the other
-            # generators onto its hyperplane along the pivot generator
+            # the row cuts the lineality space: move the rays and the other generators
+            # onto its hyperplane along the pivot; a0 * g reduces to g, so a g at 0 stays
             l0, a0 = lineality.pop(piv), vals.pop(piv)
             if a0 < 0:
                 l0, a0 = tuple(-y for y in l0), -a0
-            lineality = [_primitive([a0 * y - v * y0 for y, y0 in zip(l, l0)]) for l, v in zip(lineality, vals)]
-            rays = [(_primitive([a0 * y - v * y0 for y, y0 in zip(r, l0)]), z | bit) for r, z, v in signed]
+            lineality = [
+                _primitive([a0 * y - v * y0 for y, y0 in zip(l, l0)]) if v else l for l, v in zip(lineality, vals)
+            ]
+            rays = [(_primitive([a0 * y - v * y0 for y, y0 in zip(r, l0)]) if v else r, z | bit) for r, z, v in signed]
             rays.append((l0, bit - 1))  # a former generator is tight on every earlier row
             _rays_held(len(rays), done, len(rows))
             continue
@@ -356,7 +390,8 @@ def vertex_enum_exact(h: HRep):
                     _rays_held(len(rays), done, len(rows))
     if lineality:
         return ()
-    vertices = [tuple(y // r[0] if y % r[0] == 0 else Fraction(y, r[0]) for y in r[1:]) for r, _ in rays if r[0] > 0]
+    vertices = [r[1:] for r, _ in rays if r[0] == 1]
+    vertices += [tuple(y // r[0] if y % r[0] == 0 else Fraction(y, r[0]) for y in r[1:]) for r, _ in rays if r[0] > 1]
     return tuple(sorted(vertices))  # ints and Fractions compare by value: the order of the Fraction key
 
 
@@ -371,7 +406,8 @@ def lattice_point_count(h: HRep, t: int) -> int:
     counts the prefixes that reach it.  Fixing a coordinate drops it from
     every class, which merges the classes that then agree, and cuts a prefix
     once a budget falls below the least the coordinates still to fix can
-    add; a class with no coordinates left is checked and dropped.
+    add; a class with no coordinates left is checked and dropped.  All of
+    this but t is `HRep._lattice_plan`, built once per H-rep.
 
     The work of each coordinate, its states times the t + 1 values it
     takes, is bounded by ``LATTICE_MAX_STEPS`` before the coordinate is
@@ -380,31 +416,17 @@ def lattice_point_count(h: HRep, t: int) -> int:
     n = h.n_vars
     if t < 1:
         raise ValueError("dilation factor must be positive")
-    least: dict[tuple[int, ...], int] = {}  # class -> least budget
-    for coeffs, rhs in h.ineqs:
-        least[coeffs] = min(least.get(coeffs, t * rhs), t * rhs)
-
-    def floor(rest: tuple[int, ...]) -> int:  # the least the coordinates in rest can add
-        return t * sum(c for c in rest if c < 0)
-
-    if any(b < floor(s) for s, b in least.items()):
+    if h._lattice_plan is None:
         return 0
-    classes = [s for s in least if any(s)]
-    states = {tuple(least[s] for s in classes): 1}  # least budget per class -> number of prefixes
-    for i in range(n):
+    start, steps = h._lattice_plan
+    states = {tuple([t * b for b in start]): 1}  # least budget per class -> number of prefixes
+    for i, (keep, merges) in enumerate(steps):
         if len(states) * (t + 1) > LATTICE_MAX_STEPS:
             raise BudgetError(
                 f"lattice count: {len(states)} states times {t + 1} values at coordinate {i + 1} of {n}"
                 f" exceed {LATTICE_MAX_STEPS} steps"
             )
-        sources: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # class after i -> (class, coefficient at i)
-        for p, s in enumerate(classes):
-            sources.setdefault(s[1:], []).append((p, s[0]))
-        # a lone class with coefficient 0 at i keeps its budget, already checked
-        keep = [srcs[0][0] for srcs in sources.values() if len(srcs) == 1 and not srcs[0][1]]
-        moved = [(s, srcs) for s, srcs in sources.items() if len(srcs) > 1 or srcs[0][1]]
-        checks = [(srcs, floor(s), any(s)) for s, srcs in moved]
-        classes = [classes[p][1:] for p in keep] + [s for s, _ in moved if any(s)]
+        checks = [(srcs, t * lo, live) for srcs, lo, live in merges]
         nxt: dict[tuple[int, ...], int] = {}
         for state, count in states.items():
             kept = tuple([state[p] for p in keep])

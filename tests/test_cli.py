@@ -771,6 +771,32 @@ def test_table_budget_leaves_an_existing_output_untouched(tmp_path, capsys):
     assert out_path.read_text() == run_main(capsys, "table", "--n", "6", "--method", "both")[1]
 
 
+@pytest.mark.parametrize(
+    "argv, side_flag, stage",
+    [
+        (["fvector", "--tau", "3,2,3", "--k", "2", "--method", "geometric"], "--export-lattice", "_pipelines_fvector"),
+        (["verify", "monotone", "--tau", "2,1"], "--json", "verify_monotone"),
+    ],
+)
+def test_side_file_and_output_are_checked_before_the_work(tmp_path, monkeypatch, capsys, argv, side_flag, stage):
+    def refuse(*args):
+        raise AssertionError("the work ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, stage, refuse)
+    with pytest.raises(OSError) as exc:
+        open(tmp_path, "w")
+    message = f"error: {exc.value}\n"
+    side = tmp_path / "side.json"
+    assert run_main(capsys, *argv, side_flag, str(side), "--output", str(tmp_path)) == (2, "", message)
+    assert not side.exists()
+    side.write_text("an earlier file\n")
+    assert run_main(capsys, *argv, side_flag, str(side), "--output", str(tmp_path)) == (2, "", message)
+    assert side.read_text() == "an earlier file\n"
+    # with both unwritable, the side file is refused, as it is written first
+    missing = tmp_path / "missing" / "out.csv"
+    assert run_main(capsys, *argv, side_flag, str(tmp_path), "--output", str(missing)) == (2, "", message)
+
+
 def test_table_row_count_is_refused_before_the_rows_are_listed(monkeypatch, capsys):
     def refuse(n):
         raise AssertionError("table_taus ran before the row budget was checked")

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -153,6 +154,21 @@ def test_zero_one_vertices_chain_order_2_2():
     assert v == VRep(tuple(vertex_enum_exact(chain_order_hrep((2, 2), 1))))
 
 
+def test_zero_one_vertices_ask_for_the_integer_rank_only_past_gf2(monkeypatch):
+    calls = []
+
+    def spy(rows):
+        calls.append(sorted(rows))
+        return int_matrix_rank(rows)
+
+    monkeypatch.setattr(polytopes, "int_matrix_rank", spy)
+    h = HRep(("x", "y"), (((2, 0), 2), ((0, 2), 2), ((-1, 0), 0), ((0, -1), 0)))
+    assert zero_one_vertices(h).vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
+    # (0, 0) is tight on the two odd rows, whose parities have rank 2; every
+    # other corner is tight on an even row, so GF(2) falls short there
+    assert calls == [[(-1, 0), (0, 2)], [(0, -1), (2, 0)], [(0, 2), (2, 0)]]
+
+
 def test_zero_one_vertex_budget():
     h = HRep(tuple(range(31)), ((tuple([1] + [0] * 30), 1),))
     with pytest.raises(BudgetError):
@@ -254,6 +270,35 @@ def test_lattice_point_equality_small():
     _, hc = chain_polytope_dd(p)
     for t in (1, 2):
         assert lattice_point_count(ho, t) == lattice_point_count(hc, t)
+
+
+def test_lattice_plan_is_built_once_per_hrep(monkeypatch):
+    plan = HRep.__dict__["_lattice_plan"]
+    original, built = plan.func, []
+
+    def counting(h):
+        built.append(h)
+        return original(h)
+
+    monkeypatch.setattr(plan, "func", counting)
+    posets = [make_maximal_ranked(tau) for tau in ((2, 2), (1, 2, 1))]
+    hreps = [dd(p)[1] for p in posets for dd in (order_polytope_dd, chain_polytope_dd)]
+    for h in hreps:
+        for t in (1, 2, 3):
+            lattice_point_count(h, t)
+    assert len(built) == len(hreps) and all(b is h for b, h in zip(built, hreps))
+
+
+def test_lattice_plan_leaves_equality_hash_repr_and_pickle_alone():
+    _, h = chain_order_dd(make_maximal_ranked((2, 1, 2)), 0b11)
+    built, bare = HRep(h.var_names, h.ineqs), HRep(h.var_names, h.ineqs)
+    assert lattice_point_count(built, 2) == 34
+    assert "_lattice_plan" in vars(built) and "_lattice_plan" not in vars(bare)
+    assert built == bare and hash(built) == hash(bare) and repr(built) == repr(bare)
+    for h in (built, bare):
+        back = pickle.loads(pickle.dumps(h))
+        assert back == bare and hash(back) == hash(bare) and repr(back) == repr(bare)
+        assert [lattice_point_count(back, t) for t in (1, 2)] == [8, 34]
 
 
 def _ideal_multichains(p: Poset, t: int) -> int:
@@ -708,3 +753,13 @@ def cube_hreps(draw):
 def test_zero_one_vertices_and_lattice_count_match_brute_force(h, t):
     assert zero_one_vertices(h) == _brute_force_zero_one_vertices(h)
     assert lattice_point_count(h, t) == _brute_force_lattice_count(h, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cube_hreps())
+@example(HRep(("x", "y"), _SQUARE + tuple(_both_sides([((2, 0), 1)]))))  # no 0/1 point, but (1, y) at t = 2 and 4
+def test_one_hrep_counts_every_dilation_in_any_order(h):
+    # the plan is built at the first t asked for and serves the others
+    for t in (3, 1, 2, 4):
+        count = lattice_point_count(h, t)
+        assert count == lattice_point_count(HRep(h.var_names, h.ineqs), t) == _brute_force_lattice_count(h, t)
