@@ -109,7 +109,9 @@ def _check_output(*paths: str | None) -> None:
     """For each path given, raise the OSError that ``open(path, "w")`` would,
     but create and truncate nothing: a path that exists is opened for writing
     as it is, and a new file needs a directory that takes it.  A named pipe is
-    left to the open itself, since opening it waits for a reader."""
+    left to the open itself, since opening it waits for a reader.  ``main``
+    calls this once for every command, before it reads any input or runs the
+    command, so no command does work it cannot write out."""
     for path in filter(None, paths):
         try:
             mode = os.stat(path).st_mode
@@ -151,8 +153,8 @@ def _write_rows(args: argparse.Namespace, rows) -> None:
 
 def _export_lattice(path: str, lattice) -> None:
     data = {
-        "faces": [{"vertices": list(lattice.face_vertices(f)), "dim": lattice.dims[f]} for f in range(lattice.n_faces)],
-        "covers": [list(edge) for edge in lattice.covers],
+        "faces": [{"vertices": lattice.face_vertices(f), "dim": lattice.dims[f]} for f in range(lattice.n_faces)],
+        "covers": lattice.covers,
         "bottom": lattice.bottom,
         "top": lattice.top,
     }
@@ -177,7 +179,6 @@ def _fvector_command(args: argparse.Namespace) -> int:
         if k is not None:
             raise ConfigError("--k is for --tau input; --poset input takes --polytope")
         label = args.polytope or "order"
-    _check_output(args.export_lattice, args.output)  # in the order they are written
     norm = f_vector_normal_form(tau, k) if args.method != "geometric" else None
     fv, lattice, agree = _pipelines_fvector(args, tau, k, poset, norm)
     if not agree:
@@ -246,10 +247,7 @@ def _table_command(args: argparse.Namespace) -> int:
                 yield [label, k, _polytope_label(tau, k), *fv]
 
     # normal-form rows stream; a geometric row can spend a budget, and exit 2
-    # must leave the output empty, so those rows are all built first, once the
-    # output is known to be writable
-    if args.method != "normalform":
-        _check_output(args.output)
+    # must leave the output empty, so those rows are all built first
     _write_rows(args, rows() if args.method == "normalform" else list(rows()))
     return status
 
@@ -257,8 +255,7 @@ def _table_command(args: argparse.Namespace) -> int:
 def _verify_command(args: argparse.Namespace) -> int:
     if args.what == "monotone" and args.k is not None:
         raise ConfigError("verify monotone checks every cut; --k is for injectivity")
-    _check_output(args.json_out, args.output)  # in the order they are written
-    tau, payload = args.tau, {"tau": list(args.tau)}
+    tau, payload = args.tau, {"tau": args.tau}
     if args.what == "injectivity":
         reports = [verify_injection(tau, k) for k in ([args.k] if args.k is not None else range(len(tau)))]
         lines, payload["reports"] = [], []
@@ -281,7 +278,7 @@ def _verify_command(args: argparse.Namespace) -> int:
         lines = [f"k={k}: f = {rep.f_vectors[k]}" for k in sorted(rep.f_vectors)]
         lines += [f"monotone={rep.monotone}", *rep.failures]
         ok = rep.monotone
-        payload.update(f_vectors={str(k): list(v) for k, v in rep.f_vectors.items()}, monotone=ok, failures=rep.failures)
+        payload.update(f_vectors={str(k): v for k, v in rep.f_vectors.items()}, monotone=ok, failures=rep.failures)
     payload["ok"] = ok
     if args.json_out:  # before the report, so that a failed write leaves stdout empty
         with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -300,9 +297,9 @@ def _dd_command(args: argparse.Namespace) -> int:
     v, h = _dd_for(args, args.tau, ends.get(args.polytope, args.k), poset)
     data = {
         "vars": [element_name(e) for e in h.var_names],
-        "ineqs": [{"coeffs": list(c), "rhs": r} for c, r in h.ineqs],
+        "ineqs": [{"coeffs": c, "rhs": r} for c, r in h.ineqs],
         "eqs": [],
-        "vertices": [list(vert) for vert in v.vertices],
+        "vertices": v.vertices,
     }
     _emit(args, json.dumps(data, indent=2, sort_keys=True) + "\n")
     return 0
@@ -363,7 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command(
         "table", _table_command, "order and chain f-vectors for all table rows of size n",
         ("--n", dict(type=int, required=True)), "--method", "--format", "--output", "--budget-faces", "--budget-points",
-    ).set_defaults(export_lattice=None)  # the table never exports a lattice
+    )
+    parser.set_defaults(export_lattice=None, json_out=None)  # the side files of fvector and verify
     return parser
 
 
@@ -377,6 +375,7 @@ def main(argv=None) -> int:
             args.tau = _parse_tau(args.tau)
             if args.tau is None and not hasattr(args, "poset_file"):  # gen and verify; _load_poset checks the others
                 raise ConfigError(f"{args.command} needs --tau")
+        _check_output(args.export_lattice, args.json_out, args.output)  # in the order they are written
         return run(args)
     except (ConfigError, OSError) as exc:  # OSError: unreadable or unwritable files
         sys.stderr.write(f"error: {exc}\n")

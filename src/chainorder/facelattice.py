@@ -198,9 +198,9 @@ def count_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> tuple[int, 
     prism's base, being a face, is walked under the same bound, and one that
     runs out reports the faces found so far; the exact total, known from the
     parts, is checked once at the end.  Incidences that are not those of a
-    polytope raise: vertices of a piece at different depths, a face of
-    several vertices at or below the vertex depth, or a vertex of a piece
-    that is not a face of its own.
+    polytope raise in ``_vertex_depth``, as in ``enumerate_faces``: vertices
+    of a piece at different depths, a face of several vertices at or below
+    the vertex depth, or a vertex of a piece that is not a face of its own.
     """
     ranks = _glued((1 << inc.n_vertices) - 1, _facets(inc), 0, max_faces)[0]
     total = sum(ranks) - 1  # nonempty faces
@@ -427,13 +427,7 @@ def _walk(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, 
         raise face_budget_error(max_faces, found, exact=False)
     if facets or nv != 1:  # a point has no proper face to walk
         walk(facets, 0)
-        if len(vertex_depths) != 1:
-            raise InconsistentInputError("vertices not all at one depth; inconsistent incidences")
-        (depth,) = vertex_depths
-        if len(counts) != depth + 1 or counts[depth] != n_vertex_faces:
-            raise InconsistentInputError("a face of several vertices at or below the vertex depth")
-        if n_vertex_faces != nv:
-            raise InconsistentInputError(f"{n_vertex_faces} of {nv} vertices are faces")
+        _vertex_depth(vertex_depths, counts, n_vertex_faces, nv)
     ranks = [1, *reversed(counts), 0]  # from the empty face to the polytope
     table = {0: ranks}
     for (depth, p), c in marked.items():
@@ -442,6 +436,22 @@ def _walk(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, 
         table.setdefault(p, [0] * len(ranks))[r] += c
     table.setdefault(marks, [0] * len(ranks))[-1] += 1
     return table
+
+
+def _vertex_depth(vertex_depths: set[int], per_depth: list[int], n_vertex_faces: int, nv: int) -> int:
+    """The one depth of the vertex faces, from the depths they were found at,
+    the faces found per depth and how many vertex faces there are.  Raises,
+    in this order, if the vertices are not all at one depth, if a face of
+    several vertices is at or below it (more levels than depth + 1, or more
+    faces at that depth than vertex faces), or if a vertex is not a face."""
+    if len(vertex_depths) != 1:
+        raise InconsistentInputError("vertices not all at one depth; inconsistent incidences")
+    (depth,) = vertex_depths
+    if len(per_depth) > depth + 1 or per_depth[depth] > n_vertex_faces:
+        raise InconsistentInputError("a face of several vertices at or below the vertex depth")
+    if n_vertex_faces != nv:
+        raise InconsistentInputError(f"{n_vertex_faces} of {nv} vertices are faces")
+    return depth
 
 
 def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLattice:
@@ -465,7 +475,8 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
     ``max_faces`` (``MAX_FACES`` by default) bounds the nonempty faces, the
     polytope included, and is checked as each face is recorded: running out
     reports the budget + 1 faces found.  Incidences that are not those of a
-    polytope raise as in ``count_faces``, and so does a face at two depths.
+    polytope raise in ``_vertex_depth``, as in ``count_faces``, and so does a
+    face at two depths.
     """
     nv = inc.n_vertices
     facets = _facets(inc)
@@ -500,14 +511,8 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
                         raise InconsistentInputError("a face at two depths; inconsistent incidences")
             lower[f] = kept
         level = below
-    vertex_depths = {depth[1 << v] for v in range(nv) if (1 << v) in depth}
-    if len(vertex_depths) != 1:
-        raise InconsistentInputError("vertices not all at one depth; inconsistent incidences")
-    (top_dim,) = vertex_depths
-    if any(m & (m - 1) for faces in levels[top_dim:] for m in faces):
-        raise InconsistentInputError("a face of several vertices at or below the vertex depth")
-    if len(levels[top_dim]) != nv:  # the vertices found
-        raise InconsistentInputError(f"{len(levels[top_dim])} of {nv} vertices are faces")
+    found = [depth[1 << v] for v in range(nv) if (1 << v) in depth]  # the depths of the vertex faces
+    top_dim = _vertex_depth(set(found), [*map(len, levels)], len(found), nv)
     masks = [m for faces in reversed(levels) for m in sorted(faces)]
     dims = (-1, *(top_dim - depth[m] for m in masks))
     # tuples made here in one run, not in the loop between the sets of meets:

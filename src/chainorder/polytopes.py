@@ -232,22 +232,17 @@ def _gf2_rank(masks, full: int) -> int:
 
 
 def int_matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix.
+    """Rank of an integer matrix, by Bareiss fraction-free elimination.
 
-    The rank over GF(2) comes first, from the rows' parities as int bitmasks
-    in an XOR basis.  It is a lower bound on the rank over the rationals: a
-    minor that is odd is nonzero.  When it reaches min(rows, columns) it is
-    the rank; otherwise Bareiss fraction-free elimination decides.  The
-    0/1 search calls this only where its own GF(2) rank falls short,
-    through the module global that perfbench wraps (ROADMAP item 1).
+    The 0/1 search calls this only where its own GF(2) rank of the same rows
+    falls short, so a GF(2) shortcut here could never succeed there.  It is
+    called through the module global that perfbench wraps (ROADMAP item 1).
     """
     m = [list(r) for r in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
     full = min(nrows, ncols)
-    if _gf2_rank(map(_parity, m), full) == full:
-        return full
     rank = 0
     prev = 1
     for col in range(ncols):

@@ -85,7 +85,7 @@ class Poset:
             if p not in idx or q not in idx:
                 raise ValueError(f"cover ({p!r}, {q!r}) uses unknown element")
             if p == q:
-                raise ValueError("self-cover")
+                raise ValueError(f"cover ({p!r}, {q!r}) is a self-cover")
         if len(set(self.covers)) != len(self.covers):
             raise ValueError("duplicate cover pairs")
         object.__setattr__(self, "covers", tuple(sorted(self.covers, key=lambda c: (idx[c[0]], idx[c[1]]))))

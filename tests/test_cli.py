@@ -296,6 +296,11 @@ def test_cyclic_poset_file_exits_two(tmp_path, capsys):
     _poset_file_exit(tmp_path, capsys, '{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}')
 
 
+def test_self_cover_poset_file_exits_two(tmp_path, capsys):
+    err = _poset_file_exit(tmp_path, capsys, '{"elements": ["a"], "covers": [["a", "a"]]}')
+    assert err == f"error: bad poset file {tmp_path / 'p.json'}: cover ('a', 'a') is a self-cover\n"
+
+
 def test_non_json_poset_file_exits_two(tmp_path, capsys):
     _poset_file_exit(tmp_path, capsys, "not json")
 
@@ -795,6 +800,59 @@ def test_side_file_and_output_are_checked_before_the_work(tmp_path, monkeypatch,
     # with both unwritable, the side file is refused, as it is written first
     missing = tmp_path / "missing" / "out.csv"
     assert run_main(capsys, *argv, side_flag, str(tmp_path), "--output", str(missing)) == (2, "", message)
+
+
+# each command's first step of work: none may run before the output paths are checked
+_FIRST_STEPS = (
+    "make_maximal_ranked", "chain_order_dd", "poset_from_json", "f_vector_normal_form", "_pipelines_fvector",
+    "verify_injection", "verify_monotone", "f_vectors_normal_form", "table_taus",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, side_flag",
+    [
+        (["gen", "--tau", "2,1"], None),
+        (["dd", "--tau", "2,1", "--polytope", "chain"], None),
+        (["dd", "--poset", "POSET", "--polytope", "chain"], None),
+        *((["fvector", "--tau", "2,1", "--k", "1", "--method", m], "--export-lattice")
+          for m in ("geometric", "normalform", "both")),
+        (["fvector", "--poset", "POSET", "--method", "geometric"], "--export-lattice"),
+        (["verify", "injectivity", "--tau", "2,1"], "--json"),
+        (["verify", "monotone", "--tau", "2,1"], "--json"),
+        *((["table", "--n", "6", "--method", m], None) for m in ("geometric", "normalform", "both")),
+    ],
+    ids=[
+        "gen", "dd-tau", "dd-poset", "fvector-geometric", "fvector-normalform", "fvector-both", "fvector-poset",
+        "verify-injectivity", "verify-monotone", "table-geometric", "table-normalform", "table-both",
+    ],
+)
+def test_every_command_checks_its_output_paths_before_the_work(tmp_path, monkeypatch, capsys, argv, side_flag):
+    def refuse(*args):
+        raise AssertionError("the work ran before the output paths were checked")
+
+    for name in _FIRST_STEPS:
+        monkeypatch.setattr(cli, name, refuse)
+    poset_path = tmp_path / "p.json"
+    poset_path.write_text('{"elements": ["a", "b"], "covers": [["a", "b"]]}')
+    with pytest.raises(OSError) as exc:
+        open(tmp_path, "w")
+    message = f"error: {exc.value}\n"
+    argv = [str(poset_path) if a == "POSET" else a for a in argv]
+    assert run_main(capsys, *argv, "--output", str(tmp_path)) == (2, "", message)
+    if side_flag:
+        side = tmp_path / "side.json"
+        assert run_main(capsys, *argv, side_flag, str(tmp_path), "--output", str(side)) == (2, "", message)
+        assert not side.exists()
+
+
+def test_output_paths_are_checked_before_the_arguments(tmp_path, capsys):
+    with pytest.raises(OSError) as exc:
+        open(tmp_path, "w")
+    code, out, err = run_main(capsys, "verify", "monotone", "--tau", "2,1", "--k", "1", "--output", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+    code, out, err = run_main(capsys, "verify", "monotone", "--tau", "2,1", "--k", "1")
+    assert (code, out, err) == (2, "", "error: verify monotone checks every cut; --k is for injectivity\n")
 
 
 def test_table_row_count_is_refused_before_the_rows_are_listed(monkeypatch, capsys):

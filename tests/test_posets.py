@@ -91,6 +91,12 @@ def test_poset_rejects_duplicate_cover_pairs():
         Poset(("a", "b"), (("a", "b"), ("a", "b")))
 
 
+def test_self_cover_message_names_the_cover():
+    with pytest.raises(ValueError) as exc:
+        Poset(("a",), (("a", "a"),))
+    assert str(exc.value) == "cover ('a', 'a') is a self-cover"
+
+
 def test_unreduced_cover_message_names_the_implied_cover():
     with pytest.raises(ValueError) as exc:
         Poset("abc", (("a", "b"), ("b", "c"), ("a", "c")))
