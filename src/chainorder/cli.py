@@ -19,7 +19,7 @@ import sys
 
 from .errors import MAX_FACES, MAX_POINTS, BudgetError, ConfigError
 from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
-from .normalform import f_vector_normal_form, f_vectors_normal_form, verify_injection, verify_monotone
+from .normalform import f_vector_normal_form, partition_f_vectors, verify_injection, verify_monotone
 from .polytopes import chain_order_dd
 from .polytopes import chain_order_hrep, zero_one_vertices  # unused: perfbench targets (ROADMAP item 1)
 from .posets import (
@@ -189,24 +189,15 @@ def _fvector_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def table_taus(n: int) -> list[tuple[int, ...]]:
-    """Rank-size rows of the f-vector table: partitions of n with at least
-    three ranks and at least two ranks of size >= 2, in lexicographic order."""
-
-    def partitions(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in partitions(total - first, first):
-                yield (first,) + rest
-
-    return sorted(t for t in partitions(n, n) if len(t) >= 3 and sum(1 for x in t if x >= 2) >= 2)
+def _in_table(tau) -> bool:
+    """Whether a partition is a row of the f-vector table: at least three
+    ranks, and at least two ranks of size >= 2."""
+    return len(tau) >= 3 and sum(1 for x in tau if x >= 2) >= 2
 
 
 def _check_table_rows(n: int, budget: int) -> None:
     """Refuse ``table --n n`` past ``budget`` rows before any is built.  The
-    table has two rows for each partition of n that `table_taus` keeps: all
+    table has two rows for each partition of n that `_in_table` keeps: all
     but the n with at most one part above 1 and the floor(n/2) - 1 with just
     two parts, both above 1, so p(n) - n - floor(n/2) + 1 of them for n >= 3.
     p is counted upward by Euler's pentagonal recurrence; the row count never
@@ -228,16 +219,15 @@ def _table_command(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ConfigError(f"table needs --n >= 1, got {args.n}")
     _check_table_rows(args.n, args.budget_points)
-    taus = table_taus(args.n)
     status = 0
 
     def rows():
         nonlocal status
-        batches = [((tau, 0) for tau in taus), ((tau, len(tau)) for tau in taus)]  # order rows, chain rows
-        counted = [f_vectors_normal_form(b) if args.method != "geometric" else [None] * len(taus) for b in batches]
-        for tau, *norms in zip(taus, *counted):
+        for tau, *norms in partition_f_vectors(args.n):
+            if not _in_table(tau):
+                continue
             label = _tau_label(tau)  # one label for both of its rows
-            for k, norm in zip((0, len(tau)), norms):
+            for k, norm in zip((0, len(tau)), norms if args.method != "geometric" else (None, None)):
                 try:
                     fv, _, agree = _pipelines_fvector(args, tau, k, None, norm)
                 except BudgetError as exc:

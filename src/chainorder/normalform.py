@@ -16,13 +16,13 @@ with all-empty sets is meaningful: it occurs when every chain-side rank is
 fully zeroed and the tight chains end in the unique glued block above the cut.
 Enumeration within the face budget ``MAX_FACES`` (a stream in canonical
 order, grouped by partition), codimension, f-vector counting by one bottom-up
-rank fold over a batch of cuts that share rank prefixes (one cut is a batch
-of one) and a codimension-preserving injection from cut k to k+1, whose
-partition half is computed once per run of source forms sharing a partition,
-live here.  The fold multiplies a row vector by one 2x2 transfer matrix per
-rank, M_c = diag(g, c) on the chain side and M_o = [[1, g - 1], [p, s]] on
-the order side (`_rank_matrix`); each call of the fold builds each matrix
-once per rank size and side, in a dict that lives only as long as the call.
+rank fold per cut, the order and chain f-vectors of every partition of n by
+one depth-first walk that folds each shared prefix once, and a
+codimension-preserving injection from cut k to k+1, whose partition half is
+computed once per run of source forms sharing a partition, live here.  The
+fold multiplies a row vector by one 2x2 transfer matrix per rank,
+M_c = diag(g, c) on the chain side and M_o = [[1, g - 1], [p, s]] on the
+order side (`_rank_matrix`).
 Each entry point taking (tau, k) checks the cut by `check_cut`, which raises
 `ConfigError`; `codimension`, `psi_map` and the per-cut caches trust their input.
 """
@@ -107,7 +107,7 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
     nonempty top subset.  Two multi-rank blocks may share a boundary rank but
     their spans cannot cross, so at most one block is open at a time.  One
     loop folds the ranks bottom up over states (closed blocks, open block or
-    ()), the states the counting fold `_shared_folds` counts as (a, b).  The
+    ()), the states the counting fold `_fold` counts as (a, b).  The
     open block takes the whole rank, or ends on a nonempty part of it; then
     a nonempty subset of the elements left free may open a new block, and
     the rest close as singletons.  No block opens or stays open at the last
@@ -298,7 +298,7 @@ def _normal_forms(tau, k: int):
     the forms come in ``sort_key`` order, grouped by partition.
     """
     tau = check_cut(tau, k)
-    total = next(_shared_folds([(0, tau, k)], 1)) - 1  # less the empty face's combination
+    total = _fold(tau, k, 1) - 1  # less the empty face's combination
     if total > MAX_FACES:
         raise face_budget_error(MAX_FACES, total)
     chain_ranks = [rank_elements(tau, i) for i in range(1, k + 1)]
@@ -333,7 +333,7 @@ def _normal_forms(tau, k: int):
 
 def _rank_matrix(t: int, chain: bool, x: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """The 2x2 transfer matrix ((m00, m01), (m10, m11)) of one rank of size
-    t in the fold of `_shared_folds`, with g = (1+x)^t.  A chain-side rank
+    t in `_fold`, with g = (1+x)^t.  A chain-side rank
     is M_c = diag(g, c): it grades its free zeros by g in the forms without
     tight chains and its zero/eq choices by c = ((1+2x)^t - g)/x + x^t in
     those with them.  An order-side rank is M_o = [[1, g - 1], [p, s]]:
@@ -348,36 +348,39 @@ def _rank_matrix(t: int, chain: bool, x: int) -> tuple[tuple[int, int], tuple[in
     return (1, grow - 1), ((grow - 1) // x, (both - 2 * grow + 1) // x + x**t)
 
 
-def _shared_folds(plan, x: int):
-    """The generating function of the normal forms by codimension, at x, for
-    each (shared, tau, k) of a plan: a cut keeps the first ``shared`` partial
-    folds of the cut before and folds its other ranks.
-
-    The fold is a row vector (a, b) from rank 1 upward, from (1, x): the
-    forms on the ranks so far with nothing, or with one thing, reaching up,
-    a block of the order side or, below it, the tight chains (graded x for
-    their equation), which end on the first order rank as a block does.
+def _fold(tau: tuple[int, ...], k: int, x: int) -> int:
+    """The generating function of the normal forms at cut k by codimension,
+    at x.  The fold is a row vector (a, b) from rank 1 upward, from (1, x):
+    the forms on the ranks so far with nothing, or with one thing, reaching
+    up, a block of the order side or, below it, the tight chains (graded x
+    for their equation), which end on the first order rank as a block does.
     Each rank multiplies it by its `_rank_matrix`, M_c below the cut and M_o
-    above it, built once per (size, side) in a dict local to this call.  The
-    adjoined maximum, where everything ends, closes the fold as a + b.
+    above it.  The adjoined maximum, where everything ends, closes the fold
+    as a + b.
     """
-    matrices = {}  # (t, chain) -> its transfer matrix at this x
-    stack = [(1, x)]
-    for shared, tau, k in plan:
-        del stack[shared + 1 :]
-        a, b = stack[-1]
-        for i in range(shared, len(tau)):
-            key = (tau[i], i < k)
-            if (m := matrices.get(key)) is None:
-                m = matrices[key] = _rank_matrix(*key, x)
-            (m00, m01), (m10, m11) = m
-            a, b = a * m00 + b * m10, a * m01 + b * m11
-            stack.append((a, b))
-        yield a + b
+    fold = (1, x)
+    for i, t in enumerate(tau):
+        fold = _times(fold, _rank_matrix(t, i < k, x))
+    return sum(fold)
+
+
+def _times(fold: tuple[int, int], m) -> tuple[int, int]:
+    """The row vector ``fold`` times the 2x2 matrix ``m``."""
+    (a, b), ((m00, m01), (m10, m11)) = fold, m
+    return a * m00 + b * m10, a * m01 + b * m11
 
 
 def _f_vector_digits(total: int, w: int, n: int) -> tuple[int, ...]:
-    """The f-vector in the base-2^w digits of the count at x = 2^w, checked."""
+    """The f-vector in the base-2^w digits of the count at x = 2^w, checked.
+
+    Every caller takes w = (2 * 3**n).bit_length().  At x = 1 every
+    `_rank_matrix` entry is >= 0 and each row sums to at most 3^t, so a fold
+    from (1, 1) totals at most 2 * 3^n (3^n + 1 at tau = (n,)), which bounds
+    every coefficient: each fits in its digit, and no count at x = 1 is
+    needed to pick w.  The one overdetermined combination (all chain ranks
+    zeroed, chain end pinned to one) lands at codimension n+1 and is removed;
+    its coefficient must be 1, as must the polytope's, at 0.
+    """
     mask = (1 << w) - 1
     counts = [(total >> (w * d)) & mask for d in range(n + 2)]
     if counts[n + 1] != 1 or total >> (w * (n + 2)):
@@ -396,27 +399,33 @@ def f_vector_normal_form(tau, k: int) -> tuple[int, ...]:
 def f_vectors_normal_form(cuts):
     """The f-vector of the chain-order polytope at each cut (tau, k) of
     ``cuts``, in order, by counting normal forms; every cut is checked
-    before the first is yielded.
-
-    Each f-vector is read from the base-2^W digits of the generating
-    function by codimension at x = 2^W (Kronecker substitution), with one W
-    for the batch: the largest bit length at x = 1, which bounds every
-    nonnegative coefficient.  The one overdetermined combination (all chain
-    ranks zeroed, chain end pinned to one) lands at codimension n+1 and is
-    removed; its coefficient must be 1, as must the polytope's, at 0.  A cut
-    refolds only the ranks after those it shares with the cut before (the
-    same size on the same side of both cuts), so the order of the cuts
-    changes the work, not the result."""
-    plan, prev, prev_k = [], (), 0
+    before the first is yielded.  Each is one `_fold` at x = 2^W (Kronecker
+    substitution), read by `_f_vector_digits`."""
+    cuts = [(check_cut(tau, k), k) for tau, k in cuts]
     for tau, k in cuts:
-        tau = check_cut(tau, k)
-        limit = min(len(tau), len(prev)) if k == prev_k else min(k, prev_k)
-        shared = next((i for i in range(limit) if tau[i] != prev[i]), limit)
-        plan.append((shared, tau, k))
-        prev, prev_k = tau, k
-    w = max(_shared_folds(plan, 1), default=0).bit_length()
-    for (_, tau, _), total in zip(plan, _shared_folds(plan, 1 << w)):
-        yield _f_vector_digits(total, w, sum(tau))
+        w = (2 * 3 ** sum(tau)).bit_length()
+        yield _f_vector_digits(_fold(tau, k, 1 << w), w, sum(tau))
+
+
+def partition_f_vectors(n: int):
+    """(tau, order f-vector, chain f-vector) for each partition tau of n >= 1,
+    parts non-increasing, in lexicographic order, by one depth-first walk
+    with no list and no sort: each level tries its parts in ascending order,
+    each at most the part before.  The (a, b) of `_fold` on the prefix, at
+    k = 0 and at k = len(tau), goes down the recursion, so a rank is folded
+    once for all the partitions that share its prefix.  The walk builds each
+    (size, side) matrix once, at the one x = 2^W of ``n``."""
+    w = (2 * 3**n).bit_length()
+    x = 1 << w
+    matrices = {(t, chain): _rank_matrix(t, chain, x) for t in range(1, n + 1) for chain in (False, True)}
+
+    def walk(tau, left, order, chain):
+        if not left:
+            yield tau, _f_vector_digits(sum(order), w, n), _f_vector_digits(sum(chain), w, n)
+        for t in range(1, min(left, tau[-1] if tau else n) + 1):
+            yield from walk(tau + (t,), left - t, _times(order, matrices[t, False]), _times(chain, matrices[t, True]))
+
+    return walk((), n, (1, x), (1, x))
 
 
 # ---------------------------------------------------------------------------

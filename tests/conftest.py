@@ -28,6 +28,24 @@ def compositions_upto(total: int) -> list[tuple[int, ...]]:
     return [tau for m in range(1, total + 1) for tau in compositions(m)]
 
 
+def partitions(total: int, cap: int | None = None):
+    """The partitions of total with parts at most cap, each non-increasing,
+    largest first part first."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, total if cap is None else cap), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
+def table_taus(n: int) -> list[tuple[int, ...]]:
+    """Reference lister of the f-vector table's rows, by a sort: partitions
+    of n with at least three ranks and at least two ranks of size >= 2, in
+    lexicographic order."""
+    return sorted(t for t in partitions(n) if len(t) >= 3 and sum(1 for x in t if x >= 2) >= 2)
+
+
 def set_partitions(items):
     """All set partitions of a sequence, as lists of tuples."""
     items = list(items)

@@ -12,13 +12,13 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import compositions_upto
+from conftest import compositions_upto, table_taus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainorder
 from chainorder import cli, normalform, polytopes
-from chainorder.cli import main, table_taus
+from chainorder.cli import main
 from chainorder.errors import MAX_POINTS, BudgetError
 from chainorder.posets import as_tau_shape, poset_from_json
 
@@ -27,6 +27,12 @@ def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def program_taus(n):
+    """The rows of ``table --n n`` as the program lists them: the walk over
+    the partitions of n, less those `cli._in_table` leaves out."""
+    return [tau for tau, _, _ in normalform.partition_f_vectors(n) if cli._in_table(tau)]
 
 
 def test_gen_roundtrip(capsys):
@@ -276,7 +282,8 @@ def test_mismatch_exit_code(monkeypatch, capsys):
 def test_table_mismatch_names_tau_k_and_vectors(monkeypatch, capsys):
     code, expected, _ = run_main(capsys, "table", "--n", "5", "--method", "both")
     assert code == 0
-    monkeypatch.setattr(cli, "f_vectors_normal_form", lambda cuts: ((99,) for _ in cuts))
+    walk = normalform.partition_f_vectors
+    monkeypatch.setattr(cli, "partition_f_vectors", lambda n: ((tau, (99,), (99,)) for tau, _, _ in walk(n)))
     code, out, err = run_main(capsys, "table", "--n", "5", "--method", "both")
     assert code == 1
     assert out == expected
@@ -653,7 +660,7 @@ def test_verify_injectivity_all_cuts(capsys):
 
 
 def test_table_selects_figure_rows():
-    rows = table_taus(10)
+    rows = program_taus(10)
     assert len(rows) == 28
     assert rows[0] == (2, 2, 1, 1, 1, 1, 1, 1)
     assert rows[3] == (2, 2, 2, 2, 2)
@@ -685,7 +692,7 @@ def test_table_json(capsys):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tables_without_rows_are_empty(capsys, n):
     # every partition of n <= 4 into three ranks has at most one rank of size >= 2
-    assert table_taus(n) == []
+    assert program_taus(n) == []
     for method in ("geometric", "normalform", "both"):
         argv = ("table", "--n", str(n), "--method", method)
         assert run_main(capsys, *argv) == (0, "", "")
@@ -708,29 +715,33 @@ def test_table_json_is_the_csv_rows_dumped_indented(capsys, method):
 
 @pytest.mark.parametrize("method", ["normalform", "both"])
 def test_table_streams_only_normal_form_rows(monkeypatch, method):
-    # when the chain batch yields its last f-vector, every earlier tau's two
-    # rows are out already; rows that can spend a budget are all built first
-    out, seen, batch = io.StringIO(), [], cli.f_vectors_normal_form
+    # when the walk yields a partition, every earlier kept tau's two rows are
+    # out already; rows that can spend a budget are all built first
+    out, seen, walk = io.StringIO(), [], cli.partition_f_vectors
     taus = table_taus(9)
 
-    def watched(cuts):
-        for fv in batch(cuts):
-            seen.append(out.getvalue())
-            yield fv
+    def watched(n):
+        for row in walk(n):
+            seen.append((row[0], out.getvalue()))
+            yield row
 
     monkeypatch.setattr(sys, "stdout", out)
-    monkeypatch.setattr(cli, "f_vectors_normal_form", watched)
+    monkeypatch.setattr(cli, "partition_f_vectors", watched)
     assert main(["table", "--n", "9", "--method", method]) == 0
     lines = out.getvalue().splitlines(keepends=True)
     assert len(lines) == 2 * len(taus)
-    assert seen[-1] == ("".join(lines[:-2]) if method == "normalform" else "")
+    assert len(seen) == 30  # p(9): the walk reaches every partition, kept or not
+    for tau, written in seen:
+        before = sum(1 for t in taus if t < tau)
+        assert written == ("".join(lines[: 2 * before]) if method == "normalform" else "")
+    assert seen[-1] == ((9,), "".join(lines) if method == "normalform" else "")
 
 
 def test_table_output_directory_exits_two_before_any_count(tmp_path, monkeypatch, capsys):
-    def refuse(cuts):
+    def refuse(n):
         raise AssertionError("an f-vector was counted before --output was opened")
 
-    monkeypatch.setattr(cli, "f_vectors_normal_form", refuse)
+    monkeypatch.setattr(cli, "partition_f_vectors", refuse)
     code, out, err = run_main(capsys, "table", "--n", "10", "--method", "normalform", "--output", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
@@ -749,7 +760,7 @@ def test_table_unwritable_output_is_refused_before_any_row(tmp_path, monkeypatch
             open(path, "w")
         expected.append(f"error: {exc.value}\n")
     monkeypatch.setattr(cli, "_pipelines_fvector", refuse)
-    monkeypatch.setattr(cli, "f_vectors_normal_form", refuse)
+    monkeypatch.setattr(cli, "partition_f_vectors", refuse)
     for path, message in zip(cases, expected):
         code, out, err = run_main(capsys, "table", "--n", "14", "--method", method, "--output", str(path))
         assert (code, out, err) == (2, "", message)
@@ -805,7 +816,7 @@ def test_side_file_and_output_are_checked_before_the_work(tmp_path, monkeypatch,
 # each command's first step of work: none may run before the output paths are checked
 _FIRST_STEPS = (
     "make_maximal_ranked", "chain_order_dd", "poset_from_json", "f_vector_normal_form", "_pipelines_fvector",
-    "verify_injection", "verify_monotone", "f_vectors_normal_form", "table_taus",
+    "verify_injection", "verify_monotone", "partition_f_vectors",
 )
 
 
@@ -857,9 +868,9 @@ def test_output_paths_are_checked_before_the_arguments(tmp_path, capsys):
 
 def test_table_row_count_is_refused_before_the_rows_are_listed(monkeypatch, capsys):
     def refuse(n):
-        raise AssertionError("table_taus ran before the row budget was checked")
+        raise AssertionError("the partitions were walked before the row budget was checked")
 
-    monkeypatch.setattr(cli, "table_taus", refuse)
+    monkeypatch.setattr(cli, "partition_f_vectors", refuse)
     for method in ("geometric", "normalform", "both"):
         start = time.monotonic()
         code, out, err = run_main(capsys, "table", "--n", "120", "--method", method)
@@ -886,19 +897,28 @@ def test_table_row_budget_matches_the_listed_rows():
 @pytest.mark.skipif(
     os.environ.get("CHAINORDER_SLOW") != "1" or sys.platform != "linux", reason="opt-in; set CHAINORDER_SLOW=1 (Linux)"
 )
-def test_table_n40_normalform_streams_in_flat_memory(tmp_path):
-    # 74,558 rows and 44.5 MB of CSV; held in memory, they took 327 MiB
+def test_table_n50_normalform_walks_in_flat_memory(tmp_path):
+    # 408,304 rows; the interpreter alone takes about 17 MiB, and a list of
+    # the kept partitions with a fold plan per polytope took 77 MiB.  A
+    # child's peak RSS starts from its parent's at the fork, so the table
+    # runs under a small interpreter that reports the table's own peak.
     out = tmp_path / "table.csv"
     src = str(Path(chainorder.__file__).resolve().parent.parent)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "chainorder.cli", "table", "--n", "40", "--method", "normalform", "--output", str(out)],
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
-    with open(out, encoding="utf-8") as fh:
-        assert sum(1 for _ in fh) == 2 * len(table_taus(40)) == 74558
+    measure = "import os, subprocess, sys; _, s, u = os.wait4(subprocess.Popen(sys.argv[1:]).pid, 0); print(s, u.ru_maxrss)"
+    status, maxrss = subprocess.run(
+        [sys.executable, "-c", measure,
+         sys.executable, "-m", "chainorder.cli", "table", "--n", "50", "--method", "normalform", "--output", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert os.waitstatus_to_exitcode(int(status)) == 0
+    assert int(maxrss) < 40 * 1024  # KiB on Linux
+    digest, rows = hashlib.sha256(), 0
+    with open(out, "rb") as fh:
+        for line in fh:
+            digest.update(line)
+            rows += 1
+    assert digest.hexdigest() == "c08a55d8cda5f97d6632905615da06568e50501feb17825292161f798c6ad309"
+    assert rows == 2 * len(table_taus(50)) == 408304
 
 
 def test_table_n26_normalform_digest_and_closed_forms(capsys):

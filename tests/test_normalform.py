@@ -6,7 +6,7 @@ import re
 from math import comb
 
 import pytest
-from conftest import compositions, compositions_upto, set_partitions
+from conftest import compositions, compositions_upto, partitions, set_partitions, table_taus
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +23,7 @@ from chainorder.normalform import (
     induced_order_poset,
     is_valid_normal_form,
     order_ground,
+    partition_f_vectors,
     psi_map,
     rank_elements,
     top_element,
@@ -893,17 +894,17 @@ def test_verify_monotone_reports_a_drop(monkeypatch):
     ],
 )
 def test_counter_asserts_its_extreme_coefficients(monkeypatch, extra, message):
-    real_shared = normalform._shared_folds
-    # every count folds by a plan of (shared ranks, tau, k) per cut
-    monkeypatch.setattr(
-        normalform,
-        "_shared_folds",
-        lambda plan, x: (total + extra(sum(tau), x) for (_, tau, _), total in zip(plan, real_shared(plan, x))),
-    )
+    real_fold, real_digits = normalform._fold, normalform._f_vector_digits
+    # every count of one cut is one fold
+    monkeypatch.setattr(normalform, "_fold", lambda tau, k, x: real_fold(tau, k, x) + extra(sum(tau), x))
     with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
         f_vector_normal_form((2, 1, 2), 1)
     with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
         list(f_vectors_normal_form([((2, 1, 2), 1), ((2, 2), 0)]))
+    # the walk closes its folds at the leaves, and reads each by the same digits
+    monkeypatch.setattr(normalform, "_f_vector_digits", lambda total, w, n: real_digits(total + extra(n, 1 << w), w, n))
+    with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
+        list(partition_f_vectors(5))
 
 
 def _rank_one_gaps(rank_matrix, ts, xs):
@@ -931,7 +932,7 @@ def test_rank_matrix_difference_is_rank_one():
     assert _rank_one_gaps(stay_plus_one, ts, xs) == [(t, x) for x in xs for t in ts]
 
 
-def test_shared_folds_builds_each_matrix_once_per_call(monkeypatch):
+def test_partition_walk_builds_each_matrix_once_per_walk(monkeypatch):
     calls = []
     real = normalform._rank_matrix
 
@@ -940,15 +941,46 @@ def test_shared_folds_builds_each_matrix_once_per_call(monkeypatch):
         return real(t, chain, x)
 
     monkeypatch.setattr(normalform, "_rank_matrix", counted)
-    taus = cli.table_taus(12)
-    list(f_vectors_normal_form((tau, 0) for tau in taus))  # the order batch of `table --n 12`
-    sizes = {t for tau in taus for t in tau}
-    by_x = {}
-    for t, chain, x in calls:
-        by_x.setdefault(x, []).append((t, chain))
-    assert len(by_x) == 2  # the pass at x = 1 that fixes W, then the one at x = 2^W
-    for keys in by_x.values():  # at most one matrix per (size, side) in each call
-        assert sorted(keys) == sorted({(t, False) for t in sizes})
+    assert sum(1 for _ in partition_f_vectors(12)) == 77  # p(12), every partition `table --n 12` walks
+    assert {x for _, _, x in calls} == {1 << (2 * 3**12).bit_length()}  # one x, and no pass at x = 1
+    # one matrix per (size, side): every size 1..12 is a part of some partition
+    keys = sorted((t, chain) for t, chain, _ in calls)
+    assert keys == sorted((t, chain) for t in range(1, 13) for chain in (False, True))
+
+
+def test_rank_matrices_at_one_bound_the_digit_width():
+    # entries >= 0 and row sums <= 3^t at x = 1, so a fold from (1, 1) totals at most 2 * 3^n
+    for t in range(1, 201):
+        for chain in (False, True):
+            rows = normalform._rank_matrix(t, chain, 1)
+            assert all(m >= 0 for row in rows for m in row), (t, chain)
+            assert all(sum(row) <= 3**t for row in rows), (t, chain)
+
+
+def test_fold_at_one_is_at_most_twice_three_to_the_n():
+    for n in range(1, 11):
+        top = 0
+        for tau in compositions(n):
+            for k in range(len(tau) + 1):
+                total = normalform._fold(tau, k, 1)
+                assert total <= 2 * 3**n, (tau, k)
+                top = max(top, total)
+        assert top == 3**n + 1  # reached at tau = (n,), both cuts
+        assert normalform._fold((n,), 0, 1) == normalform._fold((n,), 1, 1) == top
+
+
+def test_partition_walk_lists_every_partition_once_in_order():
+    for n in range(1, 31):
+        walked = [tau for tau, _, _ in partition_f_vectors(n)]
+        assert walked == sorted(set(partitions(n))), n  # each once, lexicographic
+        assert [tau for tau in walked if cli._in_table(tau)] == table_taus(n), n
+
+
+def test_partition_walk_counts_both_end_cuts():
+    for n in range(1, 13):
+        for tau, order, chain in partition_f_vectors(n):
+            assert order == f_vector_normal_form(tau, 0), tau
+            assert chain == f_vector_normal_form(tau, len(tau)), tau
 
 
 @st.composite
@@ -986,7 +1018,6 @@ def test_batch_counts_equal_per_cut_counts(cuts):
     ],
 )
 def test_batch_shares_a_rank_only_on_the_same_side_of_both_cuts(cuts):
-    # equal sizes on opposite sides of the cut are different ranks of the fold
     assert list(f_vectors_normal_form(cuts)) == [_reference_f_vector_normal_form(tau, k) for tau, k in cuts]
 
 
@@ -1146,8 +1177,8 @@ def test_counting_matches_reference_on_small_compositions():
 
 
 @st.composite
-def _tau_and_cut(draw):
-    tau = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=8)))
+def _tau_and_cut(draw, largest=12, ranks=8):
+    tau = tuple(draw(st.lists(st.integers(1, largest), min_size=1, max_size=ranks)))
     return tau, draw(st.integers(0, len(tau)))
 
 
@@ -1155,3 +1186,9 @@ def _tau_and_cut(draw):
 def test_counting_matches_reference_on_random_tau(tau_k):
     tau, k = tau_k
     assert f_vector_normal_form(tau, k) == _reference_f_vector_normal_form(tau, k)
+
+
+@given(_tau_and_cut(largest=40, ranks=6))
+def test_fold_at_one_is_at_most_twice_three_to_the_n_on_large_ranks(tau_k):
+    tau, k = tau_k
+    assert normalform._fold(tau, k, 1) <= 2 * 3 ** sum(tau)
