@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+from chainorder.facelattice import IncidenceMatrix, _facets
 from chainorder.polytopes import int_matrix_rank
 from chainorder.posets import Poset
 
@@ -99,3 +100,56 @@ def affine_rank(points) -> int:
         raise ValueError("affine_rank needs at least one point")
     base = points[0]
     return int_matrix_rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
+
+
+def incidence(nv, facet_masks):
+    """The incidences of facets given by their vertex masks."""
+    return IncidenceMatrix(nv, len(facet_masks), tuple(facet_masks))
+
+
+def pyramid(inc, j=1):
+    """The j-fold pyramid: j times, a new vertex on every facet, and one more
+    facet, the base."""
+    for _ in range(j):
+        apex = 1 << inc.n_vertices
+        inc = incidence(inc.n_vertices + 1, [m | apex for m in inc.facet_vertices] + [apex - 1])
+    return inc
+
+
+def prism(inc, j=1):
+    """The j-fold prism: j times, a copy of every vertex, each facet holding
+    both copies of its vertices, and two more facets, the two copies."""
+    for _ in range(j):
+        n = inc.n_vertices
+        base = (1 << n) - 1
+        inc = incidence(2 * n, [m | m << n for m in inc.facet_vertices] + [base, base << n])
+    return inc
+
+
+def simplex(d):
+    """Delta_d: d + 1 vertices, and one facet missing each of them."""
+    top = (1 << d + 1) - 1
+    return incidence(d + 1, [top ^ 1 << v for v in range(d + 1)] if d else [])
+
+
+def cross_polytope(d):
+    """The d-dimensional cross-polytope: vertices 2i and 2i + 1 are e_i and
+    -e_i, and each facet takes one of them for every i."""
+    return incidence(2 * d, [sum(1 << 2 * i + (s >> i & 1) for i in range(d)) for s in range(2**d)])
+
+
+def glue(a, va, b, vb):
+    """The incidences of the hull of A and B placed in complementary affine
+    spaces that meet in A's vertex va and B's vertex vb; B's other vertices
+    follow A's.  A facet is a facet of one through the glue vertex with all of
+    the other, or the union of a facet of each that misses it."""
+
+    def place(m):  # B's vertices as vertices of the glue
+        return sum(1 << (va if v == vb else a.n_vertices + v - (v > vb)) for v in range(b.n_vertices) if m >> v & 1)
+
+    fa = _facets(a)
+    fb = [place(m) for m in _facets(b)]
+    q, whole_a, whole_b = 1 << va, (1 << a.n_vertices) - 1, place((1 << b.n_vertices) - 1)
+    facets = [g | whole_b for g in fa if g & q] + [h | whole_a for h in fb if h & q]
+    facets += [g | h for g in fa if not g & q for h in fb if not h & q]
+    return incidence(a.n_vertices + b.n_vertices - 1, facets)

@@ -6,7 +6,17 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from conftest import affine_rank, compositions_upto, random_poset
+from conftest import (
+    affine_rank,
+    compositions_upto,
+    cross_polytope,
+    glue,
+    incidence,
+    prism,
+    pyramid,
+    random_poset,
+    simplex,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,36 +208,12 @@ def test_cover_edges_are_graded():
         assert fl.face_masks[lo] & fl.face_masks[hi] == fl.face_masks[lo]
 
 
-def _incidence(nv, facet_masks):
-    """The incidences of facets given by their vertex masks."""
-    return IncidenceMatrix(nv, len(facet_masks), tuple(facet_masks))
-
-
-def _pyramid(inc, j=1):
-    """The j-fold pyramid: j times, a new vertex on every facet, and one more
-    facet, the base."""
-    for _ in range(j):
-        apex = 1 << inc.n_vertices
-        inc = _incidence(inc.n_vertices + 1, [m | apex for m in inc.facet_vertices] + [apex - 1])
-    return inc
-
-
-def _prism(inc, j=1):
-    """The j-fold prism: j times, a copy of every vertex, each facet holding
-    both copies of its vertices, and two more facets, the two copies."""
-    for _ in range(j):
-        n = inc.n_vertices
-        base = (1 << n) - 1
-        inc = _incidence(2 * n, [m | m << n for m in inc.facet_vertices] + [base, base << n])
-    return inc
-
-
 def test_non_polytopal_incidences_raise():
     # an interior point in the vertex list breaks gradedness, in the base of a
     # pyramid or a prism too
     h = HRep(("x", "y"), (((-1, 0), 0), ((1, 0), 2), ((0, -1), 0), ((0, 1), 2)))
     square = incidence_matrix(VRep(((0, 0), (0, 2), (2, 0), (2, 2), (1, 1))), h)
-    for inc in [_pyramid(square, j) for j in range(3)] + [_prism(square, j) for j in (1, 2)]:
+    for inc in [pyramid(square, j) for j in range(3)] + [prism(square, j) for j in (1, 2)]:
         with pytest.raises(InconsistentInputError):
             enumerate_faces(inc)
         with pytest.raises(InconsistentInputError):
@@ -242,12 +228,12 @@ def test_two_disjoint_facets_reach_no_vertex():
             faces(inc)
     for j in (1, 2):  # count_faces splits the pyramid at its apex, and a piece raises
         with pytest.raises(InconsistentInputError, match="a face of several vertices at or below the vertex depth"):
-            count_faces(_pyramid(inc, j))
+            count_faces(pyramid(inc, j))
         with pytest.raises(InconsistentInputError):
-            enumerate_faces(_pyramid(inc, j))
+            enumerate_faces(pyramid(inc, j))
         for faces in (enumerate_faces, count_faces):
             with pytest.raises(InconsistentInputError):
-                faces(_prism(inc, j))
+                faces(prism(inc, j))
 
 
 def test_a_glue_whose_facet_restricts_to_no_facet_of_its_piece_is_refused():
@@ -300,16 +286,10 @@ def test_lower_covers_give_the_sorted_cover_pairs():
                 assert sizes == sorted(sizes, reverse=True), (tau, k, u)
 
 
-def _simplex(d):
-    """Delta_d: d + 1 vertices, and one facet missing each of them."""
-    top = (1 << d + 1) - 1
-    return _incidence(d + 1, [top ^ 1 << v for v in range(d + 1)] if d else [])
-
-
 def test_simplices_peel_to_a_point():
     for d in range(9):
         fv = tuple(math.comb(d + 1, i + 1) for i in range(d)) or (1,)
-        assert count_faces(_simplex(d)) == f_vector(enumerate_faces(_simplex(d))) == fv, d
+        assert count_faces(simplex(d)) == f_vector(enumerate_faces(simplex(d))) == fv, d
 
 
 def _with_bounds(p, least, greatest):
@@ -326,7 +306,7 @@ def _with_bounds(p, least, greatest):
 
 def test_count_faces_on_pyramids():
     cube = incidence_matrix(*order_polytope_dd(antichain(3)))
-    cases = [_pyramid(cube, j) for j in range(4)]
+    cases = [pyramid(cube, j) for j in range(4)]
     rng = random.Random(131)
     for i in range(60):
         p = _with_bounds(random_poset(rng, rng.randrange(0, 7)), i % 3 != 1, i % 3 != 0)
@@ -336,25 +316,8 @@ def test_count_faces_on_pyramids():
     assert count_faces(cases[3]) == (11, 39, 67, 63, 33, 9)  # pyr^3 of the 3-cube
 
 
-def _glue(a, va, b, vb):
-    """The incidences of the hull of A and B placed in complementary affine
-    spaces that meet in A's vertex va and B's vertex vb; B's other vertices
-    follow A's.  A facet is a facet of one through the glue vertex with all of
-    the other, or the union of a facet of each that misses it."""
-
-    def place(m):  # B's vertices as vertices of the glue
-        return sum(1 << (va if v == vb else a.n_vertices + v - (v > vb)) for v in range(b.n_vertices) if m >> v & 1)
-
-    fa = _facets(a)
-    fb = [place(m) for m in _facets(b)]
-    q, whole_a, whole_b = 1 << va, (1 << a.n_vertices) - 1, place((1 << b.n_vertices) - 1)
-    facets = [g | whole_b for g in fa if g & q] + [h | whole_a for h in fb if h & q]
-    facets += [g | h for g in fa if not g & q for h in fb if not h & q]
-    return _incidence(a.n_vertices + b.n_vertices - 1, facets)
-
-
-SEGMENT = _incidence(2, [0b01, 0b10])
-SQUARE = _incidence(4, [0b0011, 0b1100, 0b0101, 0b1010])
+SEGMENT = incidence(2, [0b01, 0b10])
+SQUARE = incidence(4, [0b0011, 0b1100, 0b0101, 0b1010])
 
 
 def _splits(inc):
@@ -363,24 +326,18 @@ def _splits(inc):
 
 def test_count_faces_on_glued_polytopes():
     cube = incidence_matrix(*order_polytope_dd(antichain(3)))
-    two_squares = _glue(SQUARE, 0, SQUARE, 3)  # O(P_tau) for tau = (2, 2)
+    two_squares = glue(SQUARE, 0, SQUARE, 3)  # O(P_tau) for tau = (2, 2)
     # a segment glued at a vertex of the 3-cube is the pyramid over it
-    pyramid = _glue(cube, 5, SEGMENT, 0)
-    for inc, fv in ((two_squares, (7, 17, 18, 8)), (pyramid, (9, 20, 18, 7))):
+    cone = glue(cube, 5, SEGMENT, 0)
+    for inc, fv in ((two_squares, (7, 17, 18, 8)), (cone, (9, 20, 18, 7))):
         assert _splits(inc)
         assert count_faces(inc) == f_vector(enumerate_faces(inc)) == fv
     # d segments glued at one vertex make Delta_d
-    simplex = SEGMENT
+    joined = SEGMENT
     for d in range(2, 7):
-        simplex = _glue(SEGMENT, 1, simplex, 0)
-        assert _splits(simplex)
-        assert count_faces(simplex) == f_vector(enumerate_faces(simplex)) == count_faces(_simplex(d)), d
-
-
-def _cross_polytope(d):
-    """The d-dimensional cross-polytope: vertices 2i and 2i + 1 are e_i and
-    -e_i, and each facet takes one of them for every i."""
-    return _incidence(2 * d, [sum(1 << 2 * i + (s >> i & 1) for i in range(d)) for s in range(2**d)])
+        joined = glue(SEGMENT, 1, joined, 0)
+        assert _splits(joined)
+        assert count_faces(joined) == f_vector(enumerate_faces(joined)) == count_faces(simplex(d)), d
 
 
 def _antiprism(k):
@@ -389,7 +346,7 @@ def _antiprism(k):
     top = sum(1 << i for i in range(k))
     triangles = [1 << i | 1 << (i + 1) % k | 1 << k + i for i in range(k)]
     triangles += [1 << k + i | 1 << k + (i + 1) % k | 1 << (i + 1) % k for i in range(k)]
-    return _incidence(2 * k, [top, top << k, *triangles])
+    return incidence(2 * k, [top, top << k, *triangles])
 
 
 def _walked(inc):
@@ -401,7 +358,7 @@ def test_polytopes_that_do_not_split_are_walked():
     # the two k-gons of an antiprism are complementary facets, and so are
     # opposite facets of a cross-polytope, but the vertex patterns over the
     # other facets differ on the two sides
-    cases = [(_cross_polytope(3), (6, 12, 8)), (_cross_polytope(4), (8, 24, 32, 16))]
+    cases = [(cross_polytope(3), (6, 12, 8)), (cross_polytope(4), (8, 24, 32, 16))]
     cases += [(_antiprism(k), (2 * k, 4 * k, 2 * k + 2)) for k in (4, 5)]
     for inc, fv in cases:
         assert _walked(inc)
@@ -410,10 +367,10 @@ def test_polytopes_that_do_not_split_are_walked():
     # so its components, are those of the two squares, but the facets missing
     # it are 3, not 2 * 2.  Such incidences are no polytope's, and the walk
     # raises on them.
-    two_squares = _glue(SQUARE, 0, SQUARE, 3)
+    two_squares = glue(SQUARE, 0, SQUARE, 3)
     top = (1 << two_squares.n_vertices) - 1
     missing = [m for m in _facets(two_squares) if not m & 1]
-    bad = _incidence(two_squares.n_vertices, [m for m in _facets(two_squares) if m != missing[0]])
+    bad = incidence(two_squares.n_vertices, [m for m in _facets(two_squares) if m != missing[0]])
     assert _pieces(top, _facets(two_squares), 1) is not None
     assert _pieces(top, _facets(bad), 1) is None
     assert not _splits(bad)
@@ -430,7 +387,7 @@ def glued_random_polytopes(draw):
         incidence_matrix(*draw(st.sampled_from([order_polytope_dd, chain_polytope_dd]))(random_poset(rng, n)))
         for n in (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
     )
-    return _glue(a, draw(st.integers(0, a.n_vertices - 1)), b, draw(st.integers(0, b.n_vertices - 1)))
+    return glue(a, draw(st.integers(0, a.n_vertices - 1)), b, draw(st.integers(0, b.n_vertices - 1)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -442,20 +399,20 @@ def test_count_faces_on_glued_random_polytopes(inc):
 
 def test_count_faces_on_prisms():
     # the d-cube is a prism over the (d - 1)-cube, down to a point
-    cube = _incidence(1, [])
+    cube = incidence(1, [])
     for d in range(1, 8):
-        cube = _prism(cube)
+        cube = prism(cube)
         assert _prism_base((1 << cube.n_vertices) - 1, _facets(cube)) is not None
         assert count_faces(cube) == tuple(math.comb(d, i) * 2 ** (d - i) for i in range(d)), d
-    for inc, fv in ((_prism(_simplex(2)), (6, 9, 5)), (_prism(_cross_polytope(3)), (12, 30, 28, 10))):
+    for inc, fv in ((prism(simplex(2)), (6, 9, 5)), (prism(cross_polytope(3)), (12, 30, 28, 10))):
         assert not _splits(inc) and not _walked(inc)
         assert count_faces(inc) == f_vector(enumerate_faces(inc)) == fv
     # the 3-cube with one side facet bent, {0, 1, 4, 5} to {0, 1, 4, 6}: the
     # squares 0-3 and 4-7 are still complementary facets, but the patterns of
     # their vertices over the other facets no longer match; such incidences
     # are walked, and raise
-    square = _prism(_prism(_incidence(1, [])))
-    bent = _incidence(8, [0b01010011 if m == 0b00110011 else m for m in _facets(_prism(square))])
+    square = prism(prism(incidence(1, [])))
+    bent = incidence(8, [0b01010011 if m == 0b00110011 else m for m in _facets(prism(square))])
     assert _walked(bent)
     for faces in (enumerate_faces, count_faces):
         with pytest.raises(InconsistentInputError):
@@ -473,21 +430,21 @@ def random_prisms(draw):
         dd = draw(st.sampled_from([order_polytope_dd, chain_polytope_dd]))
         return incidence_matrix(*dd(random_poset(rng, draw(st.integers(1, 3)))))
 
-    prism = _prism(random_polytope(), draw(st.integers(1, 2)))
-    glued = prism
+    product = prism(random_polytope(), draw(st.integers(1, 2)))
+    glued = product
     for _ in range(draw(st.integers(0, 2))):
         other = random_polytope()
-        at, other_at = draw(st.integers(0, prism.n_vertices - 1)), draw(st.integers(0, other.n_vertices - 1))
-        glued = _glue(glued, at, other, other_at)
-    return prism, glued
+        at, other_at = draw(st.integers(0, product.n_vertices - 1)), draw(st.integers(0, other.n_vertices - 1))
+        glued = glue(glued, at, other, other_at)
+    return product, glued
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_prisms())
 def test_count_faces_on_random_prisms(prisms):
-    prism, glued = prisms
-    assert not _walked(prism)
-    for inc in (prism, glued):
+    product, glued = prisms
+    assert not _walked(product)
+    for inc in (product, glued):
         assert count_faces(inc) == f_vector(enumerate_faces(inc))
 
 
@@ -500,7 +457,7 @@ def test_face_budget():
     # nonempty faces, the polytope included: 27 for the 3-cube, 2^5 - 1 for
     # Delta_4, and 2 * (27 + 1) - 1 for the pyramid over the 3-cube
     cube = incidence_matrix(*order_polytope_dd(antichain(3)))
-    for inc, n in ((cube, 27), (_simplex(4), 31), (_pyramid(cube), 55)):
+    for inc, n in ((cube, 27), (simplex(4), 31), (pyramid(cube), 55)):
         for faces in (enumerate_faces, count_faces):
             faces(inc, max_faces=n)
             for limit in range(n):
@@ -508,20 +465,20 @@ def test_face_budget():
                     faces(inc, max_faces=limit)
     # a walk that runs out says how many faces it has found; a split
     # polytope whose pieces fit says how many it has
-    cross = _cross_polytope(4)
+    cross = cross_polytope(4)
     with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 17 nonempty faces$"):
         count_faces(cross, max_faces=10)
     with pytest.raises(BudgetError, match=r"^face budget 20 exceeded: the polytope has at least 21 nonempty faces$"):
-        count_faces(_pyramid(cross), max_faces=20)  # the cross-polytope, a piece, runs out
+        count_faces(pyramid(cross), max_faces=20)  # the cross-polytope, a piece, runs out
     with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has 27 nonempty faces$"):
         count_faces(cube, max_faces=10)  # a prism over a prism over a segment
     # the lattice is checked as each face is recorded, so it stops at the cube, its 6 facets and 4 edges
     with pytest.raises(BudgetError, match=r"^face budget 10 exceeded: the polytope has at least 11 nonempty faces$"):
         enumerate_faces(cube, max_faces=10)
     with pytest.raises(BudgetError, match=r"^face budget 40 exceeded: the polytope has 55 nonempty faces$"):
-        count_faces(_pyramid(cube), max_faces=40)
+        count_faces(pyramid(cube), max_faces=40)
     with pytest.raises(BudgetError, match=rf"^face budget 5000000 exceeded: the polytope has {2**41 - 1} nonempty faces$"):
-        count_faces(_simplex(40), max_faces=5_000_000)
+        count_faces(simplex(40), max_faces=5_000_000)
 
 
 def _check_count_faces_on_compositions(n):
