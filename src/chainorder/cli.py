@@ -17,7 +17,7 @@ import os
 import stat
 import sys
 
-from .errors import MAX_FACES, MAX_POINTS, BudgetError, ConfigError
+from .errors import MAX_FACES, MAX_POINTS, BudgetError, ConfigError, check_face_floor
 from .facelattice import count_faces, enumerate_faces, f_vector, incidence_matrix
 from .normalform import f_vector_normal_form, partition_f_vectors, verify_injection, verify_monotone
 from .polytopes import chain_order_dd
@@ -172,13 +172,15 @@ def _fvector_command(args: argparse.Namespace) -> int:
             raise ConfigError("fvector with --tau needs --k")
         if args.polytope:
             raise ConfigError("--polytope is for --poset input; --tau input takes --k")
-        label = _polytope_label(tau, k)
+        label = _polytope_label(check_cut(tau, k), k)  # a bad cut is reported before the face floor
     else:
         if args.method != "geometric":
             raise ConfigError("--poset input supports only --method geometric")
         if k is not None:
             raise ConfigError("--k is for --tau input; --poset input takes --polytope")
         label = args.polytope or "order"
+    if args.method != "normalform":  # the polytope has dimension |P|, known before any vertex is built
+        check_face_floor(sum(tau) if poset is None else poset.n, args.budget_faces)
     norm = f_vector_normal_form(tau, k) if args.method != "geometric" else None
     fv, lattice, agree = _pipelines_fvector(args, tau, k, poset, norm)
     if not agree:

@@ -21,3 +21,11 @@ def face_budget_error(budget: int, faces: int, exact: bool = True) -> BudgetErro
     nonempty faces: all of them, or, not ``exact``, those found so far."""
     least = "" if exact else "at least "
     return BudgetError(f"face budget {budget} exceeded: the polytope has {least}{faces} nonempty faces")
+
+
+def check_face_floor(dim: int, budget: int) -> None:
+    """Refuse a polytope of dimension ``dim`` past the face budget before it is
+    built: a d-polytope has at least C(d + 1, k + 1) faces of dimension k
+    (Grünbaum, *Convex Polytopes*, ch. 10), so at least 2^(d+1) - 1 nonempty ones."""
+    if (1 << dim + 1) - 1 > budget:
+        raise face_budget_error(budget, (1 << dim + 1) - 1, exact=False)

@@ -7,15 +7,15 @@ so (Stanley, "Two poset polytopes", 1986): C(P_tau) is the ranks' cubes
 glued at the origin, O(P_tau) consecutive ranks' cubes glued in a path, and
 a pyramid is a segment glued at a vertex of its base.  The split reads
 incidences only, and is kept only if the facets are exactly those of the
-glue.  A piece that does not glue but is a prism over one of its facets g
-splits off a segment: each face F of g gives the faces F x 0, F x 1 and
-F x I.  That split too reads incidences only, and is kept only if the
-facets are exactly those of the prism.  Pieces that split neither way are
+glue.  A piece that does not glue but is a product B x I^j splits off all
+its segments at once: each face F of B gives the faces F x e, e a face of
+the cube I^j.  That split too reads incidences only, and is kept only if the
+facets are exactly those of the product.  Pieces that split neither way are
 walked by the face iterator of Kliem and Stump (arXiv:1905.01945): a
 depth-first walk over coatoms that visits every nonempty face once using
 only AND and subset tests on vertex bitmasks, in O(dim * facets) memory.  On
-the n = 10 table every piece that does not glue is a cube: 560 segment
-splits take them down to 258 points, and no face of the 821,320 is walked.
+the n = 10 table every piece that does not glue is a cube: 258 product
+splits take them to 258 points, and no face of the 821,320 is walked.
 
 ``enumerate_faces`` builds the whole lattice from the same facet list, top
 down one level at a time: the lower covers of a face are the
@@ -176,15 +176,17 @@ def count_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> tuple[int, 
     another vertex, so it carries the glue vertices above it as marks, and
     its faces are counted per pattern of marks held.
 
-    The segment split.  A piece that does not glue is a prism over its facet
-    g when the complement h = top ^ g is a facet too and the vertices of g
-    and of h have distinct patterns over the other facets, the same on both
-    sides (see ``_prism_base``).  Each other facet is then f & g with the
-    partners of its vertices, so the incidences are those of g x I, g's
-    facets being the restrictions f & g.  The marks of h go to their
-    partners in g, and each face F of g, counted by pattern, gives F x 0
-    and F x 1 at its rank and F x I one rank up.  On the n = 10 table every
-    piece that does not glue is a cube, and so splits down to points.
+    The product split.  A piece that does not glue is B x I^j when it has j
+    pairs of complementary facets (g_i, top ^ g_i) and its vertices fall into
+    classes by pattern over the other facets, each of 2^j vertices on
+    distinct sides of the pairs (see ``_product``).  Each other facet is then
+    (f & B) x I^j with B = g_1 & ... & g_j, B's facets being the restrictions
+    f & B.  B is counted once, each of its vertices carrying the marks of its
+    class, and each face F of B, counted by pattern, gives F x e for each
+    face e of I^j, one rank up per segment that e spans, holding the marks
+    on e's sides.  If the pairs fail together, each is tried alone, a prism
+    over its facet g_i.  On the n = 10 table every piece that does not glue
+    is a cube, and so splits to a point at once.
 
     A piece that splits neither way is walked.  Its coatoms are its facets.
     Popping a coatom H of the current face visits H; the coatoms of H are the
@@ -195,7 +197,7 @@ def count_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> tuple[int, 
 
     ``max_faces`` (``MAX_FACES`` by default) bounds the nonempty faces of the
     polytope, itself included, as in ``enumerate_faces``.  A piece or a
-    prism's base, being a face, is walked under the same bound, and one that
+    product's base, being a face, is walked under the same bound, and one that
     runs out reports the faces found so far; the exact total, known from the
     parts, is checked once at the end.  Incidences that are not those of a
     polytope raise in ``_vertex_depth``, as in ``enumerate_faces``: vertices
@@ -215,10 +217,7 @@ def _glued(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int,
     rank (dim + 1).  All the lists have length dim + 2."""
     glue = _glue_vertex(top, facets)
     if glue is None:
-        prism = _prism_base(top, facets)
-        if prism is None:
-            return _walk(top, facets, marks, max_faces)
-        return _prism_table(*prism, marks, max_faces)
+        return _product(top, facets, marks, max_faces) or _walk(top, facets, marks, max_faces)
     q, pieces = glue
     parts = [_glued(v, fs, marks & v | q, max_faces) for v, fs in pieces]
     # faces missing q, by pattern and dim + 1, and faces holding q, by pattern less q and dim
@@ -303,64 +302,51 @@ def _pieces(top: int, facets: list[int], q: int) -> list[tuple[int, list[int]]] 
     return pieces if product == n_missing else None
 
 
-def _prism_base(top: int, facets: list[int]) -> tuple[int, list[int], list[tuple[int, int]]] | None:
-    """A facet g with the polytope a prism over it, g's facets, and the pairs
-    (vertex of g, vertex of h) with h = top ^ g; or None.
+def _product(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, list[int]] | None:
+    """The table of ``_glued`` for the polytope as a product B x I^j, or None.
 
-    The complement h must be a facet, and each vertex of g must have a
-    partner in h with the same pattern over the other facets, the patterns
-    distinct on each side.  Then every other facet f is f & g with the
-    partners of its vertices, so it meets both g and h, and the restrictions
-    f & g are as distinct and maximal as the facets: they are g's facets."""
-    present = set(facets)
-    for g in facets:
-        h = top ^ g
-        if h in present:
-            others = [f for f in facets if f != g and f != h]
-            pairs = _partners(g, h, others)
-            if pairs is not None:
-                return g, [f & g for f in others], pairs
-    return None
-
-
-def _prism_table(
-    g: int, base_facets: list[int], pairs: list[tuple[int, int]], marks: int, max_faces: int
-) -> dict[int, list[int]]:
-    """The table of ``_glued`` for the prism over its facet g: the empty
-    face, and for each face F of g, F x 0 and F x 1 at its rank and F x I
-    one rank up.  The marks of h count as their partners in g."""
-    to_h = {a: b for a, b in pairs if b & marks}
-    own = marks & g
-    base = _glued(g, base_facets, own | sum(to_h), max_faces)
-    n = len(base[0]) + 1
-    table = {0: [1] + [0] * (n - 1)}
-    for p, c in base.items():
-        p0 = p & own
-        p1 = sum(b for a, b in to_h.items() if p & a)
-        for pattern, shift in ((p0, 0), (p1, 0), (p0 | p1, 1)):
-            row = table.setdefault(pattern, [0] * n)
-            for r in range(1, len(c)):
-                row[r + shift] += c[r]
+    Each facet g whose complement top ^ g is a later facet gives a pair
+    (g, top ^ g).  The pairs are tried all together, then each alone, in
+    facet order.  They are kept when the vertex classes by pattern over the
+    other facets each hold 2^j vertices on distinct sides of the pairs.  Then
+    every other facet f is (f & B) x I^j with B = g_1 & ... & g_j, and the
+    restrictions f & B are as distinct and maximal as the facets: they are
+    B's facets.  B is counted once, each of its vertices carrying the marks
+    of its class.  A fold over the segments then gives each face F x e by the
+    marks it holds: at each segment, the end 0 or 1 keeps the marks on its
+    side, and I keeps all and goes one rank up."""
+    later = {f: i for i, f in enumerate(facets)}
+    pairs = [(g, top ^ g) for i, g in enumerate(facets) if later.get(top ^ g, -1) > i]
+    if not pairs:
+        return None
+    for segments in (pairs, *([pair] for pair in pairs if len(pairs) > 1)):
+        chosen = {m for pair in segments for m in pair}
+        others = [f for f in facets if f not in chosen]
+        classes = [top]
+        for f in others:
+            classes = [x for c in classes for x in (c & f, c & ~f) if x]
+        sides = classes
+        for g, _ in segments:
+            sides = [x for c in sides for x in (c & g, c & ~g) if x]
+        if len(sides) == top.bit_count() and all(c.bit_count() == 1 << len(segments) for c in classes):
+            break
+    else:
+        return None
+    base = reduce(int.__and__, [g for g, _ in segments])
+    lift = {c & base: c & marks for c in classes if c & marks}  # a vertex of B: the marks of its class
+    # B with no facet is one vertex, which _glued would walk
+    counts = (_glued if others else _walk)(base, [f & base for f in others], sum(lift), max_faces)
+    # the nonempty faces so far by the marks they hold, counted by rank from 1
+    faces = {sum(m for b, m in lift.items() if p & b): c[1:] for p, c in counts.items() if any(c[1:])}
+    for g, h in segments:
+        folded: dict[int, list[int]] = {}
+        for m, w in faces.items():
+            for held, v in ((m & g, [*w, 0]), (m & h, [*w, 0]), (m, [0, *w])):
+                folded[held] = [x + y for x, y in zip(folded[held], v)] if held in folded else v
+        faces = folded
+    table = {m: [0, *w] for m, w in faces.items()}
+    table.setdefault(0, [0] * (len(counts[0]) + len(segments)))[0] = 1  # the empty face
     return table
-
-
-def _partners(g: int, h: int, others: list[int]) -> list[tuple[int, int]] | None:
-    """The pairs of one vertex of g and one of h with the same pattern over
-    ``others``, if the patterns are distinct on each side and the same on
-    both; else None.  The pair (g, h) is refined by each facet in turn, and
-    every part must keep both sides empty or both nonempty."""
-    pairs = [(g, h)]
-    for f in others:
-        split = []
-        for a, b in pairs:
-            x, y = a & f, b & f
-            for x, y in ((x, y), (a ^ x, b ^ y)):
-                if bool(x) != bool(y):
-                    return None
-                if x:
-                    split.append((x, y))
-        pairs = split
-    return pairs if len(pairs) == g.bit_count() == h.bit_count() else None
 
 
 def _walk(top: int, facets: list[int], marks: int, max_faces: int) -> dict[int, list[int]]:

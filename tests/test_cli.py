@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import compositions_upto, table_taus
+from conftest import compositions_upto, random_poset, table_taus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +21,18 @@ import chainorder
 from chainorder import cli, normalform, polytopes
 from chainorder.cli import main
 from chainorder.errors import MAX_POINTS, BudgetError
-from chainorder.posets import as_tau_shape, poset_from_json
+from chainorder.posets import as_tau_shape, poset_from_json, poset_to_json
 
 
 def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# a face budget above 2^(d+1) - 1, the fewest nonempty faces of a d-polytope,
+# for every poset below (d <= 1000): fvector then meets the point budget
+ABOVE_FACE_FLOOR = ["--budget-faces", str(2**1001)]
 
 
 def program_taus(n):
@@ -412,9 +418,45 @@ def test_fvector_budget_faces_boundary(tmp_path, capsys):
         assert err == f"budget exceeded: face budget 26 exceeded: the polytope has {found} nonempty faces\n"
 
 
+def test_fvector_refuses_by_the_dimension_before_any_vertex(monkeypatch, capsys):
+    # a d-polytope has at least 2^(d+1) - 1 nonempty faces, and d = |P|: the
+    # 3-cube's floor is 15, so a budget of 14 is refused before the vertices,
+    # and one of 15 by the count of its 27 faces
+    argv = ["fvector", "--tau", "3", "--k", "0", "--method", "geometric", "--budget-faces"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "chain_order_dd", lambda *a, **kw: pytest.fail("vertices built"))
+        code, out, err = run_main(capsys, *argv, "14")
+    assert (code, out, err) == (2, "", "budget exceeded: face budget 14 exceeded: the polytope has at least 15 nonempty faces\n")
+    code, out, err = run_main(capsys, *argv, "15")
+    assert (code, out, err) == (2, "", "budget exceeded: face budget 15 exceeded: the polytope has 27 nonempty faces\n")
+    # at the default budget every d >= 22 is refused; a bad cut is reported first
+    floor = "face budget 5000000 exceeded: the polytope has at least 8388607 nonempty faces"
+    for method in ("geometric", "both"):
+        code, out, err = run_main(capsys, "fvector", "--tau", "11,11", "--k", "0", "--method", method)
+        assert (code, out, err) == (2, "", f"budget exceeded: {floor}\n")
+    code, out, err = run_main(capsys, "fvector", "--tau", "11,11", "--k", "3", "--method", "geometric")
+    assert (code, out, err) == (2, "", "error: k must be in [0, 2], got 3\n")
+    assert run_main(capsys, "fvector", "--tau", "11,11", "--k", "0", "--method", "normalform")[0] == 0
+
+
+def test_fvector_refuses_a_136_element_poset_within_seconds(tmp_path):
+    # its order polytope has 1,564 vertices, whose walk ran about 12 s before the
+    # face budget stopped it; its dimension alone refuses it, before any vertex
+    path = tmp_path / "p136.json"
+    path.write_text(poset_to_json(random_poset(random.Random(3), 136)))
+    src = str(Path(chainorder.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainorder.cli", "fvector", "--poset", str(path), "--method", "geometric"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=10,
+    )
+    floor = f"face budget 5000000 exceeded: the polytope has at least {2**137 - 1} nonempty faces"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"budget exceeded: {floor}\n")
+
+
 def test_chain_poset_order_polytope_is_a_simplex(tmp_path, capsys):
     # the order polytope of an n-element chain is the n-simplex, with 2^(n+1) - 1
-    # nonempty faces: n = 20 is counted, and n = 40 is refused by the default face budget
+    # nonempty faces: n = 20 is counted, and n = 40 is refused by the default face
+    # budget, from its dimension before any vertex is built
     path = tmp_path / "chain.json"
     for n in (20, 40):
         assert run_main(capsys, "gen", "--tau", ",".join(["1"] * n), "--output", str(path))[0] == 0
@@ -424,8 +466,7 @@ def test_chain_poset_order_polytope_is_a_simplex(tmp_path, capsys):
             assert [int(x) for x in out.split(",")[3:]] == [math.comb(21, i + 1) for i in range(20)]
         else:
             assert (code, out) == (2, "")
-            assert err.startswith("budget exceeded: ") and err.count("\n") == 1
-            assert err.endswith(f"the polytope has {2**41 - 1} nonempty faces\n")
+            assert err == f"budget exceeded: face budget 5000000 exceeded: the polytope has at least {2**41 - 1} nonempty faces\n"
 
 
 @pytest.mark.parametrize(
@@ -480,7 +521,7 @@ def test_poset_budget_points_bounds_chain_rows(tmp_path, capsys):
     assert run_main(capsys, "gen", "--tau", ",".join(["4"] * 9), "--output", str(poset_path))[0] == 0
     for argv in (
         ["dd", "--poset", str(poset_path), "--polytope", "chain"],
-        ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"],
+        ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric", *ABOVE_FACE_FLOOR],
     ):
         code, out, err = run_main(capsys, *argv, "--budget-points", "1000")
         assert (code, out) == (2, "")
@@ -502,7 +543,7 @@ def test_tau_budget_points_bounds_chain_order_rows(capsys):
     tau = ",".join(["4"] * 9)
     for argv in (
         ["dd", "--polytope", "chain-order", "--tau", tau, "--k", "8"],
-        ["fvector", "--tau", tau, "--k", "8", "--method", "geometric"],
+        ["fvector", "--tau", tau, "--k", "8", "--method", "geometric", *ABOVE_FACE_FLOOR],
     ):
         code, out, err = run_main(capsys, *argv, "--budget-points", "1000")
         assert (code, out) == (2, "")
@@ -542,8 +583,8 @@ def test_poset_over_antichain_search_limit_exits_two(tmp_path, capsys):
     for argv in (
         ["dd", "--poset", str(poset_path)],
         ["dd", "--poset", str(poset_path), "--polytope", "chain"],
-        ["fvector", "--poset", str(poset_path), "--method", "geometric"],
-        ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric"],
+        ["fvector", "--poset", str(poset_path), "--method", "geometric", *ABOVE_FACE_FLOOR],
+        ["fvector", "--poset", str(poset_path), "--polytope", "chain", "--method", "geometric", *ABOVE_FACE_FLOOR],
     ):
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
@@ -582,7 +623,8 @@ def test_poset_antichain_budget_is_checked_during_the_search(tmp_path, capsys):
         assert err == "budget exceeded: at least 2048 vertices exceed the point budget 1000\n"
     # a 1000-element antichain is refused by the antichain size, far from any recursion limit
     poset_path.write_text(json.dumps({"elements": [f"e{i}" for i in range(1000)], "covers": []}))
-    for argv in (["dd", "--poset", str(poset_path)], ["fvector", "--poset", str(poset_path), "--method", "geometric"]):
+    fvector = ["fvector", "--poset", str(poset_path), "--method", "geometric", *ABOVE_FACE_FLOOR]
+    for argv in (["dd", "--poset", str(poset_path)], fvector):
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("budget exceeded: at least ") and err.count("\n") == 1

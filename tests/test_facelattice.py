@@ -16,10 +16,12 @@ from conftest import (
     pyramid,
     random_poset,
     simplex,
+    table_taus,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainorder import facelattice
 from chainorder.errors import MAX_FACES, BudgetError, InconsistentInputError
 from chainorder.facelattice import (
     FaceLattice,
@@ -27,7 +29,7 @@ from chainorder.facelattice import (
     _facets,
     _glue_vertex,
     _pieces,
-    _prism_base,
+    _product,
     count_faces,
     enumerate_faces,
     f_vector,
@@ -349,9 +351,34 @@ def _antiprism(k):
     return incidence(2 * k, [top, top << k, *triangles])
 
 
+def _is_product(inc):
+    return _product((1 << inc.n_vertices) - 1, _facets(inc), 0, MAX_FACES) is not None
+
+
 def _walked(inc):
-    """Whether count_faces walks the polytope: it neither glues nor is a prism."""
-    return not _splits(inc) and _prism_base((1 << inc.n_vertices) - 1, _facets(inc)) is None
+    """Whether count_faces walks the polytope: it neither glues nor is a product."""
+    return not _splits(inc) and not _is_product(inc)
+
+
+def _spy(monkeypatch):
+    """Lists filled as count_faces runs: the vertex counts of the polytopes it
+    splits as products B x I^j, and of those it walks."""
+    splits, walks = [], []
+    product, walk = facelattice._product, facelattice._walk
+
+    def spy_product(top, *rest):
+        table = product(top, *rest)
+        if table is not None:
+            splits.append(top.bit_count())
+        return table
+
+    def spy_walk(top, *rest):
+        walks.append(top.bit_count())
+        return walk(top, *rest)
+
+    monkeypatch.setattr(facelattice, "_product", spy_product)
+    monkeypatch.setattr(facelattice, "_walk", spy_walk)
+    return splits, walks
 
 
 def test_polytopes_that_do_not_split_are_walked():
@@ -402,7 +429,7 @@ def test_count_faces_on_prisms():
     cube = incidence(1, [])
     for d in range(1, 8):
         cube = prism(cube)
-        assert _prism_base((1 << cube.n_vertices) - 1, _facets(cube)) is not None
+        assert _is_product(cube)
         assert count_faces(cube) == tuple(math.comb(d, i) * 2 ** (d - i) for i in range(d)), d
     for inc, fv in ((prism(simplex(2)), (6, 9, 5)), (prism(cross_polytope(3)), (12, 30, 28, 10))):
         assert not _splits(inc) and not _walked(inc)
@@ -446,6 +473,95 @@ def test_count_faces_on_random_prisms(prisms):
     assert not _walked(product)
     for inc in (product, glued):
         assert count_faces(inc) == f_vector(enumerate_faces(inc))
+
+
+def test_each_cube_takes_one_split(monkeypatch):
+    splits, walks = _spy(monkeypatch)
+    cube = incidence(1, [])
+    for d in range(1, 8):
+        cube = prism(cube)
+        del splits[:], walks[:]
+        assert count_faces(cube) == tuple(math.comb(d, i) * 2 ** (d - i) for i in range(d)), d
+        assert (splits, walks) == ([2**d], [1]), d
+
+
+def test_a_product_splits_all_its_segments_at_once(monkeypatch):
+    # Delta_2 x I x I in one split, not through Delta_2 x I; the triangle then
+    # glues into two segments, each a product over a point
+    splits, walks = _spy(monkeypatch)
+    inc = prism(simplex(2), 2)
+    assert count_faces(inc) == f_vector(enumerate_faces(inc)) == (12, 24, 19, 7)
+    assert (sorted(splits), walks) == ([2, 2, 12], [1, 1])
+
+
+def test_a_segment_splits_off_alone_when_the_pairs_do_not_split_together(monkeypatch):
+    # opposite facets of the octahedron are complementary, so Oct x I has five
+    # pairs; they fail together, the segment's pair splits alone, and only the
+    # octahedron's 6 vertices are walked
+    splits, walks = _spy(monkeypatch)
+    assert count_faces(prism(cross_polytope(3))) == (12, 30, 28, 10)
+    assert (splits, walks) == ([12], [6])
+
+
+def test_a_near_product_with_a_repeated_side_is_refused():
+    # two complementary pairs, g1 = {0, 1, 2, 3} | h1 = {4, 5, 6, 7} and
+    # g2 = {0, 1, 2, 4, 5} | h2 = {3, 6, 7}, and one more facet {0, 2, 4, 6}:
+    # its two vertex classes hold 4 = 2^2 vertices each, but 0 and 2 lie on
+    # the same side of both pairs, and no pair splits alone
+    inc = incidence(8, [0x55, 0x0F, 0xF0, 0x37, 0xC8])
+    assert _walked(inc)
+    for faces in (enumerate_faces, count_faces):
+        with pytest.raises(InconsistentInputError, match="^vertices not all at one depth"):
+            faces(inc)
+
+
+@st.composite
+def glued_products(draw):
+    """B x I^j of at most 16 vertices, j = 1-3, over a simplex, a
+    cross-polytope or the polytope of a random poset of 1-3 elements, order
+    or chain; and the same with one or two more such polytopes glued at its
+    vertices, so that the product carries marks; and j."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def random_polytope():
+        kind = draw(st.sampled_from(["simplex", "cross", order_polytope_dd, chain_polytope_dd]))
+        if kind == "simplex":
+            return simplex(draw(st.integers(1, 3)))
+        if kind == "cross":
+            return cross_polytope(draw(st.integers(2, 3)))
+        return incidence_matrix(*kind(random_poset(rng, draw(st.integers(1, 3)))))
+
+    base = random_polytope()
+    j = draw(st.integers(1, max(1, (16 // base.n_vertices).bit_length() - 1)))
+    product = prism(base, j)
+    glued = product
+    for _ in range(draw(st.integers(0, 2))):
+        other = random_polytope()
+        at, other_at = draw(st.integers(0, product.n_vertices - 1)), draw(st.integers(0, other.n_vertices - 1))
+        glued = glue(glued, at, other, other_at)
+    return product, glued, j
+
+
+@settings(max_examples=40, deadline=None)
+@given(glued_products())
+def test_count_faces_on_glued_products(products):
+    product, glued, j = products
+    nv = product.n_vertices
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        splits, _ = _spy(monkeypatch)
+        assert count_faces(product) == f_vector(enumerate_faces(product))
+    # one split takes every segment off: B x I^i for 0 < i < j is never split
+    assert splits.count(nv) == 1 and not [m for m in splits if nv >> j < m < nv]
+    assert count_faces(glued) == f_vector(enumerate_faces(glued))
+
+
+def test_the_n10_table_takes_one_split_per_cube(monkeypatch):
+    splits, walks = _spy(monkeypatch)
+    for tau in table_taus(10):
+        for k in (0, len(tau)):
+            h = chain_order_hrep(tau, k)
+            count_faces(incidence_matrix(zero_one_vertices(h), h))
+    assert (len(splits), walks) == (258, [1] * 258)
 
 
 def test_count_faces_rejects_several_points_without_facets():
@@ -603,3 +719,24 @@ def test_count_faces_matches_normal_form(tk):
     tau, k = tk
     h = chain_order_hrep(tau, k)
     assert count_faces(incidence_matrix(zero_one_vertices(h), h)) == f_vector_normal_form(tau, k)
+
+
+@st.composite
+def polytopes_and_dims(draw):
+    """A cut of a composition of n <= 7, or the order or chain polytope of a
+    random poset of 1-7 elements, with its dimension |P|."""
+    if draw(st.booleans()):
+        tau, k = draw(tau_and_cut())
+        h = chain_order_hrep(tau, k)
+        return incidence_matrix(zero_one_vertices(h), h), sum(tau)
+    p = random_poset(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 7)))
+    return incidence_matrix(*draw(st.sampled_from([order_polytope_dd, chain_polytope_dd]))(p)), p.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytopes_and_dims())
+def test_a_d_polytope_has_at_least_the_faces_of_a_d_simplex(polytope):
+    # f_k >= C(d + 1, k + 1), the floor by which the CLI refuses before any vertex is built
+    inc, d = polytope
+    f = count_faces(inc)
+    assert len(f) == d and all(f[k] >= math.comb(d + 1, k + 1) for k in range(d))
