@@ -1,47 +1,61 @@
-"""Differential corpora for the two face counts.
+"""Differential corpora for the two face counts and the normal forms.
 
-Each corpus feeds seeded inputs to ``count_faces`` and ``enumerate_faces``
-and hashes every outcome: the f-vector, the lattice's ``face_masks``, ``dims``
-and ``lower``, or the exception's type and message.  One sha256 is pinned per
-corpus and size, so a change to either count that moves any result, budget
-message or error shows here.  A changed digest is a changed output, which
-CHANGES.md names with its reason.  The Tier-1 slice takes a few seconds; the
-full size runs with CHAINORDER_SLOW=1.
+The face corpora feed seeded inputs to ``count_faces`` and ``enumerate_faces``
+and hash every outcome: the f-vector, the lattice's ``face_masks``, ``dims``
+and ``lower``, or the exception's type and message.  The normal-form corpora
+hash ``is_valid_normal_form``'s (ok, reason) on seeded mutants of every valid
+form, and whole ``verify_injection`` reports under seeded mutants of
+``psi_map``.  One sha256 is pinned per corpus and size, so a change that moves
+any result, reason, budget message or error shows here.  A changed digest is
+a changed output, which CHANGES.md names with its reason.  The Tier-1 slice
+takes a few seconds; the full size runs with CHAINORDER_SLOW=1.
 """
 
 import hashlib
 import os
 import random
+from unittest import mock
 
 import pytest
 from conftest import compositions_upto, cross_polytope, glue, incidence, prism, random_poset, simplex
 
+from chainorder import normalform
 from chainorder.errors import MAX_FACES
 from chainorder.facelattice import _facets, count_faces, enumerate_faces, incidence_matrix
+from chainorder.normalform import FaceNormalForm, enumerate_normal_forms, is_valid_normal_form, verify_injection
 from chainorder.polytopes import chain_order_hrep, chain_polytope_dd, order_polytope_dd, zero_one_vertices
 
 SLOW = os.environ.get("CHAINORDER_SLOW") == "1"
 SEED = 37
 
 
-def _outcome(faces, inc, budget):
+def _outcome(call):
+    """The repr of ``call()``, or the type and message of what it raised."""
     try:
-        if faces is count_faces:
-            return repr(count_faces(inc, budget))
-        lattice = enumerate_faces(inc, budget)
-        return repr((lattice.face_masks, lattice.dims, lattice.lower))
+        return repr(call())
     except Exception as exc:  # noqa: BLE001 - every outcome is hashed, errors included
         return f"{type(exc).__name__}: {exc}"
 
 
-def _digest(cases) -> str:
-    """The sha256 over every (incidences, budget) case through both counts."""
+def _digest(lines) -> str:
+    """The sha256 over the lines of a corpus."""
     h = hashlib.sha256()
-    for inc, budget in cases:
-        h.update(f"{inc.n_vertices} {inc.facet_vertices} {budget}\n".encode())
-        for faces in (count_faces, enumerate_faces):
-            h.update(f"{_outcome(faces, inc, budget)}\n".encode())
+    for line in lines:
+        h.update(f"{line}\n".encode())
     return h.hexdigest()
+
+
+def _lattice(inc, budget):
+    lattice = enumerate_faces(inc, budget)
+    return lattice.face_masks, lattice.dims, lattice.lower
+
+
+def faces(cases):
+    """Each (incidences, budget) case, then its outcome through both counts."""
+    for inc, budget in cases:
+        yield f"{inc.n_vertices} {inc.facet_vertices} {budget}"
+        yield _outcome(lambda: count_faces(inc, budget))
+        yield _outcome(lambda: _lattice(inc, budget))
 
 
 def random_incidences(n):
@@ -107,27 +121,130 @@ def products(n):
         yield product, rng.randint(1, 200)
 
 
-CORPORA = {  # name: (inputs, sha256) at the Tier-1 slice, then at the full size
+def _mutant(nf, rng):
+    """One seeded mutant of a valid form: an element of a zero set or eq set
+    dropped, repeated or moved (to any place in any such set), or the set
+    reversed; or one tuple of the form made a list: ``pi``, a block, the zero
+    sets, the eq sets or one of them; or the form made a plain tuple."""
+    pi, fields = nf.pi, [list(nf.zero_sets), None if nf.eq_sets is None else list(nf.eq_sets)]
+    entries = [(f, i) for f, sets in enumerate(fields) for i in range(len(sets or ()))]
+    full = [(f, i) for f, i in entries if fields[f][i]]
+    kind = rng.choice(["list", "plain"] + ["drop", "repeat", "reverse", "move"] * bool(full))
+    as_list = None  # the field left a list
+    if kind == "plain":
+        return (nf.pi, nf.zero_sets, nf.eq_sets)
+    if kind == "list":
+        blocks = [(None, j) for j in range(len(pi))]
+        f, i = rng.choice([(None, None), *blocks, *((f, None) for f in (0, 1) if fields[f] is not None), *entries])
+        if f is None:
+            pi = list(pi) if i is None else pi[:i] + (list(pi[i]),) + pi[i + 1 :]
+        elif i is None:
+            as_list = f
+        else:
+            fields[f][i] = list(fields[f][i])
+    else:
+        f, i = rng.choice(full)
+        entry = list(fields[f][i])
+        p = rng.randrange(len(entry))
+        e = entry[p]
+        if kind == "reverse":
+            entry.reverse()
+        elif kind == "repeat":
+            entry.insert(rng.randint(0, len(entry)), e)
+        else:  # drop or move
+            del entry[p]
+        fields[f][i] = tuple(entry)
+        if kind == "move":
+            g, j = rng.choice(entries)
+            dest = list(fields[g][j])
+            dest.insert(rng.randint(0, len(dest)), e)
+            fields[g][j] = tuple(dest)
+    zero_sets, eq_sets = (sets if sets is None or f == as_list else tuple(sets) for f, sets in enumerate(fields))
+    return FaceNormalForm(pi, zero_sets, eq_sets)
+
+
+def form_mutants(n, per_form=4):
+    """Every valid form at every cut of the compositions of at most n, then
+    ``per_form`` seeded mutants of it, each with its (ok, reason)."""
+    rng = random.Random(SEED)
+    for tau in compositions_upto(n):
+        for k in range(len(tau) + 1):
+            for nf in enumerate_normal_forms(tau, k):
+                for form in [nf] + [_mutant(nf, rng) for _ in range(per_form)]:
+                    yield f"{tau} {k} {form!r}"
+                    yield _outcome(lambda: is_valid_normal_form(form, tau, k))
+
+
+def _wrong_partition(img, prev, rng):
+    return FaceNormalForm(prev.pi, img.zero_sets, img.eq_sets)
+
+
+def _reversed_zero_set(img, prev, rng):
+    zeros, i = img.zero_sets, rng.randrange(len(img.zero_sets))  # an image's cut is at least 1
+    return FaceNormalForm(img.pi, zeros[:i] + (zeros[i][::-1],) + zeros[i + 1 :], img.eq_sets)
+
+
+def _list_eq_set(img, prev, rng):
+    if img.eq_sets is None:
+        return img
+    eq, i = img.eq_sets, rng.randrange(len(img.eq_sets))
+    return FaceNormalForm(img.pi, img.zero_sets, eq[:i] + (list(eq[i]),) + eq[i + 1 :])
+
+
+def injection_reports(n):
+    """The `verify_injection` report of every cut below the top of the
+    compositions of at most n, under each of three seeded mutants of
+    ``psi_map`` that change about one image in four: the partition of the
+    image before it at that cut, a zero set reversed, or an eq set made a
+    list."""
+    real = normalform.psi_map
+    for mutate in (_wrong_partition, _reversed_zero_set, _list_eq_set):
+        rng, state = random.Random(SEED), {}
+
+        def psi(nf, tau, k):
+            img = real(nf, tau, k)
+            prev, state["prev"] = state.get("prev"), img
+            return mutate(img, prev, rng) if prev is not None and rng.randrange(4) == 0 else img
+
+        with mock.patch.object(normalform, "psi_map", psi):
+            for tau in compositions_upto(n):
+                for k in range(len(tau)):
+                    state.clear()
+                    rep = verify_injection(tau, k)
+                    src, img = sorted(rep.per_codim_counts_src.items()), sorted(rep.per_codim_counts_img.items())
+                    yield f"{mutate.__name__} {tau} {k}"
+                    yield repr((src, img, rep.injective, rep.codim_preserved, rep.failures))
+
+
+CORPORA = {  # name: (lines, sha256) at the Tier-1 slice, then at the full size
     "random": [
-        (lambda: random_incidences(20000), "597e44eef5be70f4abcd8cd59ef52389ac8560c83b8fd47cb1138a54babb7375"),
-        (lambda: random_incidences(200000), "9a54fd1f2a422d337b37ebb9c73ee54d64deb95050a4e1a4b26be7bfd19da68c"),
+        (lambda: faces(random_incidences(20000)), "597e44eef5be70f4abcd8cd59ef52389ac8560c83b8fd47cb1138a54babb7375"),
+        (lambda: faces(random_incidences(200000)), "9a54fd1f2a422d337b37ebb9c73ee54d64deb95050a4e1a4b26be7bfd19da68c"),
     ],
     "cuts": [
-        (lambda: cuts(6), "7163ead1f66c0259a452b47bb27acbde632b8be9f803d825a5590deab08eeee2"),
-        (lambda: cuts(7), "420c79c14534ac3e37897510bed1645b37bf4cd8c3da8cbca0c6de27c63d3f1b"),
+        (lambda: faces(cuts(6)), "7163ead1f66c0259a452b47bb27acbde632b8be9f803d825a5590deab08eeee2"),
+        (lambda: faces(cuts(7)), "420c79c14534ac3e37897510bed1645b37bf4cd8c3da8cbca0c6de27c63d3f1b"),
     ],
     "cuts_less_a_facet": [
-        (lambda: cuts_less_a_facet(6, False), "41bd9b8527d3b835348b82ae8bed4c1bab1ba56914ae989d14e1a320e6e84548"),
-        (lambda: cuts_less_a_facet(6, True), "a6c0ed1b3ec948b3eda05370d37e40e3c5c8b3ec41e1a19f6546999b3146d8e6"),
+        (lambda: faces(cuts_less_a_facet(6, False)), "41bd9b8527d3b835348b82ae8bed4c1bab1ba56914ae989d14e1a320e6e84548"),
+        (lambda: faces(cuts_less_a_facet(6, True)), "a6c0ed1b3ec948b3eda05370d37e40e3c5c8b3ec41e1a19f6546999b3146d8e6"),
     ],
     "products": [
-        (lambda: products(150), "851b7af07f226f500e3fa7671d675954f73a8b72c459883ced03f2cf432aaaca"),
-        (lambda: products(2000), "ad66cfdbacd9b625ee8bea2c386fd2a0ef4472c8ceed11650960c4d231a89b10"),
+        (lambda: faces(products(150)), "851b7af07f226f500e3fa7671d675954f73a8b72c459883ced03f2cf432aaaca"),
+        (lambda: faces(products(2000)), "ad66cfdbacd9b625ee8bea2c386fd2a0ef4472c8ceed11650960c4d231a89b10"),
+    ],
+    "form_mutants": [
+        (lambda: form_mutants(4), "6f08f0454c33769777e730ea8f21af83550cc87e9129b10c8ee8f39309a7e196"),
+        (lambda: form_mutants(5), "194a72eb17084b8906292124aca97a795eeda63509230e8d644bbff5f8a783db"),
+    ],
+    "injection_reports": [
+        (lambda: injection_reports(5), "ed5f631d7b1d1e7e7c652c681b03f368cf31f3e1c9f05e5813dc3fc5d68e8f71"),
+        (lambda: injection_reports(6), "c9166e0602661e7429c1dfc97ce169be2c91541f548ecf5f9bccec0ee389c258"),
     ],
 }
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_corpus_digest(name):
-    inputs, digest = CORPORA[name][SLOW]
-    assert _digest(inputs()) == digest
+    lines, digest = CORPORA[name][SLOW]
+    assert _digest(lines()) == digest
