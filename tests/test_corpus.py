@@ -132,7 +132,7 @@ def _mutant(nf, rng):
     kind = rng.choice(["list", "plain"] + ["drop", "repeat", "reverse", "move"] * bool(full))
     as_list = None  # the field left a list
     if kind == "plain":
-        return (nf.pi, nf.zero_sets, nf.eq_sets)
+        return (pi, nf.zero_sets, nf.eq_sets)
     if kind == "list":
         blocks = [(None, j) for j in range(len(pi))]
         f, i = rng.choice([(None, None), *blocks, *((f, None) for f in (0, 1) if fields[f] is not None), *entries])

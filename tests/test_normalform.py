@@ -287,6 +287,10 @@ _MUST_PARTITION = "pi does not partition the order side: "
                 ("entry-list", [(1, 1)]),
             ]
         ],
+        pytest.param(  # rank 1's zero set, good there, does not vouch for rank 2's
+            (2, 2), 2, FaceNormalForm((((3, 1),),), (((1, 1),), ((1, 1),)), None),
+            "zero set of rank 2 is not a tuple of its rank's elements in order", id="zeros-of-rank-1-at-rank-2",
+        ),
         *[
             pytest.param(
                 (2, 2), 1, FaceNormalForm(_PI, _ZEROS, eq_sets),
@@ -806,6 +810,58 @@ def test_audit_reports_each_bad_form_among_images_sharing_a_partition(monkeypatc
         assert sorted(rep.failures) == sorted(f"invalid image of {nf}: {reason}" for nf in bad_sources)
     monkeypatch.undo()  # nothing the audit saw carries over to the next audit
     assert verify_injection((2, 2, 2), 1).ok
+
+
+def test_audit_reports_each_bad_eq_set_among_images_sharing_a_zero_set(monkeypatch):
+    # among the images with tight chains that share their zero sets, every
+    # second gets a bad eq set, by turns rank 1's own zero set (or an element
+    # outside rank 1 where that is empty) or a chain end outside the first
+    # order rank; the zero-set and eq-set checks are memoised per rank, so a
+    # verdict cached for a good image must not hide the bad eq set of a later
+    # one, or the reverse, and each bad image is reported with the reason it
+    # has on its own
+    reasons, flags = {}, {}
+
+    def bad_eq_sets_every_second(nf, tau, k, img):
+        if img.eq_sets is None:
+            return img
+        shared = flags.setdefault(img.zero_sets, [])
+        shared.append(len(shared) % 2 == 1)
+        if not shared[-1]:
+            return img
+        eq = img.eq_sets
+        eq = eq[:-1] + (eq[-1] + ((9, 9),),) if len(reasons) % 2 else (img.zero_sets[0] or ((9, 9),),) + eq[1:]
+        bad = FaceNormalForm(img.pi, img.zero_sets, eq)
+        ok, reasons[nf] = is_valid_normal_form(bad, tau, k + 1)
+        assert not ok
+        return bad
+
+    _patch_psi(monkeypatch, bad_eq_sets_every_second)
+    for k in range(3):
+        reasons.clear()
+        flags.clear()
+        rep = verify_injection((2, 2, 2), k)
+        assert not rep.ok and rep.injective and rep.codim_preserved
+        assert any(len(shared) > 2 for shared in flags.values())  # good, bad, good on one zero set
+        assert len(set(reasons.values())) == 2
+        assert sorted(rep.failures) == sorted(f"invalid image of {nf}: {reason}" for nf, reason in reasons.items())
+    monkeypatch.undo()
+    assert verify_injection((2, 2, 2), 1).ok
+
+
+def test_audit_memo_does_not_carry_a_verdict_to_another_cut(monkeypatch):
+    # the eq set (1, 1), (1, 2) is good at rank 1 of (2, 2, 2), whose audit
+    # at cut 1 checks it, and bad at rank 1 of (1, 2, 2), which lacks (1, 2)
+    def wide_eq_set_at_rank_1(nf, tau, k, img):
+        if img.eq_sets is None:
+            return img
+        return FaceNormalForm(img.pi, ((),) + img.zero_sets[1:], (((1, 1), (1, 2)),) + img.eq_sets[1:])
+
+    assert verify_injection((2, 2, 2), 1).ok
+    _patch_psi(monkeypatch, wide_eq_set_at_rank_1)
+    rep = verify_injection((1, 2, 2), 1)
+    reason = "eq set of rank 1 is not a tuple of its free elements in order"
+    assert rep.failures and all(f.endswith(f": {reason}") for f in rep.failures)
 
 
 @pytest.mark.parametrize("as_lists", [lambda pi: tuple(map(list, pi)), list], ids=["list-blocks", "list-pi"])
