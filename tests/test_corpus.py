@@ -1,8 +1,11 @@
-"""Differential corpora for the two face counts and the normal forms.
+"""Differential corpora for the two face counts, the three exact counters of
+H-reps and the normal forms.
 
 The face corpora feed seeded inputs to ``count_faces`` and ``enumerate_faces``
 and hash every outcome: the f-vector, the lattice's ``face_masks``, ``dims``
-and ``lower``, or the exception's type and message.  The normal-form corpora
+and ``lower``, or the exception's type and message.  The H-rep corpus hashes
+``lattice_point_count`` at t = 1..4, ``zero_one_vertices`` and
+``vertex_enum_exact`` on seeded H-reps, some under small budgets.  The normal-form corpora
 hash ``is_valid_normal_form``'s (ok, reason) on seeded mutants of every valid
 form, and whole ``verify_injection`` reports under seeded mutants of
 ``psi_map``.  One sha256 is pinned per corpus and size, so a change that moves
@@ -19,11 +22,19 @@ from unittest import mock
 import pytest
 from conftest import compositions_upto, cross_polytope, glue, incidence, prism, random_poset, simplex
 
-from chainorder import normalform
+from chainorder import normalform, polytopes
 from chainorder.errors import MAX_FACES
 from chainorder.facelattice import _facets, count_faces, enumerate_faces, incidence_matrix
 from chainorder.normalform import FaceNormalForm, enumerate_normal_forms, is_valid_normal_form, verify_injection
-from chainorder.polytopes import chain_order_hrep, chain_polytope_dd, order_polytope_dd, zero_one_vertices
+from chainorder.polytopes import (
+    HRep,
+    chain_order_hrep,
+    chain_polytope_dd,
+    lattice_point_count,
+    order_polytope_dd,
+    vertex_enum_exact,
+    zero_one_vertices,
+)
 
 SLOW = os.environ.get("CHAINORDER_SLOW") == "1"
 SEED = 37
@@ -119,6 +130,59 @@ def products(n):
                 product = glue(product, rng.randrange(product.n_vertices), other, rng.randrange(other.n_vertices))
         yield product, MAX_FACES
         yield product, rng.randint(1, 200)
+
+
+def _random_hrep(rng):
+    """A seeded H-rep in 0-6 variables: up to 8 rows with coefficients in
+    -2..2 and right-hand sides in -2..3, the unit-cube rows half the time, and
+    up to two equations, each as two opposite rows."""
+    n = rng.randint(0, 6)
+
+    def row():
+        return tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 3)
+
+    ineqs = {row() for _ in range(rng.randint(0, 8))}
+    if rng.randrange(2):
+        ineqs |= {(polytopes._unit(n, i, s), (s + 1) // 2) for i in range(n) for s in (-1, 1)}
+    for coeffs, rhs in (row() for _ in range(rng.randint(0, min(2, n)))):
+        ineqs |= {(coeffs, rhs), (tuple(-c for c in coeffs), -rhs)}
+    return HRep(tuple(range(n)), tuple(ineqs))
+
+
+def hreps(n_random, total, n_posets):
+    """``n_random`` seeded random H-reps, every cut of the compositions of at
+    most ``total``, and the order and chain H-reps of ``n_posets`` seeded
+    random posets of 1-7 elements."""
+    rng = random.Random(SEED)
+    for _ in range(n_random):
+        yield _random_hrep(rng)
+    for tau in compositions_upto(total):
+        for k in range(len(tau) + 1):
+            yield chain_order_hrep(tau, k)
+    for _ in range(n_posets):
+        p = random_poset(rng, rng.randint(1, 7), rng.choice((0.15, 0.35, 0.6)))
+        for dd in (order_polytope_dd, chain_polytope_dd):
+            yield dd(p)[1]
+
+
+BUDGETS = {"LATTICE_MAX_STATES": 50, "LATTICE_MAX_STEPS": 300, "EXACT_ENUM_MAX_RAYS": 60}
+
+
+def counters(cases):
+    """Each H-rep with its seeded budgets, then ``lattice_point_count`` at
+    t = 1..4 in a seeded order on that one object (its plan built at the
+    first), ``zero_one_vertices`` and ``vertex_enum_exact``.  Each budget of
+    ``BUDGETS`` is, one time in four, a seeded value of at most its entry."""
+    rng = random.Random(SEED)
+    for h in cases:
+        budgets = {name: rng.randint(1, most) for name, most in BUDGETS.items() if rng.randrange(4) == 0}
+        dilations = rng.sample(range(1, 5), 4)
+        yield f"{h.ineqs} {sorted(budgets.items())} {dilations}"
+        with mock.patch.dict(polytopes.__dict__, budgets):
+            for t in dilations:
+                yield _outcome(lambda: lattice_point_count(h, t))
+            yield _outcome(lambda: zero_one_vertices(h))
+            yield _outcome(lambda: vertex_enum_exact(h))
 
 
 def _mutant(nf, rng):
@@ -217,6 +281,10 @@ def injection_reports(n):
 
 
 CORPORA = {  # name: (lines, sha256) at the Tier-1 slice, then at the full size
+    "hrep_counters": [
+        (lambda: counters(hreps(1000, 5, 60)), "158ba02fa5bd60f8e35cfb7f2dca881f5c92201ca81d0cddae7eba1d1927daad"),
+        (lambda: counters(hreps(10000, 6, 600)), "9ba8f294b8332db56f921069a86b34222efdca10f86e7d9a6a82dadd1424e834"),
+    ],
     "random": [
         (lambda: faces(random_incidences(20000)), "597e44eef5be70f4abcd8cd59ef52389ac8560c83b8fd47cb1138a54babb7375"),
         (lambda: faces(random_incidences(200000)), "9a54fd1f2a422d337b37ebb9c73ee54d64deb95050a4e1a4b26be7bfd19da68c"),
