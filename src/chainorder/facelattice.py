@@ -456,7 +456,11 @@ def enumerate_faces(inc: IncidenceMatrix, max_faces: int = MAX_FACES) -> FaceLat
     The meets are taken with every facet.  The meets U & G of a face U above
     F would give the same set, since F & G = F & (U & G), but the set built
     in facet order fixes the order in which covers of one size are found,
-    and with it which error inconsistent incidences raise first.
+    and with it which error inconsistent incidences raise first.  Covers of
+    one size, in ``lower`` too, come in the iteration order of the meets set,
+    which depends on how the set was built: ``meets -= {0, f}`` and two
+    ``discard`` calls order some sets differently.  The face corpora pin this
+    order, so a change to the meet step must build the set the same way.
 
     ``max_faces`` (``MAX_FACES`` by default) bounds the nonempty faces, the
     polytope included, and is checked as each face is recorded: running out

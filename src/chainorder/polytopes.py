@@ -283,12 +283,14 @@ def zero_one_vertices(h: HRep) -> VRep:
 
     Bounded backtracking: the coordinates are fixed in order, each row's
     partial sum is kept, and a branch is cut once a row's partial sum leaves
-    its bound from `_row_bounds`; only the rows with a nonzero coefficient
-    at the coordinate just fixed are checked.  The tight rows' rank is their
-    parities' over GF(2), or `int_matrix_rank`'s where that falls short.  A
-    reference for `chain_order_dd`, which lists the vertices by their closed
-    form: it finds them from the rows alone, by rank.  `vertex_enum_exact`
-    is the independent check that the polytopes here have 0/1 vertices only.
+    its bound from `_row_bounds`; only the rows with a nonzero coefficient at
+    the coordinate just fixed are checked, in order, up to the first one past
+    its bound.  A leaf's tight rows and their parities are collected in one
+    loop; their rank is the parities' over GF(2), or `int_matrix_rank`'s where
+    that falls short.  A reference for `chain_order_dd`, which lists the
+    vertices by their closed form: it finds them from the rows alone, by rank.
+    `vertex_enum_exact` is the independent check that the polytopes here have
+    0/1 vertices only.
     """
     n = h.n_vars
     if n > ZERO_ONE_MAX_VARS:
@@ -304,16 +306,22 @@ def zero_one_vertices(h: HRep) -> VRep:
 
     def extend(i: int, point: tuple[int, ...]) -> None:
         if i == n:
-            tight = [(m, c) for (m, c, r), s in zip(parities, sums) if s == r]
-            gf2 = _gf2_rank([m for m, _ in tight], n)
-            if gf2 == n or len(tight) >= n and int_matrix_rank([c for _, c in tight]) == n:
+            masks, tight = [], []
+            for (m, c, r), s in zip(parities, sums):
+                if s == r:
+                    masks.append(m)
+                    tight.append(c)
+            if _gf2_rank(masks, n) == n or len(tight) >= n and int_matrix_rank(tight) == n:
                 found.append(point)
             return
         for x in (0, 1):
             if x:
                 for j, c, _ in moved[i]:
                     sums[j] += c
-            if all(sums[j] <= most for j, _, most in moved[i]):
+            for j, _, most in moved[i]:
+                if sums[j] > most:
+                    break
+            else:
                 extend(i + 1, point + (x,))
         for j, c, _ in moved[i]:
             sums[j] -= c
@@ -338,16 +346,19 @@ def vertex_enum_exact(h: HRep):
     Independent of any 0/1 structure (Motzkin et al.; Fukuda and Prodon,
     "Double description method revisited", 1996).  The system is homogenised
     to the cone ``{(t, x) : b t - A x >= 0, t >= 0}``, which starts as all of
-    Z^(n+1), held as lineality generators, and is cut by one row at a time.
-    A row that is nonzero on the lineality space uses up one generator, kept
-    as a ray on the row's positive side; the generators and rays it is 0 on
-    stay as they are.  Otherwise each ray on its positive side is combined
-    with each adjacent ray on its negative side; adjacency is the
-    combinatorial test on zero sets, int bitmasks over the rows processed so
-    far.  Rays stay integral and gcd-reduced, so the cost grows with the
-    rays held, not with C(m, n).  The vertices are the rays with t > 0,
-    divided by t when t > 1; an empty or non-pointed polyhedron has none.
-    Entries are ints where integral, Fractions otherwise.
+    Z^(n+1), held as lineality generators, and is cut by one row at a time.  A
+    row that is nonzero on the lineality space uses up one generator, kept as
+    a ray on the row's positive side; the generators and rays it is 0 on stay
+    as they are.  Otherwise each ray on its positive side is combined with
+    each adjacent ray on its negative side; adjacency is the combinatorial
+    test on zero sets, int bitmasks over the rows processed so far: the pair's
+    common zero set has enough rows, and a count over the rays held finds
+    exactly two zero on all of it, the pair itself.  Each value on the row is
+    a loop over the row's nonzero entries.  Rays stay integral and
+    gcd-reduced, so the cost grows with the rays held, not with C(m, n).  The
+    vertices are the rays with t > 0, divided by t when t > 1; an empty or
+    non-pointed polyhedron has none.  Entries are ints where integral,
+    Fractions otherwise.
     """
     n = h.n_vars
     rows = [_unit(n + 1, 0), *((rhs, *(-c for c in coeffs)) for coeffs, rhs in h.ineqs)]
@@ -356,8 +367,17 @@ def vertex_enum_exact(h: HRep):
     for done, row in enumerate(rows):
         bit = 1 << done
         support = [(i, a) for i, a in enumerate(row) if a]
-        vals = [sum([a * l[i] for i, a in support]) for l in lineality]
-        signed = [(r, z, sum([a * r[i] for i, a in support])) for r, z in rays]
+        vals, signed = [], []
+        for l in lineality:
+            v = 0
+            for i, a in support:
+                v += a * l[i]
+            vals.append(v)
+        for r, z in rays:
+            v = 0
+            for i, a in support:
+                v += a * r[i]
+            signed.append((r, z, v))
         piv = next((j for j, v in enumerate(vals) if v), None)
         if piv is not None:
             # the row cuts the lineality space: move the rays and the other generators
@@ -380,7 +400,13 @@ def vertex_enum_exact(h: HRep):
         for rp, zp, vp in pos:
             for rn, zn, vn in neg:
                 common = zp & zn
-                if common.bit_count() >= need and sum(common & m == common for m in masks) == 2:
+                if common.bit_count() < need:
+                    continue
+                hits = 0
+                for m in masks:
+                    if common & m == common:
+                        hits += 1
+                if hits == 2:
                     rays.append((_primitive([vp * b - vn * a for a, b in zip(rp, rn)]), common | bit))
                     _rays_held(len(rays), done, len(rows))
     if lineality:
@@ -395,14 +421,15 @@ def lattice_point_count(h: HRep, t: int) -> int:
 
     Valid for polytopes inside the unit cube, which covers every family here.
     A dynamic programme over the coordinates in order.  The rows fall into
-    classes by their coefficients on the coordinates still to fix; of the
-    rows in a class, only the one with the least budget (t * rhs less its
-    partial sum) can bind, so a state keeps that least budget per class, and
-    counts the prefixes that reach it.  Fixing a coordinate drops it from
-    every class, which merges the classes that then agree, and cuts a prefix
-    once a budget falls below the least the coordinates still to fix can
-    add; a class with no coordinates left is checked and dropped.  All of
-    this but t is `HRep._lattice_plan`, built once per H-rep.
+    classes by their coefficients on the coordinates still to fix; of the rows
+    in a class, only the one with the least budget (t * rhs less its partial
+    sum) can bind, so a state keeps that least budget per class, and counts
+    the prefixes that reach it.  Fixing a coordinate drops it from every
+    class, which merges the classes that then agree, each budget the running
+    minimum of its sources' budgets less coefficient times value.  A prefix is
+    cut at the first budget below t times the least the coordinates still to
+    fix can add; a class with no coordinates left is checked and dropped.  All
+    of this but t is `HRep._lattice_plan`, built once per H-rep.
 
     The work of each coordinate, its states times the t + 1 values it
     takes, is bounded by ``LATTICE_MAX_STEPS`` before the coordinate is
@@ -421,14 +448,17 @@ def lattice_point_count(h: HRep, t: int) -> int:
                 f"lattice count: {len(states)} states times {t + 1} values at coordinate {i + 1} of {n}"
                 f" exceed {LATTICE_MAX_STEPS} steps"
             )
-        checks = [(srcs, t * lo, live) for srcs, lo, live in merges]
+        checks = [(srcs[0], srcs[1:], t * lo, live) for srcs, lo, live in merges]
         nxt: dict[tuple[int, ...], int] = {}
         for state, count in states.items():
             kept = tuple([state[p] for p in keep])
             for x in range(t + 1):
                 budgets = []
-                for srcs, lo, live in checks:
-                    b = min([state[p] - c * x for p, c in srcs])
+                for (p, c), rest, lo, live in checks:
+                    b = state[p] - c * x
+                    for p, c in rest:
+                        if (v := state[p] - c * x) < b:
+                            b = v
                     if b < lo:
                         break
                     if live:

@@ -5,13 +5,14 @@ The face corpora feed seeded inputs to ``count_faces`` and ``enumerate_faces``
 and hash every outcome: the f-vector, the lattice's ``face_masks``, ``dims``
 and ``lower``, or the exception's type and message.  The H-rep corpus hashes
 ``lattice_point_count`` at t = 1..4, ``zero_one_vertices`` and
-``vertex_enum_exact`` on seeded H-reps, some under small budgets.  The normal-form corpora
-hash ``is_valid_normal_form``'s (ok, reason) on seeded mutants of every valid
-form, and whole ``verify_injection`` reports under seeded mutants of
-``psi_map``.  One sha256 is pinned per corpus and size, so a change that moves
-any result, reason, budget message or error shows here.  A changed digest is
-a changed output, which CHANGES.md names with its reason.  The Tier-1 slice
-takes a few seconds; the full size runs with CHAINORDER_SLOW=1.
+``vertex_enum_exact`` on seeded H-reps, some under small budgets.  The
+normal-form corpora hash ``is_valid_normal_form``'s (ok, reason) on seeded
+mutants of every valid form, and whole ``verify_injection`` reports under
+seeded mutants of ``psi_map``.  One sha256 is pinned per corpus and size, so
+a change that moves any result, reason, budget message or error shows here.
+A changed digest is a changed output, which CHANGES.md names with its
+reason.  The Tier-1 slice takes a few seconds; the full size runs with
+CHAINORDER_SLOW=1.
 """
 
 import hashlib
@@ -144,7 +145,8 @@ def _random_hrep(rng):
     ineqs = {row() for _ in range(rng.randint(0, 8))}
     if rng.randrange(2):
         ineqs |= {(polytopes._unit(n, i, s), (s + 1) // 2) for i in range(n) for s in (-1, 1)}
-    for coeffs, rhs in (row() for _ in range(rng.randint(0, min(2, n)))):
+    for _ in range(rng.randint(0, min(2, n))):
+        coeffs, rhs = row()
         ineqs |= {(coeffs, rhs), (tuple(-c for c in coeffs), -rhs)}
     return HRep(tuple(range(n)), tuple(ineqs))
 

@@ -1,0 +1,133 @@
+"""Mutants of the exact counters, each caught by the tests named with it.
+
+Each mutant is one source substitution in a module of the package.  The
+package is copied to a temporary directory with the substituted module, and
+the named tests run against that copy in a fresh interpreter, at their
+Tier-1 size.  A mutant passes this check when the substitution applies
+exactly once and every named test fails; a named test may be a corpus
+digest of ``test_corpus.py``.  A control run of the unchanged copy must pass
+every named test, so that a test failing for another reason is not taken
+for a catch.  Opt-in: about 20 s; set CHAINORDER_SLOW=1.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "chainorder"
+
+pytestmark = pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 20 s; set CHAINORDER_SLOW=1")
+
+POLY = "tests/test_polytopes.py::"
+HREPS = "tests/test_corpus.py::test_corpus_digest[hrep_counters]"
+
+# name: (module, source, substitute, the tests that catch it)
+MUTANTS = {
+    "lattice floors not scaled by t": (
+        "polytopes",
+        "(srcs[0], srcs[1:], t * lo, live)",
+        "(srcs[0], srcs[1:], lo, live)",
+        [POLY + "test_lattice_counts_equal_ideal_multichains", HREPS],
+    ),
+    "lattice minimum over the first source only": (
+        "polytopes",
+        "for p, c in rest:",
+        "for p, c in ():",
+        [POLY + "test_lattice_point_count_examples", HREPS],
+    ),
+    "lattice running maximum": (
+        "polytopes",
+        "if (v := state[p] - c * x) < b:",
+        "if (v := state[p] - c * x) > b:",
+        [POLY + "test_lattice_point_count_examples", HREPS],
+    ),
+    "adjacency with hits >= 2": (
+        "polytopes",
+        "if hits == 2:",
+        "if hits >= 2:",
+        [POLY + "test_vertex_enum_exact_matches_brute_force_on_compositions", HREPS],
+    ),
+    "adjacency with hits == 1": (
+        "polytopes",
+        "if hits == 2:",
+        "if hits == 1:",
+        [POLY + "test_vertex_enum_exact_unit_square", HREPS],
+    ),
+    "generator values miss the row's first entry": (
+        "polytopes",
+        "for i, a in support:\n                v += a * l[i]",
+        "for i, a in support[1:]:\n                v += a * l[i]",
+        [POLY + "test_vertex_enum_exact_unit_square", HREPS],
+    ),
+    "ray values miss the row's first entry": (
+        "polytopes",
+        "for i, a in support:\n                v += a * r[i]",
+        "for i, a in support[1:]:\n                v += a * r[i]",
+        [POLY + "test_vertex_enum_exact_simplex", HREPS],
+    ),
+    "0/1 bound check with >=": (
+        "polytopes",
+        "if sums[j] > most:",
+        "if sums[j] >= most:",
+        [POLY + "test_zero_one_vertices_cube", HREPS],
+    ),
+    "0/1 leaf takes every row as tight": (
+        "polytopes",
+        "if s == r:",
+        "if s <= r:",
+        [POLY + "test_zero_one_vertices_diamond", HREPS],
+    ),
+    "0/1 search without the GF(2) shortcut": (
+        "polytopes",
+        "if _gf2_rank(masks, n) == n or",
+        "if False or",
+        [POLY + "test_zero_one_vertices_ask_for_the_integer_rank_only_past_gf2"],
+    ),
+}
+
+
+def _run(tmp_path: Path, tests: list[str]) -> dict[str, bool]:
+    """Each test's pass (True) or failure (False) against the package under
+    ``tmp_path``, run at its Tier-1 size in a fresh interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "CHAINORDER_SLOW"}
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), *filter(None, [os.environ.get("PYTHONPATH")])])
+    report = tmp_path / "report.xml"
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *tests]
+    proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode in (0, 1), proc.stdout + proc.stderr  # 1: some test failed; else not a clean run
+    outcome = {}
+    for case in ET.parse(report).iter("testcase"):
+        name = case.get("name")
+        path = case.get("classname").replace(".", "/") + ".py"
+        assert case.find("skipped") is None and case.find("error") is None, (path, name)
+        outcome[f"{path}::{name}"] = case.find("failure") is None
+    assert sorted(outcome) == sorted(tests), proc.stdout
+    return outcome
+
+
+def _copy(tmp_path: Path) -> Path:
+    shutil.copytree(PACKAGE, tmp_path / "chainorder", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "chainorder"
+
+
+def test_control_copy_passes_every_named_test(tmp_path):
+    _copy(tmp_path)
+    tests = sorted({t for *_, catchers in MUTANTS.values() for t in catchers})
+    assert all(_run(tmp_path, tests).values())
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(tmp_path, name):
+    module, source, substitute, catchers = MUTANTS[name]
+    path = _copy(tmp_path) / f"{module}.py"
+    text = path.read_text(encoding="utf-8")
+    assert text.count(source) == 1, f"{source!r} is not in {module}.py exactly once"
+    path.write_text(text.replace(source, substitute), encoding="utf-8")
+    outcome = _run(tmp_path, catchers)
+    assert not any(outcome.values()), f"not caught by {[t for t, ok in outcome.items() if ok]}"
