@@ -10,7 +10,6 @@ from .normalform import (
     codimension,
     enumerate_normal_forms,
     f_vector_normal_form,
-    f_vectors_normal_form,
     psi_map,
     verify_injection,
     verify_monotone,

@@ -93,25 +93,8 @@ def _unit(n: int, i: int, sign: int = 1) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _chain_order_rows(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -> list[Row]:
-    """Facet rows of the polytope whose chain part is the down-set
-    ``chain_part`` (a position mask): O(P) when it is empty, C(P) when full.
-
-    One row ``-x_i <= 0`` per i in the chain part, and one row
-    ``x_s + x_c1 + ... + x_cr - x_q <= 0`` per saturated chain s < c_1 < ...
-    < c_r < q of the extended poset with the c's inside the chain part and s,
-    q outside, the adjoined bottom reading 0 and the top 1; s is the bottom
-    when r > 0 (Stanley, "Two poset polytopes", 1986; Fang, Fourier, Litza and
-    Pegel, "A continuous family of marked poset polytopes", 2020).  The empty
-    poset's 0 <= 1 gives no row.  The rows are counted against ``max_points``
-    by `_check_row_count` before `_build_rows` builds any.
-    """
-    _check_row_count(p, chain_part, max_points)
-    return _build_rows(p, chain_part)
-
-
 def _check_row_count(p: Poset, chain_part: int, max_points: int) -> None:
-    """Count the rows of `_chain_order_rows` from the covers; more than ``max_points`` raise."""
+    """Count the rows of `_build_rows` from the covers; more than ``max_points`` raise."""
     inside = [bool(chain_part >> i & 1) for i in range(p.n)]
     # chains from the bottom, or from v itself outside the chain part, to v
     ways = [1] * p.n
@@ -128,7 +111,18 @@ def _check_row_count(p: Poset, chain_part: int, max_points: int) -> None:
 
 
 def _build_rows(p: Poset, chain_part: int) -> list[Row]:
-    """The rows of `_chain_order_rows`, built without a budget."""
+    """Facet rows of the polytope whose chain part is the down-set
+    ``chain_part`` (a position mask): O(P) when it is empty, C(P) when full.
+
+    One row ``-x_i <= 0`` per i in the chain part, and one row
+    ``x_s + x_c1 + ... + x_cr - x_q <= 0`` per saturated chain s < c_1 < ...
+    < c_r < q of the extended poset with the c's inside the chain part and s,
+    q outside, the adjoined bottom reading 0 and the top 1; s is the bottom
+    when r > 0 (Stanley, "Two poset polytopes", 1986; Fang, Fourier, Litza and
+    Pegel, "A continuous family of marked poset polytopes", 2020).  The empty
+    poset's 0 <= 1 gives no row.  No budget is checked here: every caller
+    counts the rows first by `_check_row_count`.
+    """
     n = p.n
     inside = [bool(chain_part >> i & 1) for i in range(n)]
     out = [(_unit(n, i, -1), 0) for i in range(n) if inside[i]]
@@ -154,7 +148,7 @@ def chain_order_dd(p: Poset, chain_part: int, max_points: int = MAX_POINTS) -> t
     """Double description of the polytope whose chain part is the down-set
     ``chain_part`` (a position mask): O(P) when it is empty, C(P) when full.
 
-    The rows are `_chain_order_rows`; the vertices are the indicator vectors
+    The rows are `_build_rows`; the vertices are the indicator vectors
     of A | F, F an up-set of P inside O = P \\ C and A an antichain of C with
     up(a) & O inside F for each a in A (Stanley, 1986; Fang, Fourier, Litza
     and Pegel, 2020).  A search over the antichains M of O takes F = up(M),
@@ -209,10 +203,13 @@ def chain_polytope_dd(p: Poset) -> tuple[VRep, HRep]:
 
 def chain_order_hrep(tau, k: int) -> HRep:
     """The rows of `chain_order_dd` on P_tau with the ranks up to the cut k as
-    chain part, counted against the default point budget; a bad cut raises."""
+    chain part: a bad cut raises, then the rows are counted against the
+    default point budget by `_check_row_count` before `_build_rows` builds any."""
     tau = check_cut(tau, k)
     p = make_maximal_ranked(tau)  # positions run rank by rank
-    return HRep(p.elements, tuple(_chain_order_rows(p, (1 << sum(tau[:k])) - 1)))
+    part = (1 << sum(tau[:k])) - 1
+    _check_row_count(p, part, MAX_POINTS)
+    return HRep(p.elements, tuple(_build_rows(p, part)))
 
 
 def _parity(row: Sequence[int]) -> int:

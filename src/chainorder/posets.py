@@ -151,10 +151,6 @@ class Poset:
             below[i] = m
         return tuple(below)
 
-    def less(self, p: Element, q: Element) -> bool:
-        """Strict order comparison."""
-        return bool((self.above_masks[self.index[p]] >> self.index[q]) & 1)
-
     def minimal_elements(self) -> tuple:
         return tuple(e for i, e in enumerate(self.elements) if not self.down_covers[i])
 

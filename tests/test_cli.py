@@ -655,7 +655,7 @@ def test_verify_injectivity(capsys):
 
 
 def test_verify_monotone_drop_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(normalform, "f_vectors_normal_form", lambda cuts: ((5 - k, 7) for _, k in cuts))
+    monkeypatch.setattr(normalform, "f_vector_normal_form", lambda tau, k: (5 - k, 7))
     code, out, err = run_main(capsys, "verify", "monotone", "--tau", "2,1")
     assert (code, err) == (1, "")
     assert out.endswith("monotone=False\nf_0 drops from 5 to 4 between cuts 0 and 1\nf_0 drops from 4 to 3 between cuts 1 and 2\n")
@@ -1007,6 +1007,41 @@ def test_table_n14_both_pipelines_digest(capsys):
     assert code == 0
     assert out.count("\n") == 230
     assert hashlib.sha256(out.encode()).hexdigest() == "bf36278b209abcf61bf518d663e5c23f99daf988a95c661e996f7288a31ebe85"
+
+
+# outputs pinned byte for byte, each by its own digest: stdout, or the file
+# the command writes, out.json; CI's install smoke step checks the installed
+# package's bytes against the source tree's
+OUTPUT_DIGESTS = [
+    ("gen --tau 200,200", "188e0e7015ff853308717d4d04655380dfe0048821ced5efd8fdc665b2c03bfb"),
+    ("verify injectivity --tau 3,1,2,2", "705fcd350ee6334943539d424f0a8369c3ee2280cc0467eb9afe00e7c9ee91b1"),
+    ("verify injectivity --tau 6,1 --k 1 --json out.json", "0303a23d50fe25d124ba3ff640795521bcb2d24ff16870dcf44e432cc4686ad1"),
+    (
+        "fvector --tau 2,1,2 --k 1 --method geometric --export-lattice out.json",
+        "587cda7f34c949959da13063e32fdc956425ff0d56f994deafce77d89595808e",
+    ),
+    # the table as one walk over the partitions: the bytes the sort-based lister gave
+    ("table --n 26 --method normalform --format json", "137f6419b63fe7a39305fc38fcd954f0151e50b71dfa42b8dded30f58fd74781"),
+]
+
+
+def _output_digest(capsys, command):
+    code, out, _ = run_main(capsys, *command.split())
+    assert code == 0
+    data = Path("out.json").read_bytes() if "out.json" in command else out.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command, expected", OUTPUT_DIGESTS, ids=[c for c, _ in OUTPUT_DIGESTS])
+def test_output_digest(tmp_path, monkeypatch, capsys, command, expected):
+    monkeypatch.chdir(tmp_path)
+    assert _output_digest(capsys, command) == expected
+
+
+@pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="opt-in; set CHAINORDER_SLOW=1")
+def test_table_n40_normalform_digest(capsys):
+    # 2 * 37,279 rows, about 2.5 s in-process; CI runs it in its opt-in step
+    assert _output_digest(capsys, "table --n 40 --method normalform") == "e25e35162f0db6a5ca28bbdd66e2c9f64735a17c2e7f28b7bc093662433a430d"
 
 
 @pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="opt-in; set CHAINORDER_SLOW=1")

@@ -1,10 +1,13 @@
-"""The module graph: the geometric and the combinatorial pipelines share only the base layer.
+"""The module graph: the geometric and the combinatorial pipelines share only
+the base layer; and every public name has a caller in the package, or a reason.
 
-Each module's imports are read with `ast`, without importing anything, so a
-pipeline that loads the other fails here even when every other test passes.
+Each module is read with `ast`, without importing anything, so a pipeline that
+loads the other fails here even when every other test passes.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,70 @@ def test_module_imports_only_what_its_layer_allows(module):
 
 def test_normalform_reads_only_errors_and_posets():
     assert package_imports("normalform") == {"errors", "posets"}
+
+
+# Public names that nothing in the package calls, each with the ROADMAP item
+# that gives it a caller or removes it.  A name leaves this list when it
+# gains a caller; a name with no caller joins it only with such a reason.
+NO_CALLER = {
+    "HRep.eqs": "always (); perfbench's hooks read it until item 1, and item 2 deletes it",
+    "order_polytope_dd": "a one-line wrapper that perfbench traces (item 1); item 2 decides its fate",
+    "chain_polytope_dd": "a one-line wrapper that perfbench traces (item 1); item 2 decides its fate",
+    "chain_order_hrep": "perfbench traces it at cli and polytopes (item 1); item 2 deletes it",
+    "zero_one_vertices": "perfbench traces it (item 1); item 2 moves the 0/1 search to the tests",
+    "maximal_antichains": "perfbench traces it at polytopes (item 1); item 2 moves it to the tests",
+    "validate_face_partition": "perfbench traces it at normalform (item 1); item 2 deletes it",
+    "is_valid_normal_form": "perfbench traces it (item 1); item 2 decides its fate",
+    "enumerate_normal_forms": "perfbench traces it (item 1); item 2 decides its fate",
+    "vertex_enum_exact": "the exact vertex oracle the tests and perfbench check the builder against (item 2)",
+    "lattice_point_count": "the lattice-point count the tests check against ideal multichains; item 13 calls it",
+    "has_hl_pattern": "the Hibi-Li X criterion; item 10's sweep calls it",
+    "as_tau_shape": "reads tau off a maximal ranked poset; item 10's sweep calls it",
+    "FaceNormalForm.sort_key": "states the canonical order the form stream promises (item 2)",
+}
+
+
+def _references(node) -> Counter:
+    """How often each name is read in ``node``, bare or as an attribute.
+    Import lines bind names and read none."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def uncalled_public_names() -> set[str]:
+    """The public module-level functions and classes, UPPER_CASE constants,
+    and public methods and properties of public classes, that no module of
+    the package but `__init__` reads outside their own definition."""
+    defined, read = [], Counter()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read += _references(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((node.name, node.name, node))
+                if isinstance(node, ast.ClassDef):
+                    defined += [
+                        (f"{node.name}.{m.name}", m.name, m)
+                        for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                    ]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [
+                    (t.id, t.id, node)
+                    for t in targets
+                    if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")
+                ]
+    return {qualified for qualified, name, node in defined if read[name] == _references(node)[name]}
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    uncalled = uncalled_public_names()
+    assert not uncalled - set(NO_CALLER), f"public names with no caller in the package: {sorted(uncalled - set(NO_CALLER))}"
+    assert not set(NO_CALLER) - uncalled, f"NO_CALLER names that have a caller, or are gone: {sorted(set(NO_CALLER) - uncalled)}"
+    assert all(re.search(r"\bitem \d+\b", reason) for reason in NO_CALLER.values())

@@ -18,7 +18,6 @@ from chainorder.normalform import (
     codimension,
     enumerate_normal_forms,
     f_vector_normal_form,
-    f_vectors_normal_form,
     face_partitions,
     induced_order_poset,
     is_valid_normal_form,
@@ -356,7 +355,6 @@ _CUT_ENTRY_POINTS = {
     "induced_order_poset": induced_order_poset,
     "enumerate_normal_forms": enumerate_normal_forms,
     "f_vector_normal_form": f_vector_normal_form,
-    "f_vectors_normal_form": lambda tau, k: list(f_vectors_normal_form([(tau, k)])),
     "is_valid_normal_form": lambda tau, k: is_valid_normal_form(FaceNormalForm(_PI, _ZEROS, _EQ), tau, k),
     "verify_injection": verify_injection,
     "chain_order_hrep": chain_order_hrep,
@@ -912,27 +910,32 @@ def test_verify_monotone_small():
         assert all(a <= b for a, b in zip(lo, hi))
 
 
-def test_verify_monotone_counts_every_cut_in_one_batch(monkeypatch):
+def test_verify_monotone_counts_each_cut_once_by_f_vector_normal_form(monkeypatch):
     tau = (3, 1, 2, 2)
     expected = {k: f_vector_normal_form(tau, k) for k in range(len(tau) + 1)}
-    batches, batch = [], normalform.f_vectors_normal_form
+    counted, count = [], normalform.f_vector_normal_form
 
-    def recorded(cuts):
-        batches.append(list(cuts))
-        return batch(batches[-1])
+    def recorded(tau, k):
+        counted.append((tau, k))
+        return count(tau, k)
 
-    def per_cut(tau, k):
-        raise AssertionError("verify_monotone counted a cut on its own")
-
-    monkeypatch.setattr(normalform, "f_vectors_normal_form", recorded)
-    monkeypatch.setattr(normalform, "f_vector_normal_form", per_cut)
-    rep = verify_monotone(tau)
-    assert batches == [[(tau, k) for k in range(len(tau) + 1)]]
+    monkeypatch.setattr(normalform, "f_vector_normal_form", recorded)
+    rep = verify_monotone(list(tau))
+    assert counted == [(tau, k) for k in range(len(tau) + 1)]
     assert (rep.f_vectors, rep.monotone, rep.failures) == (expected, True, [])
 
 
+def test_verify_monotone_equals_the_per_cut_counts_upto_10():
+    cuts = 0
+    for tau in compositions_upto(10):
+        rep = verify_monotone(tau)
+        assert rep.f_vectors == {k: f_vector_normal_form(tau, k) for k in range(len(tau) + 1)}, tau
+        cuts += len(rep.f_vectors)
+    assert cuts == 6143
+
+
 def test_verify_monotone_reports_a_drop(monkeypatch):
-    monkeypatch.setattr(normalform, "f_vectors_normal_form", lambda cuts: ((5 - k, 7) for _, k in cuts))
+    monkeypatch.setattr(normalform, "f_vector_normal_form", lambda tau, k: (5 - k, 7))
     rep = verify_monotone((2, 1))
     assert not rep.monotone
     assert rep.failures == [
@@ -955,8 +958,6 @@ def test_counter_asserts_its_extreme_coefficients(monkeypatch, extra, message):
     monkeypatch.setattr(normalform, "_fold", lambda tau, k, x: real_fold(tau, k, x) + extra(sum(tau), x))
     with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
         f_vector_normal_form((2, 1, 2), 1)
-    with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
-        list(f_vectors_normal_form([((2, 1, 2), 1), ((2, 2), 0)]))
     # the walk closes its folds at the leaves, and reads each by the same digits
     monkeypatch.setattr(normalform, "_f_vector_digits", lambda total, w, n: real_digits(total + extra(n, 1 << w), w, n))
     with pytest.raises(AssertionError, match=f"^normal-form count {message}$"):
@@ -1039,30 +1040,6 @@ def test_partition_walk_counts_both_end_cuts():
             assert chain == f_vector_normal_form(tau, len(tau)), tau
 
 
-@st.composite
-def _cut_lists(draw):
-    """0 to 12 cuts (tau, k), parts in 1..6, length <= 6; a cut often repeats
-    an earlier tau, or a prefix of it, with the same or another k."""
-    cuts = []
-    for _ in range(draw(st.integers(0, 12))):
-        tau = ()
-        if cuts and draw(st.booleans()):
-            tau = draw(st.sampled_from(cuts))[0]
-            tau = tau[: draw(st.integers(0, len(tau)))]
-        tau += tuple(draw(st.lists(st.integers(1, 6), min_size=0 if tau else 1, max_size=6 - len(tau))))
-        cuts.append((tau, draw(st.integers(0, len(tau)))))
-    return cuts
-
-
-@given(_cut_lists())
-def test_batch_counts_equal_per_cut_counts(cuts):
-    vectors = list(f_vectors_normal_form(cuts))
-    assert vectors == [f_vector_normal_form(tau, k) for tau, k in cuts]
-    for (tau, k), fv in zip(cuts, vectors):
-        if sum(tau) <= 9:
-            assert fv == _reference_f_vector_normal_form(tau, k)
-
-
 @pytest.mark.parametrize(
     "cuts",
     [
@@ -1074,25 +1051,8 @@ def test_batch_counts_equal_per_cut_counts(cuts):
     ],
 )
 def test_batch_shares_a_rank_only_on_the_same_side_of_both_cuts(cuts):
-    assert list(f_vectors_normal_form(cuts)) == [_reference_f_vector_normal_form(tau, k) for tau, k in cuts]
-
-
-@pytest.mark.parametrize("where", [0, 2, 4])
-@pytest.mark.parametrize(
-    "bad, message",
-    [(((2, 1), 3), r"^k must be in \[0, 2\], got 3$"), (((2, 0), 0), r"^tau parts must be positive integers, got \(2, 0\)$")],
-    ids=["cut", "tau"],
-)
-def test_batch_checks_every_cut_before_the_first_vector(where, bad, message):
-    cuts = [((2, 1), 0), ((2, 1), 2), ((1, 1), 1), ((3,), 0)]
-    cuts.insert(where, bad)
-    vectors = f_vectors_normal_form(cuts)
-    with pytest.raises(ConfigError, match=message):
-        next(vectors)
-
-
-def test_empty_batch_yields_nothing():
-    assert list(f_vectors_normal_form([])) == []
+    # cuts that a count sharing ranks between cuts must keep apart, each counted on its own
+    assert [f_vector_normal_form(tau, k) for tau, k in cuts] == [_reference_f_vector_normal_form(tau, k) for tau, k in cuts]
 
 
 # ---------------------------------------------------------------------------

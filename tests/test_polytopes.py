@@ -16,7 +16,8 @@ from chainorder.polytopes import int_matrix_rank
 from chainorder.polytopes import (
     HRep,
     VRep,
-    _chain_order_rows,
+    _build_rows,
+    _check_row_count,
     chain_order_dd,
     chain_order_hrep,
     chain_polytope_dd,
@@ -419,7 +420,7 @@ def test_hrep_takes_no_equations():
         HRep(("x",), (), (((1,), 0),))
 
 
-# The three row builders that `_chain_order_rows` replaced, kept as references.
+# The three row builders that `_build_rows` replaced, kept as references.
 
 
 def maximal_chains(p: Poset) -> list[list]:
@@ -481,11 +482,11 @@ def _reference_chain_order_rows(tau, k: int) -> list:
 
 
 def _assert_rows_and_exact_count(p: Poset, chain_part: int, reference: list) -> None:
-    rows = _chain_order_rows(p, chain_part)
+    rows = _build_rows(p, chain_part)
     assert sorted(rows) == sorted(reference)
-    assert _chain_order_rows(p, chain_part, max_points=len(rows)) == rows
+    _check_row_count(p, chain_part, len(rows))
     with pytest.raises(BudgetError, match=f"^{len(rows)} facet rows exceed the point budget {len(rows) - 1}$"):
-        _chain_order_rows(p, chain_part, max_points=len(rows) - 1)
+        _check_row_count(p, chain_part, len(rows) - 1)
 
 
 def test_chain_order_rows_match_reference_on_every_cut_upto_9():
@@ -508,10 +509,11 @@ def test_chain_order_rows_match_reference_on_random_posets():
         down = 0
         for i in rng.sample(range(p.n), rng.randint(0, p.n)):
             down |= (1 << i) | p.below_masks[i]
-        rows = _chain_order_rows(p, down)
+        rows = _build_rows(p, down)
         assert len(set(rows)) == len(rows)
+        _check_row_count(p, down, len(rows))
         with pytest.raises(BudgetError):
-            _chain_order_rows(p, down, max_points=len(rows) - 1)
+            _check_row_count(p, down, len(rows) - 1)
 
 
 def test_builders_check_rows_and_antichain_subsets_against_max_points():
