@@ -298,7 +298,12 @@ def _dd_command(args: argparse.Namespace) -> int:
 
 
 def _gen_command(args: argparse.Namespace) -> int:
-    _emit(args, poset_to_json(make_maximal_ranked(args.tau)) + "\n")
+    """Write P_tau as JSON, refused past --budget-points by its elements plus covers."""
+    tau = args.tau
+    size = sum(tau) + sum(a * b for a, b in zip(tau, tau[1:]))  # sum tau_i + sum tau_i * tau_(i+1)
+    if size > args.budget_points:
+        raise BudgetError(f"{size} elements and covers exceed the point budget {args.budget_points}")
+    _emit(args, poset_to_json(make_maximal_ranked(tau)) + "\n")
     return 0
 
 
@@ -333,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     tau_required = ("--tau", dict(required=True))
-    command("gen", _gen_command, "write a ranked poset as JSON", tau_required, "--output")
+    command("gen", _gen_command, "write a ranked poset as JSON", tau_required, "--output", "--budget-points")
     command(
         "dd", _dd_command, "double description (vertices and inequalities)", "--tau", "--output",
         ("--polytope", dict(choices=["order", "chain", "chain-order"], default="order")),
@@ -360,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        for flag in ("budget_faces", "budget_points"):  # fvector, table and dd
+        for flag in ("budget_faces", "budget_points"):  # fvector, table, dd and gen
             if getattr(args, flag, 0) < 0:
                 raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
         if hasattr(args, "tau"):  # every command but table

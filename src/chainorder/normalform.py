@@ -110,11 +110,11 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
     nonempty top subset.  Two multi-rank blocks may share a boundary rank but
     their spans cannot cross, so at most one block is open at a time.  One
     loop folds the ranks bottom up over states (closed blocks, open block or
-    ()), the states the counting fold `_fold` counts as (a, b).  The
-    open block takes the whole rank, or ends on a nonempty part of it; then
-    a nonempty subset of the elements left free may open a new block, and
-    the rest close as singletons.  No block opens or stays open at the last
-    rank.
+    ()), the states `_fold` counts as (a, b).  The open block takes the
+    whole rank, or ends on a nonempty part of it; then a nonempty subset of
+    the free elements may open a new block, the rest close as singletons, and
+    none opens or stays open at the last rank.  Blocks grow in index order,
+    sorted as built, so one sort per final state makes it canonical.
     """
     tau = check_cut(tau, k)
     ranks = [rank_elements(tau, r) for r in range(k + 1, len(tau) + 2)]
@@ -133,7 +133,7 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
                 if not last:
                     nxt.extend((done + tuple((e,) for e in free if e not in new), new) for new in _subsets(free, 1))
         states = nxt
-    return [_canonical_partition(closed) for closed, _ in states]
+    return [tuple(sorted(closed)) for closed, _ in states]
 
 
 def induced_order_poset(tau, k: int) -> Poset:
@@ -172,10 +172,11 @@ def _in_order(s, allowed) -> bool:
 
 
 def _chain_end_facts(pi, tau: tuple[int, ...], k: int) -> tuple[tuple[Element, ...], bool]:
-    """The singletons of rank k + 1 in a face partition ``pi`` at cut k, and,
-    when there are none, whether the block gluing that rank upward holds the
-    adjoined maximum (then a chain ending in it is pinned to one)."""
-    singles = tuple([e for e in rank_elements(tau, k + 1) if (e,) in pi])
+    """The singletons of rank k + 1 in a canonical face partition ``pi`` at
+    cut k, in order, by one pass over ``pi``; and, if there are none, whether
+    the block gluing that rank upward holds the adjoined maximum (then a
+    chain ending in it is pinned to one)."""
+    singles = tuple([b[0] for b in pi if len(b) == 1 and b[0][0] == k + 1])
     return singles, not singles and top_element(tau) in (_glued_block(pi, k + 1) or ())
 
 
@@ -316,15 +317,14 @@ def _normal_forms(tau, k: int):
 
     The cut and the face budget are checked on the call, before any form is
     built: the forms are counted exactly by the counter's generating function
-    at x = 1 and refused past ``MAX_FACES``.  Every partition from
-    `face_partitions` is already a face partition.  The chain-side choices do
-    not depend on it, so they are built once, sorted: per zero sets, the
-    sorted eq-set prefixes (a nonempty subset of each rank's free elements,
-    or () where a rank is fully zeroed) and whether every chain rank is
-    zeroed.  Each sorted partition pairs them with its own sorted chain-end
-    options, leaving out the combination that cuts out the empty face.  Per
-    partition and zero sets the form without tight chains comes first, so
-    the forms come in ``sort_key`` order, grouped by partition.
+    at x = 1 and refused past ``MAX_FACES``.  The chain-side choices, built
+    once and sorted, are per zero sets the sorted eq-set prefixes (a nonempty
+    subset of each rank's free elements, or () where a rank is fully zeroed)
+    and whether every chain rank is zeroed.  Plain nested loops pair each
+    sorted face partition, valid as built, with them and its own sorted
+    chain-end options, less the empty face's combination.  Per partition and
+    zero sets the form without tight chains comes first, so the forms come
+    in ``sort_key`` order, grouped by partition.
     """
     tau = check_cut(tau, k)
     total = _fold(tau, k, 1) - 1  # less the empty face's combination
@@ -350,7 +350,9 @@ def _normal_forms(tau, k: int):
             for zeros, prefixes, all_zeroed in chain_choices:
                 yield FaceNormalForm(pi, zeros, None)
                 if not (all_zeroed and forced_one):  # else the empty face
-                    yield from (FaceNormalForm(pi, zeros, prefix + (tops,)) for prefix in prefixes for tops in top_options)
+                    for prefix in prefixes:
+                        for tops in top_options:
+                            yield FaceNormalForm(pi, zeros, prefix + (tops,))
 
     return forms()
 
@@ -483,16 +485,16 @@ def psi_map(nf: FaceNormalForm, tau, k: int) -> FaceNormalForm:
 
 @lru_cache(maxsize=1)  # the forms of a cut come grouped by partition
 def _psi_partition(pi, tau: tuple[int, ...], k: int):
-    """The half of `psi_map` that reads only the source partition ``pi`` at
-    cut k: the image partition, whether a block glues rank k + 1 upward, that
-    block's parts of ranks k + 1 and k + 2, whether it ends at rank k + 2,
-    and the singletons of rank k + 2.  A pure function of its arguments.
+    """The half of `psi_map` that reads only the canonical source partition
+    ``pi`` at cut k, by rank arithmetic on its (rank, index) ids: the image
+    partition (kept blocks stay sorted, so one sort makes it canonical),
+    whether a block glues rank k + 1 upward, that block's parts of ranks
+    k + 1 and k + 2 (k + 2 may be the maximum's), whether it ends at rank
+    k + 2, and the singletons of rank k + 2.  A pure function of its arguments.
     """
-    # rank arithmetic on sorted (rank, index) ids: ranks k+1 and k+2 lie
-    # around the cut, and rank k+2 may be the adjoined maximum's
-    kept = [tuple(e for e in b if e[0] != k + 1) for b in pi if b[-1][0] > k + 2]
+    kept = [tuple([e for e in b if e[0] != k + 1]) for b in pi if b[-1][0] > k + 2]
     used = {e for b in kept for e in b}
-    pi2 = _canonical_partition(kept + [(e,) for e in order_ground(tau, k + 1) if e not in used])
+    pi2 = tuple(sorted(kept + [(e,) for e in order_ground(tau, k + 1) if e not in used]))
     glued = _glued_block(pi, k + 1) or ()  # its parts are () when nothing is glued
     a_part = tuple([e for e in glued if e[0] == k + 1])
     b_part = tuple([e for e in glued if e[0] == k + 2])
@@ -520,16 +522,15 @@ def verify_injection(tau, k: int) -> InjectionReport:
     """Apply the cut-raising map to every face of codimension >= 2 and audit it.
 
     Checks image validity, codimension preservation, and pairwise distinctness
-    of images; failures are collected in the report rather than raised.  Every
-    image gets every check of `is_valid_normal_form`, but in this call the
-    partition half runs once per distinct image partition, and each zero-set
-    or eq-set check once per distinct (rank, zero set) or (rank, zero set,
-    eq set) among the images (at n <= 5, 1,710 distinct keys among 18,036
-    rank checks); the chain ends are checked per image.  The source forms
-    stream from `_normal_forms` in canonical order, after the face budget has
-    refused a cut with too many, and no list of them is kept; the images are,
-    to find collisions.  The cut must lie below the top rank; another raises
-    `ConfigError`.
+    of images, and collects failures in the report.  Every image gets every
+    check of `is_valid_normal_form`, but in this call the partition half runs
+    once per distinct image partition, and each zero-set or eq-set check once
+    per distinct (rank, zero set) or (rank, zero set, eq set) among the
+    images; the chain ends are checked per image.  The source forms stream
+    from `_normal_forms` in canonical order, after the face budget has refused
+    a cut with too many, and none is kept; the images are, to find collisions.
+    The other helpers are bound once per audit, but `psi_map`, which may be
+    replaced, is read per form.  A cut at the top rank raises `ConfigError`.
     """
     tau = check_cut(tau, k)
     if k == len(tau):
@@ -544,21 +545,22 @@ def verify_injection(tau, k: int) -> InjectionReport:
     seen: dict[FaceNormalForm, FaceNormalForm] = {}
     partitions: dict = {}  # image pi -> its `_partition_reason`, for this audit only
     ranks: dict = {}  # the per-rank checks of the images' zero and eq sets, likewise
+    codim, form_reason, first_source = codimension, _form_reason, seen.setdefault
     for nf in _normal_forms(tau, k):
-        cod = codimension(nf, tau, k)
+        cod = codim(nf, tau, k)
         if cod < 2:
             continue
         src_counts[cod] = src_counts.get(cod, 0) + 1
         img = psi_map(nf, tau, k)
-        reason = _form_reason(img, tau, k + 1, partitions, ranks)
+        reason = form_reason(img, tau, k + 1, partitions, ranks)
         if reason is not None:
             failures.append(f"invalid image of {nf}: {reason}")
             continue
-        cod2 = codimension(img, tau, k + 1)
+        cod2 = codim(img, tau, k + 1)
         if cod2 != cod:
             preserved = False
             failures.append(f"codimension changed {cod} -> {cod2} on {nf}")
-        first = seen.setdefault(img, nf)
+        first = first_source(img, nf)
         if first is not nf:
             injective = False
             failures.append(f"collision: {first} and {nf} share an image")

@@ -54,6 +54,37 @@ def test_gen_tau_40_40_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "ef42d1d4ed8acac6aaab25f3df0402ff036c675fe4fb10be31d3e9b9ce828510"
 
 
+@pytest.mark.parametrize(
+    "argv, size, budget",
+    [
+        (["--tau", "3000,3000"], 9_006_000, MAX_POINTS),
+        (["--tau", "5000000"], 5_000_000, MAX_POINTS),  # one rank, no covers: its elements count
+        (["--tau", "2,2", "--budget-points", "7"], 8, 7),
+        (["--tau", "5", "--budget-points", "4"], 5, 4),
+        (["--tau", "1,2,3", "--budget-points", "13"], 14, 13),
+    ],
+)
+def test_gen_refuses_a_tau_past_the_point_budget_before_building_it(monkeypatch, capsys, argv, size, budget):
+    def refuse(*args):
+        raise AssertionError("the poset was built before its size was checked")
+
+    monkeypatch.setattr(cli, "make_maximal_ranked", refuse)
+    message = f"budget exceeded: {size} elements and covers exceed the point budget {budget}\n"
+    assert run_main(capsys, "gen", *argv) == (2, "", message)
+
+
+def test_gen_admits_a_tau_at_the_point_budget(monkeypatch, capsys):
+    for tau, budget in [("2,2", "8"), ("5", "5"), ("1,2,3", "14")]:
+        code, out, _ = run_main(capsys, "gen", "--tau", tau, "--budget-points", budget)
+        assert code == 0 and out == run_main(capsys, "gen", "--tau", tau)[1]
+    # 1500,1500 has 3,000 elements and 2,250,000 covers, inside the default
+    # budget; building it takes seconds, so only the check is run
+    built = []
+    monkeypatch.setattr(cli, "make_maximal_ranked", lambda tau: built.append(tau) or cli.Poset((), ()))
+    assert run_main(capsys, "gen", "--tau", "1500,1500")[0] == 0
+    assert built == [(1500, 1500)]
+
+
 def test_dd_order_json(capsys):
     code, out, _ = run_main(capsys, "dd", "--tau", "2,2", "--polytope", "order")
     assert code == 0
@@ -475,10 +506,11 @@ def test_chain_poset_order_polytope_is_a_simplex(tmp_path, capsys):
         ["fvector", "--tau", "2,2", "--k", "1"],
         ["table", "--n", "4"],
         ["dd", "--tau", "2,2", "--polytope", "chain-order", "--k", "1"],
+        ["gen", "--tau", "2,2"],
     ],
 )
 def test_negative_budgets_exit_two_before_any_work(capsys, argv):
-    flags = ["--budget-points"] if argv[0] == "dd" else ["--budget-faces", "--budget-points"]
+    flags = ["--budget-points"] if argv[0] in ("dd", "gen") else ["--budget-faces", "--budget-points"]
     for flag in flags:
         code, out, err = run_main(capsys, *argv, flag, "-1")
         assert (code, out) == (2, "")
@@ -1068,7 +1100,7 @@ def test_unknown_flags_exit_two():
     "command, flags, choices",
     [
         ([], [], ["{gen,dd,fvector,verify,table}"]),
-        (["gen"], ["--output", "--tau"], []),
+        (["gen"], ["--budget-points", "--output", "--tau"], []),
         (["dd"], ["--budget-points", "--k", "--output", "--polytope", "--poset", "--tau"], ["{order,chain,chain-order}"]),
         (
             ["fvector"],

@@ -1,4 +1,4 @@
-"""Mutants of the exact counters, each caught by the tests named with it.
+"""Mutants of the package, each caught by the tests named with it.
 
 Each mutant is one source substitution in a module of the package.  The
 package is copied to a temporary directory with the substituted module, and
@@ -7,7 +7,7 @@ Tier-1 size.  A mutant passes this check when the substitution applies
 exactly once and every named test fails; a named test may be a corpus
 digest of ``test_corpus.py``.  A control run of the unchanged copy must pass
 every named test, so that a test failing for another reason is not taken
-for a catch.  Opt-in: about 20 s; set CHAINORDER_SLOW=1.
+for a catch.  Opt-in: about 25 s; set CHAINORDER_SLOW=1.
 """
 
 import os
@@ -22,10 +22,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chainorder"
 
-pytestmark = pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 20 s; set CHAINORDER_SLOW=1")
+pytestmark = pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 25 s; set CHAINORDER_SLOW=1")
 
 POLY = "tests/test_polytopes.py::"
 HREPS = "tests/test_corpus.py::test_corpus_digest[hrep_counters]"
+NF = "tests/test_normalform.py::"
+LATTICE = "tests/test_facelattice.py::"
+CLI = "tests/test_cli.py::"
 
 # name: (module, source, substitute, the tests that catch it)
 MUTANTS = {
@@ -88,6 +91,46 @@ MUTANTS = {
         "if _gf2_rank(masks, n) == n or",
         "if False or",
         [POLY + "test_zero_one_vertices_ask_for_the_integer_rank_only_past_gf2"],
+    ),
+    "lattice covers unsorted": (
+        "facelattice",
+        "return tuple(sorted((fid[c], u) for u, low in enumerate(self.lower) for c in low))",
+        "return tuple((fid[c], u) for u, low in enumerate(self.lower) for c in low)",
+        [
+            LATTICE + "test_lower_covers_give_the_sorted_cover_pairs",
+            LATTICE + "test_lattice_matches_brute_force_on_compositions",
+        ],
+    ),
+    "order-side transfer matrix with s + 1": (
+        "normalform",
+        "(both - 2 * grow + 1) // x + x**t)",
+        "(both - 2 * grow + 1) // x + x**t + 1)",
+        [NF + "test_rank_matrix_difference_is_rank_one", NF + "test_counting_matches_reference_on_small_compositions"],
+    ),
+    "output check that truncates": (
+        "cli",
+        "os.close(os.open(path, os.O_WRONLY))",
+        "os.close(os.open(path, os.O_WRONLY | os.O_TRUNC))",
+        [
+            CLI + "test_table_budget_leaves_an_existing_output_untouched",
+            CLI + "test_side_file_and_output_are_checked_before_the_work[argv0---export-lattice-_pipelines_fvector]",
+            CLI + "test_side_file_and_output_are_checked_before_the_work[argv1---json-verify_monotone]",
+        ],
+    ),
+    "face partitions with their blocks unsorted": (
+        "normalform",
+        "return [tuple(sorted(closed)) for closed, _ in states]",
+        "return [closed for closed, _ in states]",
+        [NF + "test_face_partitions_are_canonical_without_repeats_upto_7", NF + "test_generator_makes_only_valid_forms"],
+    ),
+    "chain ends read at rank k + 2": (
+        "normalform",
+        "singles = tuple([b[0] for b in pi if len(b) == 1 and b[0][0] == k + 1])",
+        "singles = tuple([b[0] for b in pi if len(b) == 1 and b[0][0] == k + 2])",
+        [
+            NF + "test_chain_end_facts_and_psi_partition_on_every_face_partition_upto_6",
+            NF + "test_enumeration_matches_counting",
+        ],
     ),
 }
 

@@ -154,6 +154,36 @@ def test_face_partitions_match_brute_force(tau, k):
     assert set(got) == want
 
 
+def test_face_partitions_are_canonical_without_repeats_upto_7():
+    # the fold builds each block sorted, and sorts only each state's blocks
+    for tau in compositions_upto(7):
+        for k in range(len(tau) + 1):
+            got = face_partitions(tau, k)
+            assert all(pi == normalform._canonical_partition(pi) for pi in got), (tau, k)
+            assert len(got) == len(set(got)), (tau, k)
+
+
+def _reference_chain_end_facts(pi, tau, k):
+    """`_chain_end_facts` as a scan of rank k + 1's elements, which reads
+    any partition of the right elements, canonical or not."""
+    singles = tuple([e for e in rank_elements(tau, k + 1) if (e,) in pi])
+    glued = _reference_glued_block(pi, set(rank_elements(tau, k + 1))) or ()
+    return singles, not singles and top_element(tau) in glued
+
+
+def test_chain_end_facts_and_psi_partition_on_every_face_partition_upto_6():
+    checked = 0
+    for tau in compositions_upto(6):
+        for k in range(len(tau) + 1):
+            for pi in face_partitions(tau, k):
+                assert normalform._chain_end_facts(pi, tau, k) == _reference_chain_end_facts(pi, tau, k), (tau, k, pi)
+                if k < len(tau):
+                    pi2 = normalform._psi_partition(pi, tau, k)[0]
+                    assert pi2 == normalform._canonical_partition(pi2), (tau, k, pi)
+                checked += 1
+    assert checked == 6_051
+
+
 def test_enumeration_matches_counting():
     for tau in compositions_upto(5):
         for k in range(len(tau) + 1):
