@@ -82,6 +82,21 @@ def random_poset(rng: random.Random, n: int, p: float = 0.35) -> Poset:
     return Poset(elements, tuple(covers))
 
 
+def natural_posets(most: int):
+    """Every naturally labelled poset on e0..e(n-1), for n = 0..most: each
+    transitive set of pairs i < j, given by its covers, in a fixed order.
+    There are 1, 1, 2, 7, 40 and 357 of them for n = 0..5."""
+    for n in range(most + 1):
+        elements = tuple(f"e{i}" for i in range(n))
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            less = {pair for i, pair in enumerate(pairs) if bits >> i & 1}
+            if any((a, c) not in less for a, b in less for c in range(b + 1, n) if (b, c) in less):
+                continue
+            covers = [(a, b) for a, b in pairs if (a, b) in less and not any((a, m) in less and (m, b) in less for m in range(a + 1, b))]
+            yield Poset(elements, tuple((elements[a], elements[b]) for a, b in covers))
+
+
 def brute_force_antichain_subsets(n: int, edges) -> set[frozenset]:
     """All independent sets of a small graph, by direct subset enumeration."""
     adj = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}

@@ -1,5 +1,5 @@
 """Differential corpora for the two face counts, the three exact counters of
-H-reps and the normal forms.
+H-reps, the face-partition check and the normal forms.
 
 The face corpora feed seeded inputs to ``count_faces`` and ``enumerate_faces``
 and hash every outcome: the f-vector, the lattice's ``face_masks``, ``dims``
@@ -8,11 +8,13 @@ and ``lower``, or the exception's type and message.  The H-rep corpus hashes
 ``vertex_enum_exact`` on seeded H-reps, some under small budgets.  The
 normal-form corpora hash ``is_valid_normal_form``'s (ok, reason) on seeded
 mutants of every valid form, and whole ``verify_injection`` reports under
-seeded mutants of ``psi_map``.  One sha256 is pinned per corpus and size, so
-a change that moves any result, reason, budget message or error shows here.
-A changed digest is a changed output, which CHANGES.md names with its
-reason.  The Tier-1 slice takes a few seconds; the full size runs with
-CHAINORDER_SLOW=1.
+seeded mutants of ``psi_map``.  The partition corpus hashes
+``check_partition_masks``'s (valid, reason) on every set partition of the
+extended poset of every naturally labelled poset.  One sha256 is pinned per
+corpus and size, so a change that moves any result, reason, budget message
+or error shows here.  A changed digest is a changed output, which CHANGES.md
+names with its reason.  The Tier-1 slice takes a few seconds; the full size
+runs with CHAINORDER_SLOW=1.
 """
 
 import hashlib
@@ -21,7 +23,17 @@ import random
 from unittest import mock
 
 import pytest
-from conftest import compositions_upto, cross_polytope, glue, incidence, prism, random_poset, simplex
+from conftest import (
+    compositions_upto,
+    cross_polytope,
+    glue,
+    incidence,
+    natural_posets,
+    prism,
+    random_poset,
+    set_partitions,
+    simplex,
+)
 
 from chainorder import normalform, polytopes
 from chainorder.errors import MAX_FACES
@@ -36,6 +48,7 @@ from chainorder.polytopes import (
     vertex_enum_exact,
     zero_one_vertices,
 )
+from chainorder.posets import check_partition_masks, extend_poset, partition_masks
 
 SLOW = os.environ.get("CHAINORDER_SLOW") == "1"
 SEED = 37
@@ -282,6 +295,17 @@ def injection_reports(n):
                     yield repr((src, img, rep.injective, rep.codim_preserved, rep.failures))
 
 
+def partition_checks(n):
+    """`check_partition_masks` on every set partition of the extended poset
+    of every naturally labelled poset of at most n elements: its covers, the
+    blocks and (valid, reason)."""
+    for p in natural_posets(n):
+        ep = extend_poset(p)
+        for blocks in set_partitions(ep.elements):
+            check = check_partition_masks(ep, partition_masks(ep, blocks))
+            yield repr((p.covers, blocks, check.valid, check.reason))
+
+
 CORPORA = {  # name: (lines, sha256) at the Tier-1 slice, then at the full size
     "hrep_counters": [
         (lambda: counters(hreps(1000, 5, 60)), "158ba02fa5bd60f8e35cfb7f2dca881f5c92201ca81d0cddae7eba1d1927daad"),
@@ -306,6 +330,10 @@ CORPORA = {  # name: (lines, sha256) at the Tier-1 slice, then at the full size
     "form_mutants": [
         (lambda: form_mutants(4), "6f08f0454c33769777e730ea8f21af83550cc87e9129b10c8ee8f39309a7e196"),
         (lambda: form_mutants(5), "194a72eb17084b8906292124aca97a795eeda63509230e8d644bbff5f8a783db"),
+    ],
+    "partition_checks": [
+        (lambda: partition_checks(4), "7db008b583cbcefbbebce14699e9c8ff110bca29ffbc4020bfe8296ace2323e8"),
+        (lambda: partition_checks(5), "508defb4d45cb9405532e18a17a746cf4d5f851d80f3fa9fe49101a0e879c4bd"),
     ],
     "injection_reports": [
         (lambda: injection_reports(5), "ed5f631d7b1d1e7e7c652c681b03f368cf31f3e1c9f05e5813dc3fc5d68e8f71"),

@@ -30,7 +30,7 @@ from chainorder.normalform import (
     verify_monotone,
 )
 from chainorder.polytopes import MAX_POINTS, chain_order_hrep, chain_polytope_dd, order_polytope_dd, zero_one_vertices
-from chainorder.posets import BOTTOM, TOP, check_tau, extend_poset, make_maximal_ranked, validate_face_partition
+from chainorder.posets import BOTTOM, TOP, Poset, check_tau, extend_poset, make_maximal_ranked, validate_face_partition
 
 
 def geometric_f_vector(tau, k):
@@ -152,6 +152,30 @@ def test_face_partitions_match_brute_force(tau, k):
     got = face_partitions(tau, k)
     assert len(got) == len(set(got))
     assert set(got) == want
+
+
+def _reference_induced_order_poset(tau, k):
+    """The order side of P_tau at cut k built cover by cover: the elements of
+    rank above k, with every pair of consecutive ranks joined in full."""
+    elems = tuple(e for r in range(k + 1, len(tau) + 1) for e in rank_elements(tau, r))
+    covers = tuple(
+        (a, b)
+        for r in range(k + 1, len(tau))
+        for a in rank_elements(tau, r)
+        for b in rank_elements(tau, r + 1)
+    )
+    return elems, covers
+
+
+def test_induced_order_poset_matches_the_reference_upto_7():
+    for tau in compositions_upto(7):
+        for k in range(len(tau) + 1):
+            p = induced_order_poset(tau, k)
+            assert (p.elements, p.covers) == _reference_induced_order_poset(tau, k), (tau, k)
+            ep, index = normalform._extended_order_poset(tau, k)
+            ref = extend_poset(Poset(*_reference_induced_order_poset(tau, k)))
+            assert (ep.elements, ep.covers) == (ref.elements, ref.covers), (tau, k)
+            assert index == {top_element(tau) if e is TOP else e: i for e, i in ref.index.items()}, (tau, k)
 
 
 def test_face_partitions_are_canonical_without_repeats_upto_7():

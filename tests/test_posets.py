@@ -5,7 +5,7 @@ from itertools import combinations
 from typing import Iterable
 
 import pytest
-from conftest import compositions_upto, random_poset, set_partitions
+from conftest import compositions_upto, natural_posets, random_poset, set_partitions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_polytopes import maximal_chains
@@ -306,6 +306,17 @@ def test_validate_face_partition_reasons_on_every_partition(tau, reasons):
         assert check.valid == (check.reason is None)
         got[check.reason] += 1
     assert got == reasons
+
+
+def test_validate_face_partition_against_brute_force_on_natural_posets_upto_4():
+    # every set partition of the extended poset of every naturally labelled poset
+    total = 0
+    for p in natural_posets(4):
+        ep = extend_poset(p)
+        for blocks in set_partitions(ep.elements):
+            total += 1
+            assert validate_face_partition(ep, blocks).valid == _oracle_face_partition(ep, blocks), (p.covers, blocks)
+    assert total == 8521  # 51 posets, Bell(|P| + 2) partitions each
 
 
 def _random_partition(rng, elements):
