@@ -43,6 +43,7 @@ from .posets import (
     check_partition_masks,
     check_tau,
     extend_poset,
+    make_maximal_ranked,
     partition_masks,
     validate_face_partition,  # not called here; perfbench wraps it at this module
 )
@@ -137,16 +138,11 @@ def face_partitions(tau, k: int) -> list[tuple[Block, ...]]:
 
 
 def induced_order_poset(tau, k: int) -> Poset:
-    """The order-side elements as a poset (full bipartite between consecutive ranks)."""
-    tau = check_cut(tau, k)
-    elems = tuple(e for r in range(k + 1, len(tau) + 1) for e in rank_elements(tau, r))
-    covers = tuple(
-        (a, b)
-        for r in range(k + 1, len(tau))
-        for a in rank_elements(tau, r)
-        for b in rank_elements(tau, r + 1)
-    )
-    return Poset(elems, covers)
+    """The order side of P_tau at cut k: `make_maximal_ranked` restricted to
+    the ranks above k.  It is an up-set, so its covers are exactly P_tau's
+    covers whose lower end has rank above k."""
+    p = make_maximal_ranked(check_cut(tau, k))
+    return Poset(tuple(e for e in p.elements if e[0] > k), tuple(c for c in p.covers if c[0][0] > k))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -235,55 +235,43 @@ def partition_masks(p: Poset, pi: Iterable[Iterable], index: dict | None = None)
     return masks
 
 
-def _block_digraph_acyclic(p: Poset, masks: Sequence[int]) -> bool:
-    """Whether the relation between distinct blocks (position masks) is acyclic.
-
-    Singletons alone follow p's order, so a cycle passes a merged block, and a
-    path from one merged block to another through singletons implies a direct
-    relation.  The relation is therefore acyclic iff no outside element lies
-    between two members of a merged block and the merged blocks alone are.
-    """
-    merged, ups = [], []
-    for m in masks:
-        if m & (m - 1):
-            up = down = 0
-            for i in mask_to_tuple(m):
-                up |= p.above_masks[i]
-                down |= p.below_masks[i]
-            if up & down & ~m:
-                return False
-            merged.append(m)
-            ups.append(up)
-    succ = [[j for j, n in enumerate(merged) if n != m and up & n] for m, up in zip(merged, ups)]
-    return _topological_order(succ) is not None
-
-
 def check_partition_masks(p: Poset, masks: Sequence[int]) -> PartitionCheck:
     """The face-partition conditions of ``validate_face_partition``, on the
-    position masks of a partition of an extended poset's elements."""
+    position masks of a partition of an extended poset's elements.  Each member
+    of a merged block is read once, by the search that tests its connectivity."""
     above, below = p.above_masks, p.below_masks
     ends = (1 << p.index[BOTTOM]) | (1 << p.index[TOP])
     split_ends = True
+    merged = []  # (block, union of its members' up-sets, union of their down-sets)
     for m in masks:
         if not m & (m - 1):
             continue
         # comparable members are joined by a chain of induced covers, so a block
         # is connected in its induced Hasse diagram iff by comparabilities
         reached = frontier = m & -m
+        up = down = 0
         while frontier:
             low = frontier & -frontier
             i = low.bit_length() - 1
+            up |= above[i]
+            down |= below[i]
             new = (above[i] | below[i]) & m & ~reached
             reached |= new
             frontier ^= low | new
         if reached != m:
             return PartitionCheck(False, "block not connected")
         split_ends = split_ends and m & ends != ends
+        merged.append((m, up, down))
     # a block merging the extremes also breaks compatibility whenever anything
     # lies between them; report the more specific reason first
     if not split_ends:
         return PartitionCheck(False, "bottom and top share a block")
-    if not _block_digraph_acyclic(p, masks):
+    # singletons alone follow p's order, so a cycle passes a merged block, and a
+    # path between merged blocks through singletons implies a direct relation:
+    # the block relation is acyclic iff no outside element lies between two
+    # members of a merged block and the merged blocks alone are
+    succ = [[j for j, (n, _, _) in enumerate(merged) if n != m and up & n] for m, up, _ in merged]
+    if any(up & down & ~m for m, up, down in merged) or _topological_order(succ) is None:
         return PartitionCheck(False, "block relation has a cycle")
     return PartitionCheck(True)
 
@@ -293,8 +281,9 @@ def validate_face_partition(p: Poset, pi: Iterable[Iterable]) -> PartitionCheck:
 
     A partition encodes a face when (a) every block is connected as an induced
     subposet, (b) the relation between distinct blocks is acyclic, and (c) the
-    adjoined bottom and top lie in different blocks.  A partition that fails to
-    cover the ground set is a malformed input and raises ValueError instead.
+    adjoined bottom and top lie in different blocks.  The reason names the first
+    of (a), (c) and (b) to fail.  A partition that fails to cover the ground set
+    is a malformed input and raises ValueError instead.
     """
     return check_partition_masks(p, partition_masks(p, pi))
 

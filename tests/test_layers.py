@@ -1,5 +1,6 @@
 """The module graph: the geometric and the combinatorial pipelines share only
-the base layer; and every public name has a caller in the package, or a reason.
+the base layer; every public name has a caller in the package, or a reason;
+and every private name is read in the package.
 
 Each module is read with `ast`, without importing anything, so a pipeline that
 loads the other fails here even when every other test passes.
@@ -98,33 +99,57 @@ def _references(node) -> Counter:
     )
 
 
+def _definitions(tree):
+    """(qualified name, name, node, public class or None) of each module-level
+    function, class and assigned name, and of each method, with its class's
+    publicness."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node, None
+            if isinstance(node, ast.ClassDef):
+                for m in node.body:
+                    if isinstance(m, ast.FunctionDef):
+                        yield f"{node.name}.{m.name}", m.name, m, not node.name.startswith("_")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, t.id, node, None) for t in targets if isinstance(t, ast.Name))
+
+
+def _unread(keep, skip_init: bool) -> set[str]:
+    """The qualified names that ``keep(name, node, public class)`` selects and
+    that no module of the package (but `__init__` when ``skip_init``) reads
+    outside their own definition."""
+    defined, read = [], Counter()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if not (skip_init and path.stem == "__init__"):
+            read += _references(tree)
+        defined += [(q, name, node) for q, name, node, cls in _definitions(tree) if keep(name, node, cls)]
+    return {qualified for qualified, name, node in defined if read[name] == _references(node)[name]}
+
+
+def _is_public(name, node, public_class) -> bool:
+    if name.startswith("_") or public_class is False:
+        return False
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) or name.isupper()
+
+
+def _is_private(name, node, public_class) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def uncalled_public_names() -> set[str]:
     """The public module-level functions and classes, UPPER_CASE constants,
     and public methods and properties of public classes, that no module of
     the package but `__init__` reads outside their own definition."""
-    defined, read = [], Counter()
-    for path in PACKAGE.glob("*.py"):
-        if path.stem == "__init__":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        read += _references(tree)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((node.name, node.name, node))
-                if isinstance(node, ast.ClassDef):
-                    defined += [
-                        (f"{node.name}.{m.name}", m.name, m)
-                        for m in node.body
-                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-                    ]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [
-                    (t.id, t.id, node)
-                    for t in targets
-                    if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_")
-                ]
-    return {qualified for qualified, name, node in defined if read[name] == _references(node)[name]}
+    return _unread(_is_public, skip_init=True)
+
+
+def unread_private_names() -> set[str]:
+    """The private (underscored, not dunder) module-level functions, classes
+    and assigned names, and private methods of any class, that no module of
+    the package reads outside their own definition."""
+    return _unread(_is_private, skip_init=False)
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -132,3 +157,9 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert not uncalled - set(NO_CALLER), f"public names with no caller in the package: {sorted(uncalled - set(NO_CALLER))}"
     assert not set(NO_CALLER) - uncalled, f"NO_CALLER names that have a caller, or are gone: {sorted(set(NO_CALLER) - uncalled)}"
     assert all(re.search(r"\bitem \d+\b", reason) for reason in NO_CALLER.values())
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper kept only for the tests, or left behind by a refactor, fails here
+    unread = unread_private_names()
+    assert not unread, f"private names that nothing in the package reads: {sorted(unread)}"

@@ -7,7 +7,7 @@ Tier-1 size.  A mutant passes this check when the substitution applies
 exactly once and every named test fails; a named test may be a corpus
 digest of ``test_corpus.py``.  A control run of the unchanged copy must pass
 every named test, so that a test failing for another reason is not taken
-for a catch.  Opt-in: about 25 s; set CHAINORDER_SLOW=1.
+for a catch.  Opt-in: about 35 s; set CHAINORDER_SLOW=1.
 """
 
 import os
@@ -22,13 +22,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chainorder"
 
-pytestmark = pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 25 s; set CHAINORDER_SLOW=1")
+pytestmark = pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 35 s; set CHAINORDER_SLOW=1")
 
 POLY = "tests/test_polytopes.py::"
 HREPS = "tests/test_corpus.py::test_corpus_digest[hrep_counters]"
 NF = "tests/test_normalform.py::"
 LATTICE = "tests/test_facelattice.py::"
 CLI = "tests/test_cli.py::"
+POSETS = "tests/test_posets.py::"
+PARTITIONS = "tests/test_corpus.py::test_corpus_digest[partition_checks]"
 
 # name: (module, source, substitute, the tests that catch it)
 MUTANTS = {
@@ -130,6 +132,40 @@ MUTANTS = {
         [
             NF + "test_chain_end_facts_and_psi_partition_on_every_face_partition_upto_6",
             NF + "test_enumeration_matches_counting",
+        ],
+    ),
+    "block search keeps only the first member's sets": (
+        "posets",
+        "up |= above[i]\n            down |= below[i]",
+        "up = up or above[i]\n            down = down or below[i]",
+        [
+            POSETS + "test_validate_face_partition_against_brute_force",
+            POSETS + "test_validate_face_partition_reasons_on_every_partition[tau0-reasons0]",
+            POSETS + "test_validate_face_partition_reasons_on_every_partition[tau1-reasons1]",
+            POSETS + "test_validate_face_partition_against_brute_force_on_natural_posets_upto_4",
+            PARTITIONS,
+        ],
+    ),
+    "no outside element between two members": (
+        "posets",
+        "if any(up & down & ~m for m, up, down in merged) or _topological_order(succ) is None:",
+        "if _topological_order(succ) is None:",
+        [
+            POSETS + "test_validate_face_partition_against_brute_force",
+            POSETS + "test_validate_face_partition_reasons_on_every_partition[tau0-reasons0]",
+            POSETS + "test_validate_face_partition_reasons_on_every_partition[tau1-reasons1]",
+            POSETS + "test_validate_face_partition_against_brute_force_on_natural_posets_upto_4",
+            PARTITIONS,
+        ],
+    ),
+    "order side keeps the cut rank": (
+        "normalform",
+        "tuple(e for e in p.elements if e[0] > k), tuple(c for c in p.covers if c[0][0] > k)",
+        "tuple(e for e in p.elements if e[0] >= k), tuple(c for c in p.covers if c[0][0] >= k)",
+        [
+            NF + "test_worked_codimension_five_configuration",
+            NF + "test_face_partitions_match_brute_force[tau3-1]",
+            NF + "test_induced_order_poset_matches_the_reference_upto_7",
         ],
     ),
 }
