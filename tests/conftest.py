@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
 from chainorder.facelattice import IncidenceMatrix, _facets
 from chainorder.polytopes import int_matrix_rank
-from chainorder.posets import Poset
+from chainorder.posets import Poset, element_name
 
 
 def compositions(total: int) -> list[tuple[int, ...]]:
@@ -80,6 +81,13 @@ def random_poset(rng: random.Random, n: int, p: float = 0.35) -> Poset:
             if less[i][j] and not any(less[i][m] and less[m][j] for m in range(n)):
                 covers.append((elements[i], elements[j]))
     return Poset(elements, tuple(covers))
+
+
+def poset_json(p: Poset) -> str:
+    """The text of a poset file for ``p`` by the standard encoder: its element
+    names and covers as ``json.dumps(..., indent=2, sort_keys=True)`` prints them."""
+    data = {"elements": list(map(element_name, p.elements)), "covers": [[element_name(a), element_name(b)] for a, b in p.covers]}
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def natural_posets(most: int):

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import compositions_upto, random_poset, table_taus
+from conftest import compositions_upto, poset_json, random_poset, table_taus
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,7 @@ import chainorder
 from chainorder import cli, normalform, polytopes
 from chainorder.cli import main
 from chainorder.errors import MAX_POINTS, BudgetError
-from chainorder.posets import as_tau_shape, poset_from_json, poset_to_json
+from chainorder.posets import as_tau_shape, make_maximal_ranked, poset_from_json, poset_to_json
 
 
 def run_main(capsys, *argv):
@@ -52,6 +52,42 @@ def test_gen_tau_40_40_digest(capsys):
     code, out, _ = run_main(capsys, "gen", "--tau", "40,40")  # 80 elements, 1,600 covers
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == "ef42d1d4ed8acac6aaab25f3df0402ff036c675fe4fb10be31d3e9b9ce828510"
+
+
+def test_gen_bytes_equal_the_standard_encoder(capsys):
+    taus = [*compositions_upto(7), (40, 40), (3, 2, 4), (1,) * 20]
+    for tau in taus:
+        code, out, _ = run_main(capsys, "gen", "--tau", ",".join(map(str, tau)))
+        assert code == 0 and out == poset_json(make_maximal_ranked(tau)) + "\n", tau
+
+
+def _run_measured(*argv):
+    """(exit code, peak RSS in KiB, wall seconds, sha256 of stdout) of the
+    package's CLI run on ``argv`` in a child.  A child's peak RSS starts from
+    its parent's at the fork, so the CLI runs under a small interpreter that
+    takes the CLI's own rusage by ``os.wait4`` and hashes its stdout in chunks."""
+    measure = (
+        "import hashlib, os, subprocess, sys, time\n"
+        "t = time.perf_counter(); proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE); h = hashlib.sha256()\n"
+        "while chunk := proc.stdout.read(1 << 16): h.update(chunk)\n"
+        "_, s, u = os.wait4(proc.pid, 0); print(os.waitstatus_to_exitcode(s), u.ru_maxrss, time.perf_counter() - t, h.hexdigest())"
+    )
+    src = str(Path(chainorder.__file__).resolve().parent.parent)
+    code, maxrss, seconds, digest = subprocess.run(
+        [sys.executable, "-c", measure, sys.executable, "-m", "chainorder.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    return int(code), int(maxrss), float(seconds), digest
+
+
+@pytest.mark.skipif(
+    os.environ.get("CHAINORDER_SLOW") != "1" or sys.platform != "linux", reason="opt-in; set CHAINORDER_SLOW=1 (Linux)"
+)
+def test_gen_tau_1500_1500_digest():
+    # 3,000 elements and 2,250,000 covers, about half the default point budget
+    code, _, _, digest = _run_measured("gen", "--tau", "1500,1500")
+    assert code == 0
+    assert digest == "e3c9bba83af3d36dd7d82f785ea005c89e89aae60c0fcdfa7b8af61b754c4ef4"
 
 
 @pytest.mark.parametrize(
@@ -973,19 +1009,11 @@ def test_table_row_budget_matches_the_listed_rows():
 )
 def test_table_n50_normalform_walks_in_flat_memory(tmp_path):
     # 408,304 rows; the interpreter alone takes about 17 MiB, and a list of
-    # the kept partitions with a fold plan per polytope took 77 MiB.  A
-    # child's peak RSS starts from its parent's at the fork, so the table
-    # runs under a small interpreter that reports the table's own peak.
+    # the kept partitions with a fold plan per polytope took 77 MiB
     out = tmp_path / "table.csv"
-    src = str(Path(chainorder.__file__).resolve().parent.parent)
-    measure = "import os, subprocess, sys; _, s, u = os.wait4(subprocess.Popen(sys.argv[1:]).pid, 0); print(s, u.ru_maxrss)"
-    status, maxrss = subprocess.run(
-        [sys.executable, "-c", measure,
-         sys.executable, "-m", "chainorder.cli", "table", "--n", "50", "--method", "normalform", "--output", str(out)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
-    ).stdout.split()
-    assert os.waitstatus_to_exitcode(int(status)) == 0
-    assert int(maxrss) < 40 * 1024  # KiB on Linux
+    code, maxrss, _, _ = _run_measured("table", "--n", "50", "--method", "normalform", "--output", str(out))
+    assert code == 0
+    assert maxrss < 40 * 1024  # KiB on Linux
     digest, rows = hashlib.sha256(), 0
     with open(out, "rb") as fh:
         for line in fh:
