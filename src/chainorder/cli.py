@@ -29,7 +29,6 @@ from .posets import (
     element_name,
     make_maximal_ranked,
     poset_from_json,
-    poset_to_json,
 )
 
 
@@ -298,12 +297,23 @@ def _dd_command(args: argparse.Namespace) -> int:
 
 
 def _gen_command(args: argparse.Namespace) -> int:
-    """Write P_tau as JSON, refused past --budget-points by its elements plus covers."""
+    """Write P_tau as JSON from tau alone, refused past --budget-points by its
+    elements plus covers: rank i is covered by all of rank i + 1, so the text of
+    ``json.dumps(..., indent=2, sort_keys=True)`` goes out one lower element at a time."""
     tau = args.tau
     size = sum(tau) + sum(a * b for a, b in zip(tau, tau[1:]))  # sum tau_i + sum tau_i * tau_(i+1)
     if size > args.budget_points:
         raise BudgetError(f"{size} elements and covers exceed the point budget {args.budget_points}")
-    _emit(args, poset_to_json(make_maximal_ranked(tau)) + "\n")
+    ranks = [[json.dumps(element_name((i, t))) for t in range(1, n + 1)] for i, n in enumerate(tau, 1)]
+    with _output(args) as out:
+        out.write('{\n  "covers": [')
+        sep = "\n"
+        for lower, upper in zip(ranks, ranks[1:]):
+            for a in lower:
+                out.write(sep + ",\n".join(f"    [\n      {a},\n      {b}\n    ]" for b in upper))
+                sep = ",\n"
+        elements = ",\n".join(f"    {e}" for rank in ranks for e in rank)
+        out.write(("\n  ]" if len(tau) > 1 else "]") + f',\n  "elements": [\n{elements}\n  ]\n}}\n')
     return 0
 
 

@@ -153,13 +153,14 @@ def _extended_order_poset(tau: tuple[int, ...], k: int) -> tuple[Poset, dict]:
 
 
 def _glued_block(pi, r: int) -> Block | None:
-    """The non-singleton block whose ranks, from ``b[0][0]`` to ``b[-1][0]``
-    in a canonical partition, span rank r, if any.  Every caller asks about
-    rank k + 1 of a valid partition at cut k, which at most one such block
-    meets: each element of rank k + 1 lies below all elements above it, so
-    each of two such blocks would lie below the other.
+    """The non-singleton block that starts at rank r, ``b[0][0]`` in a
+    canonical partition, if any.  Every caller asks about rank k + 1, the
+    lowest of the order side, of a valid partition at cut k: a block meeting
+    that rank starts there and, being connected, cannot end there too.  At
+    most one block does: each element of rank k + 1 lies below all elements
+    above it, so each of two such blocks would lie below the other.
     """
-    return next((b for b in pi if len(b) > 1 and b[0][0] <= r <= b[-1][0]), None)
+    return next((b for b in pi if len(b) > 1 and b[0][0] == r), None)
 
 
 def _in_order(s, allowed) -> bool:
@@ -295,8 +296,7 @@ def codimension(nf: FaceNormalForm, tau, k: int) -> int:
     form for ``tau`` and ``k``, as for `psi_map`; it is not validated here.
     """
     pi, zero_sets, eq_sets = nf
-    m = sum(tau[k:]) + 1  # the order side plus the adjoined maximum
-    codim = (m - len(pi)) + sum(map(len, zero_sets))
+    codim = (len(order_ground(tuple(tau), k)) - len(pi)) + sum(map(len, zero_sets))
     if eq_sets is not None:  # len(s) - 1 for each nonempty eq set s
         codim += 1 + sum(map(len, eq_sets)) - len(eq_sets) + eq_sets.count(())
     return codim

@@ -334,21 +334,6 @@ def element_name(e: Element) -> str:
     return str(e)
 
 
-def poset_to_json(p: Poset) -> str:
-    """The element names and covers as ``json.dumps(..., indent=2,
-    sort_keys=True)`` prints them, written by hand: each element is named
-    and quoted once, and each cover is one f-string."""
-    names = dict(zip(p.elements, map(json.dumps, map(element_name, p.elements))))
-    covers = [f"    [\n      {names[a]},\n      {names[b]}\n    ]" for a, b in p.covers]
-    elements = [f"    {name}" for name in names.values()]
-    return f'{{\n  "covers": {_json_list(covers)},\n  "elements": {_json_list(elements)}\n}}'
-
-
-def _json_list(items: list[str]) -> str:
-    """A list of already indented items at depth one, as ``indent=2`` prints it."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
-
-
 def poset_from_json(text: str) -> Poset:
     data = json.loads(text)
     elements, covers = data["elements"], data["covers"]

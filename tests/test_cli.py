@@ -21,7 +21,7 @@ import chainorder
 from chainorder import cli, normalform, polytopes
 from chainorder.cli import main
 from chainorder.errors import MAX_POINTS, BudgetError
-from chainorder.posets import as_tau_shape, make_maximal_ranked, poset_from_json, poset_to_json
+from chainorder.posets import as_tau_shape, make_maximal_ranked, poset_from_json
 
 
 def run_main(capsys, *argv):
@@ -80,14 +80,14 @@ def _run_measured(*argv):
     return int(code), int(maxrss), float(seconds), digest
 
 
-@pytest.mark.skipif(
-    os.environ.get("CHAINORDER_SLOW") != "1" or sys.platform != "linux", reason="opt-in; set CHAINORDER_SLOW=1 (Linux)"
-)
-def test_gen_tau_1500_1500_digest():
-    # 3,000 elements and 2,250,000 covers, about half the default point budget
-    code, _, _, digest = _run_measured("gen", "--tau", "1500,1500")
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_gen_tau_1500_1500_digest_in_flat_memory():
+    # 3,000 elements and 2,250,000 covers, about half the default point
+    # budget; built as a poset first, it took about 10 s and 956 MiB
+    code, maxrss, seconds, digest = _run_measured("gen", "--tau", "1500,1500")
     assert code == 0
     assert digest == "e3c9bba83af3d36dd7d82f785ea005c89e89aae60c0fcdfa7b8af61b754c4ef4"
+    assert maxrss <= 40 * 1024 and seconds <= 5
 
 
 @pytest.mark.parametrize(
@@ -113,12 +113,26 @@ def test_gen_admits_a_tau_at_the_point_budget(monkeypatch, capsys):
     for tau, budget in [("2,2", "8"), ("5", "5"), ("1,2,3", "14")]:
         code, out, _ = run_main(capsys, "gen", "--tau", tau, "--budget-points", budget)
         assert code == 0 and out == run_main(capsys, "gen", "--tau", tau)[1]
-    # 1500,1500 has 3,000 elements and 2,250,000 covers, inside the default
-    # budget; building it takes seconds, so only the check is run
-    built = []
-    monkeypatch.setattr(cli, "make_maximal_ranked", lambda tau: built.append(tau) or cli.Poset((), ()))
-    assert run_main(capsys, "gen", "--tau", "1500,1500")[0] == 0
-    assert built == [(1500, 1500)]
+
+    def refuse(*args):
+        raise AssertionError("gen built a poset")
+
+    monkeypatch.setattr(cli, "make_maximal_ranked", refuse)
+    assert run_main(capsys, "gen", "--tau", "3,1,2")[1] == poset_json(make_maximal_ranked((3, 1, 2))) + "\n"
+
+
+def test_gen_names_each_element_once(monkeypatch, capsys):
+    calls = []
+    name = cli.element_name
+
+    def counted(e):
+        calls.append(e)
+        return name(e)
+
+    monkeypatch.setattr(cli, "element_name", counted)
+    code, out, _ = run_main(capsys, "gen", "--tau", "3,2,4")
+    assert code == 0 and len(calls) == 9  # once per element, never per cover end
+    assert out == poset_json(make_maximal_ranked((3, 2, 4))) + "\n"
 
 
 def test_dd_order_json(capsys):
@@ -510,7 +524,7 @@ def test_fvector_refuses_a_136_element_poset_within_seconds(tmp_path):
     # its order polytope has 1,564 vertices, whose walk ran about 12 s before the
     # face budget stopped it; its dimension alone refuses it, before any vertex
     path = tmp_path / "p136.json"
-    path.write_text(poset_to_json(random_poset(random.Random(3), 136)))
+    path.write_text(poset_json(random_poset(random.Random(3), 136)))
     src = str(Path(chainorder.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-m", "chainorder.cli", "fvector", "--poset", str(path), "--method", "geometric"],

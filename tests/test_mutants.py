@@ -7,7 +7,7 @@ Tier-1 size.  A mutant passes this check when the substitution applies
 exactly once and every named test fails; a named test may be a corpus
 digest of ``test_corpus.py``.  A control run of the unchanged copy must pass
 every named test, so that a test failing for another reason is not taken
-for a catch.  Opt-in: about 35 s; set CHAINORDER_SLOW=1.
+for a catch.  Opt-in: about 55 s; set CHAINORDER_SLOW=1.
 """
 
 import os
@@ -22,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "chainorder"
 
-pytestmark = pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 35 s; set CHAINORDER_SLOW=1")
+pytestmark = pytest.mark.skipif(os.environ.get("CHAINORDER_SLOW") != "1", reason="about 55 s; set CHAINORDER_SLOW=1")
 
 POLY = "tests/test_polytopes.py::"
 HREPS = "tests/test_corpus.py::test_corpus_digest[hrep_counters]"
@@ -166,6 +166,33 @@ MUTANTS = {
             NF + "test_worked_codimension_five_configuration",
             NF + "test_face_partitions_match_brute_force[tau3-1]",
             NF + "test_induced_order_poset_matches_the_reference_upto_7",
+        ],
+    ),
+    "gen covers rank i to rank i + 2": (
+        "cli",
+        "for lower, upper in zip(ranks, ranks[1:]):",
+        "for lower, upper in zip(ranks, ranks[2:]):",
+        [CLI + "test_gen_bytes_equal_the_standard_encoder", CLI + "test_gen_tau_40_40_digest"],
+    ),
+    "one-rank gen writes an open covers list": (
+        "cli",
+        '("\\n  ]" if len(tau) > 1 else "]")',
+        '"\\n  ]"',
+        [CLI + "test_gen_bytes_equal_the_standard_encoder"],
+    ),
+    "codimension counts the order side from rank k + 2": (
+        "normalform",
+        "len(order_ground(tuple(tau), k))",
+        "len(order_ground(tuple(tau), k + 1))",
+        [NF + "test_worked_codimension_five_configuration", NF + "test_injection_reports_digest_upto_6"],
+    ),
+    "glued block read by the rank it ends at": (
+        "normalform",
+        "len(b) > 1 and b[0][0] == r",
+        "len(b) > 1 and b[-1][0] == r",
+        [
+            NF + "test_chain_end_facts_and_psi_partition_on_every_face_partition_upto_6",
+            NF + "test_psi_matches_reference_on_small_compositions",
         ],
     ),
 }

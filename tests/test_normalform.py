@@ -130,7 +130,7 @@ def test_worked_codimension_five_configuration():
     )
     ok, reason = is_valid_normal_form(nf, tau, k)
     assert ok, reason
-    assert codimension(nf, tau, k) == 5
+    assert codimension(nf, tau, k) == codimension(nf, list(tau), k) == 5
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_polytopes import maximal_chains
 
-from chainorder import posets
 from chainorder.errors import ConfigError
 from chainorder.facelattice import count_faces, incidence_matrix
 from chainorder.normalform import f_vector_normal_form
@@ -27,7 +26,6 @@ from chainorder.posets import (
     mask_to_tuple,
     maximal_antichains,
     poset_from_json,
-    poset_to_json,
     partition_masks,
     validate_face_partition,
 )
@@ -430,31 +428,9 @@ def test_quotient_top_rank_edge():
     assert as_tau_shape(q) == (2, 1)
 
 
-def test_poset_to_json_names_each_element_once(monkeypatch):
-    p = make_maximal_ranked((3, 2))
-    calls = []
-    name = posets.element_name
-
-    def counted(e):
-        calls.append(e)
-        return name(e)
-
-    monkeypatch.setattr(posets, "element_name", counted)
-    text = poset_to_json(p)
-    assert sorted(calls) == sorted(p.elements)  # 5 calls; naming each cover's ends again made 17
-    assert poset_from_json(text).covers == tuple((name(a), name(b)) for a, b in p.covers)
-
-
-@pytest.mark.parametrize("tau", [(1,), (2, 1), (3, 2, 4), (40, 40)])
-def test_poset_to_json_of_tau_has_the_bytes_of_json_dumps(tau):
-    p = make_maximal_ranked(tau)
-    assert poset_to_json(p) == poset_json(p)
-
-
-def test_poset_to_json_escapes_names_as_json_dumps_does():
+def test_poset_from_json_reads_names_that_json_dumps_escapes():
     p = Poset(('q"1', "\u00e9", "tab\t", 7), (('q"1', "\u00e9"), (7, "tab\t")))
-    assert poset_to_json(p) == poset_json(p)
-    assert poset_from_json(poset_to_json(p)).elements == ('q"1', "\u00e9", "tab\t", "7")
+    assert poset_from_json(poset_json(p)).elements == ('q"1', "\u00e9", "tab\t", "7")
 
 
 def test_quotient_rejects_incompatible():
@@ -556,7 +532,7 @@ def test_no_x_gives_equal_f_vectors_on_random_posets():
 
 def test_poset_json_roundtrip():
     p = make_maximal_ranked((2, 1))
-    q = poset_from_json(poset_to_json(p))
+    q = poset_from_json(poset_json(p))
     assert q.elements == ("y1_1", "y1_2", "y2_1")
     assert len(q.covers) == len(p.covers)
     assert as_tau_shape(q) == (2, 1)
@@ -566,5 +542,4 @@ def test_poset_json_roundtrip():
 @given(st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1))
 def test_poset_json_roundtrip_random(n, density, seed):
     p = random_poset(random.Random(seed), n, density)
-    assert poset_from_json(poset_to_json(p)) == p
-    assert poset_to_json(p) == poset_json(p)
+    assert poset_from_json(poset_json(p)) == p
