@@ -296,7 +296,7 @@ def codimension(nf: FaceNormalForm, tau, k: int) -> int:
     form for ``tau`` and ``k``, as for `psi_map`; it is not validated here.
     """
     pi, zero_sets, eq_sets = nf
-    codim = (len(order_ground(tuple(tau), k)) - len(pi)) + sum(map(len, zero_sets))
+    codim = len(order_ground(tuple(tau), k)) - len(pi) + sum(map(len, zero_sets))
     if eq_sets is not None:  # len(s) - 1 for each nonempty eq set s
         codim += 1 + sum(map(len, eq_sets)) - len(eq_sets) + eq_sets.count(())
     return codim
